@@ -42,9 +42,6 @@ from .errors import (
     UnreachableConversionError,
 )
 from .from_rle import (
-    RepairSimState,
-    RleCursor,
-    RleSpan,
     rle_as_slp,
     rle_to_bisection,
     rle_to_lz77,
@@ -90,8 +87,6 @@ from .slp_ops import (
 from .suffix import (
     LceIndex,
     MetaText,
-    build_lcp_array,
-    build_suffix_array,
     lcp_array,
     rank_runs,
     suffix_array,

@@ -77,7 +77,6 @@ class CliConfig:
     self_ref: bool
     via_expand: bool
     max_output: int
-    alphabet_mode: str = "byte"
 
 
 def _budget(args: argparse.Namespace) -> int:
@@ -111,7 +110,10 @@ def build_config(args: argparse.Namespace) -> CliConfig:
 
 def _read_container(path: str) -> CompressedContainer:
     with open(path, "r", encoding="utf-8") as fh:
-        c = parse(fh.read())
+        try:
+            c = parse(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ContainerFormatError(f"{path}: not UTF-8 text ({exc})") from None
     report = validate(c)
     if not report.ok:
         raise InvalidInputError(report.error, report.location or path)

@@ -125,9 +125,14 @@ def serialize(c: CompressedContainer) -> str:
 
 
 def _int(tok: str, where: str) -> int:
-    if not tok or not (tok.isdigit() or (tok[0] == "-" and tok[1:].isdigit())):
+    digits = tok[1:] if tok.startswith("-") else tok
+    # str.isdigit alone also accepts non-ASCII digits such as "³"
+    if not (digits.isascii() and digits.isdigit()):
         raise ContainerFormatError(f"{where}: expected integer, got {tok!r}")
-    return int(tok)
+    try:
+        return int(tok)
+    except ValueError:  # beyond the interpreter's integer string limit
+        raise ContainerFormatError(f"{where}: integer has too many digits") from None
 
 
 def parse(data: str) -> CompressedContainer:

@@ -1,16 +1,14 @@
 """Conversions out of run-length encoded strings.
 
-The run structure is the only thing ever touched: factor searches walk
-runs, compare them through rank LCE queries on the meta text, and count
-characters with prefix sums. Outputs match the reference codecs on the
-decoded string.
+Only the run structure is ever touched. LZ77 and Re-Pair walk the runs;
+LZ78 and bisection run the drivers of crx.drivers on the meta text's
+symbol lookup and character-level LCE queries. Outputs match the
+reference codecs on the decoded string.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass
-
+from .drivers import bisection_driver, lz78_driver
 from .errors import EmptyInputError
 from .model import (
     AdmissibleGrammar,
@@ -25,95 +23,7 @@ from .model import (
     Var,
     item_key,
 )
-from .suffix import MetaText, rank_runs
-
-
-@dataclass(frozen=True)
-class RleCursor:
-    """Position inside an RLE string: offset q (1-based) into run u (1-based)."""
-
-    u: int
-    q: int
-
-    def position(self, meta: MetaText) -> int:
-        return meta.prefix_len[self.u - 1] + self.q
-
-
-@dataclass(frozen=True)
-class RleSpan:
-    """A substring described against the run boundaries.
-
-    x trailing symbols of run k-1, then runs k..k+l-1 whole, then y
-    leading symbols of run k+l (run indices 1-based). A span touching
-    only one run is stored as a single piece: whole (l=1), trailing (x)
-    or leading (y), the last also covering strict mid-run spans.
-    """
-
-    x: int
-    k: int
-    l: int
-    y: int
-
-    @classmethod
-    def from_range(cls, meta: MetaText, i: int, j: int) -> "RleSpan":
-        pl = meta.prefix_len
-        u = meta.run_of(i)
-        w = meta.run_of(j)
-        i_al = i == pl[u] + 1
-        j_al = j == pl[w + 1]
-        if u == w:
-            if i_al and j_al:
-                span = cls(0, u + 1, 1, 0)
-            elif j_al:
-                span = cls(j - i + 1, u + 2, 0, 0)
-            else:
-                span = cls(0, u + 1, 0, j - i + 1)
-        else:
-            x = 0 if i_al else pl[u + 1] - i + 1
-            y = 0 if j_al else j - pl[w]
-            fk = u + 1 if i_al else u + 2
-            lk = w + 1 if j_al else w
-            span = cls(x, fk, lk - fk + 1, y)
-        assert span.length(meta) == j - i + 1
-        return span
-
-    def length(self, meta: MetaText) -> int:
-        pl = meta.prefix_len
-        return self.x + (pl[self.k + self.l - 1] - pl[self.k - 1]) + self.y
-
-    def content_key(self, meta: MetaText) -> tuple[tuple, int]:
-        """Hashable view of the span's own run-length encoding.
-
-        Returns (key, midpos). Two spans are equal strings iff their keys
-        match and their interior whole runs agree, which callers check
-        with one meta LCE query anchored at the returned 1-based run
-        position. Spans of a single symbol get a self-contained key.
-        """
-        runs = meta.runs
-        total = self.length(meta)
-        pieces = (1 if self.x else 0) + self.l + (1 if self.y else 0)
-        if pieces == 1:
-            if self.x:
-                sym = runs[self.k - 2][0]
-            elif self.l:
-                sym = runs[self.k - 1][0]
-            else:
-                sym = runs[self.k + self.l - 1][0]
-            return ("u", sym, total), 0
-        first = (runs[self.k - 2][0], self.x) if self.x else runs[self.k - 1]
-        last = ((runs[self.k + self.l - 1][0], self.y) if self.y
-                else runs[self.k + self.l - 2])
-        mid_lo = self.k if self.x else self.k + 1
-        mid_hi = self.k + self.l - 1 if self.y else self.k + self.l - 2
-        return (total, first, last, mid_hi - mid_lo + 1), mid_lo
-
-
-@dataclass
-class RepairSimState:
-    """Working state of pairwise compression on a run-compressed string."""
-
-    sequence: list[tuple[GrammarItem, int]]
-    rules: dict[int, tuple[GrammarItem, ...]]
+from .suffix import rank_runs
 
 
 def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorization:
@@ -142,8 +52,6 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
     while s <= n:
         u = meta.run_of(s)
         q = s - pl[u]
-        cur = RleCursor(u + 1, q)
-        assert cur.position(meta) == s
         while filled < u:
             c0 = syms[filled]
             max_exp[c0] = max(max_exp.get(c0, 0), exps[filled])
@@ -192,39 +100,16 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
 
 
 def rle_to_lz78(r: RleString) -> Lz78Factorization:
-    """Dictionary factorization computed on the runs.
-
-    Entries are remembered as text intervals; whether one matches at the
-    cursor is a single character-level LCE query on the meta text.
-    """
-    runs = r.runs
-    if not runs:
-        return Lz78Factorization((), 0)
+    """Dictionary factorization computed on the runs; the shared driver
+    tests an entry at the cursor with one character-level LCE query."""
     meta = rank_runs(r)
-    n = meta.length
-    sigma = max(sym for sym, _ in runs) + 1
-    buckets: dict[int, list[tuple[int, int, int]]] = {}
-    ids: list[int] = []
-    entries = 0
-    pos = 1
-    while pos <= n:
-        c = runs[meta.run_of(pos)][0]
-        rem = n - pos + 1
-        flen, fid = 1, c + 1
-        for ln, eid, est in buckets.get(c, ()):
-            if ln > rem:
-                continue
-            if meta.char_lce(pos, est) >= ln:
-                flen, fid = ln, eid
-                break
-        ids.append(fid)
-        start = pos
-        pos += flen
-        if pos <= n:
-            entries += 1
-            insort(buckets.setdefault(c, []), (flen + 1, sigma + entries, start),
-                   key=lambda e: -e[0])
-    return Lz78Factorization(tuple(ids), sigma)
+    char_lce = meta.char_lce
+
+    def matches(pos: int, start: int, length: int) -> bool:
+        return char_lce(pos, start) >= length
+
+    sigma = max((sym + 1 for sym, _ in r.runs), default=0)
+    return lz78_driver(meta.length, sigma, meta.symbol, matches)
 
 
 def _pair_counts(seq: list[tuple[GrammarItem, int]]):
@@ -249,10 +134,11 @@ def rle_to_repair(r: RleString) -> AdmissibleGrammar:
     """
     if not r.runs:
         raise EmptyInputError("cannot build a grammar for the empty string")
-    state = RepairSimState([(Term(sym), exp) for sym, exp in r.runs], {})
+    seq: list[tuple[GrammarItem, int]] = [(Term(sym), exp) for sym, exp in r.runs]
+    rules: dict[int, tuple[GrammarItem, ...]] = {}
     nxt = 1
     while True:
-        counts = _pair_counts(state.sequence)
+        counts = _pair_counts(seq)
         best_count = 0
         best_pair = None
         for pair, cnt in counts.items():
@@ -264,12 +150,12 @@ def rle_to_repair(r: RleString) -> AdmissibleGrammar:
                 best_count, best_pair = cnt, pair
         if best_pair is None:
             break
-        state.rules[nxt] = best_pair
+        rules[nxt] = best_pair
         z = Var(nxt)
         left, right = best_pair
         out: list[tuple[GrammarItem, int]] = []
         if left == right:
-            for tok, exp in state.sequence:
+            for tok, exp in seq:
                 if tok == left:
                     if exp // 2:
                         out.append((z, exp // 2))
@@ -279,7 +165,6 @@ def rle_to_repair(r: RleString) -> AdmissibleGrammar:
                     out.append((tok, exp))
         else:
             i = 0
-            seq = state.sequence
             while i < len(seq):
                 tok, exp = seq[i]
                 if tok == left and i + 1 < len(seq) and seq[i + 1][0] == right:
@@ -299,65 +184,24 @@ def rle_to_repair(r: RleString) -> AdmissibleGrammar:
                 merged[-1] = (tok, merged[-1][1] + exp)
             else:
                 merged.append((tok, exp))
-        state.sequence = merged
+        seq = merged
         nxt += 1
     rhs: list[GrammarItem] = []
-    for tok, exp in state.sequence:
+    for tok, exp in seq:
         rhs.extend([tok] * exp)
-    state.rules[nxt] = tuple(rhs)
-    return AdmissibleGrammar(state.rules, nxt)
+    rules[nxt] = tuple(rhs)
+    return AdmissibleGrammar(rules, nxt)
 
 
 def rle_to_bisection(r: RleString) -> AdmissibleGrammar:
-    """Rebuild the balanced splitting grammar from the runs.
-
-    Spans are deduplicated by their own run-length encoding: first and
-    last pieces live in the key, the interior is a stretch of whole runs
-    compared with one meta LCE query. That mirrors the naive memo, so the
-    grammars match variable for variable.
-    """
+    """Balanced splitting grammar rebuilt from the runs by the shared
+    driver: spans are bucketed by MetaText.span_key and compared with at
+    most one character-level LCE query, so no span is ever expanded."""
     if not r.runs:
         raise EmptyInputError("cannot build a grammar for the empty string")
     meta = rank_runs(r)
-    pl = meta.prefix_len
-    n = meta.length
-    rules: dict[int, tuple[GrammarItem, ...]] = {}
-    buckets: dict[tuple, list[tuple[GrammarItem, int]]] = {}
-    out: dict[tuple[int, int], GrammarItem] = {}
-    stack: list[tuple[int, int, bool]] = [(1, n, False)]
-    while stack:
-        i, j, ready = stack.pop()
-        if (i, j) in out:
-            continue
-        if i == j:
-            out[(i, j)] = Term(meta.runs[meta.run_of(i)][0])
-            continue
-        key, midpos = RleSpan.from_range(meta, i, j).content_key(meta)
-        midlen = key[3] if key[0] != "u" else 0
-        half = 1
-        while half * 2 < j - i + 1:
-            half *= 2
-        if not ready:
-            hit = None
-            for item, mp in buckets.get(key, ()):
-                if midlen <= 0 or meta.meta_lce(midpos, mp) >= midlen:
-                    hit = item
-                    break
-            if hit is not None:
-                out[(i, j)] = hit
-                continue
-            stack.append((i, j, True))
-            stack.append((i + half, j, False))
-            stack.append((i, i + half - 1, False))
-            continue
-        var = len(rules) + 1
-        rules[var] = (out[(i, i + half - 1)], out[(i + half, j)])
-        out[(i, j)] = Var(var)
-        buckets.setdefault(key, []).append((Var(var), midpos))
-    top = out[(1, n)]
-    if isinstance(top, Term):
-        return AdmissibleGrammar({1: (top,)}, 1)
-    return AdmissibleGrammar(rules, top.index)
+    return bisection_driver(meta.length, meta.symbol, meta.span_key,
+                            meta.span_equals)
 
 
 def rle_as_slp(r: RleString) -> Slp:

@@ -1,19 +1,21 @@
 """Conversions out of straight-line programs.
 
-Every function here reads only the program: runs, factor lengths and
-sources all come from pattern queries on the grammar, never from the
-derived string. Outputs are defined to match the reference codecs on the
-expansion, which the tests check against the naive implementations.
+Every function here reads only the program: runs and LZ77 factors come
+from pattern queries on the grammar, and LZ78 and bisection run the
+drivers of crx.drivers on random access and substring-program matching,
+never on the derived string. Outputs are defined to match the reference
+codecs on the expansion, which the tests check against the naive
+implementations.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from functools import cache, partial
 
+from .drivers import bisection_driver, lz78_driver
 from .errors import InternalError
 from .model import (
     AdmissibleGrammar,
-    GrammarItem,
     Literal,
     Lz77Factorization,
     Lz78Factorization,
@@ -21,7 +23,6 @@ from .model import (
     RleString,
     Slp,
     Term,
-    Var,
 )
 from .slp_ops import (
     RunLinkAnnotations,
@@ -95,90 +96,43 @@ def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
 
 
 def slp_to_lz78(s: Slp) -> Lz78Factorization:
-    """Dictionary factorization computed on the program.
-
-    Dictionary entries are substring programs of the text. Candidates for
-    a position share their first symbol, so they are bucketed by it and
-    tried longest first; entries are pairwise distinct strings, hence the
-    first hit is the longest match.
-    """
-    n = s.length
+    """Dictionary factorization computed on the program; the shared
+    driver tests an entry at the cursor with prefix_match against the
+    entry's substring program, built the first time the entry is tried."""
     text_ann = annotate_runs(s)
     sigma = 0
     for v in reachable_vars(s):
         rule = s.rules[v - 1]
         if isinstance(rule, Term):
             sigma = max(sigma, rule.code + 1)
-    buckets: dict[int, list[tuple[int, int, Slp, RunLinkAnnotations]]] = {}
-    ids: list[int] = []
-    entries = 0
-    pos = 1
-    while pos <= n:
-        c = char_at(s, pos)
-        rem = n - pos + 1
-        flen, fid = 1, c + 1
-        for ln, eid, eslp, eann in buckets.get(c, ()):
-            if ln > rem:
-                continue
-            if prefix_match(s, pos, eslp, text_ann, eann):
-                flen, fid = ln, eid
-                break
-        ids.append(fid)
-        start = pos
-        pos += flen
-        if pos <= n:
-            entries += 1
-            eslp = substring_slp(s, start, pos)
-            item = (flen + 1, sigma + entries, eslp, annotate_runs(eslp))
-            insort(buckets.setdefault(c, []), item, key=lambda e: -e[0])
-    return Lz78Factorization(tuple(ids), sigma)
+    programs: dict[int, tuple[Slp, RunLinkAnnotations]] = {}
+
+    def matches(pos: int, start: int, length: int) -> bool:
+        entry = programs.get(start)
+        if entry is None:
+            eslp = substring_slp(s, start, start + length - 1)
+            entry = programs[start] = (eslp, annotate_runs(eslp))
+        return prefix_match(s, pos, entry[0], text_ann, entry[1])
+
+    return lz78_driver(s.length, sigma, partial(char_at, s), matches)
 
 
 def slp_to_bisection(s: Slp) -> AdmissibleGrammar:
     """Rebuild the balanced splitting grammar without expanding.
 
-    Spans are deduplicated through buckets keyed by length plus a few
-    sampled characters; a bucket hit is confirmed by a program equality
-    check, so merges are exact and the rebuilt grammar matches the naive
-    one variable for variable.
+    The shared driver keys a span by its length plus five sampled
+    symbols. Equal keys are confirmed by slp_equals on substring programs,
+    each built once and only when its key meets an earlier span (not by
+    prefix_match, linear in N on periodic programs such as (ab)^k).
     """
-    n = s.length
-    rules: dict[int, tuple[GrammarItem, ...]] = {}
-    buckets: dict[tuple, list[tuple[GrammarItem, Slp]]] = {}
-    out: dict[tuple[int, int], GrammarItem] = {}
-    stack: list[tuple[int, int, bool]] = [(1, n, False)]
-    while stack:
-        i, j, ready = stack.pop()
-        if (i, j) in out:
-            continue
-        if i == j:
-            out[(i, j)] = Term(char_at(s, i))
-            continue
+    program = cache(partial(substring_slp, s))  # one program per span
+
+    def key(i: int, j: int) -> tuple:
         span = j - i + 1
         offs = sorted({0, span - 1, span // 2, span // 4, (3 * span) // 4})
-        fp = (span,) + tuple(char_at(s, i + o) for o in offs)
-        half = 1
-        while half * 2 < span:
-            half *= 2
-        if not ready:
-            sub = substring_slp(s, i, j)
-            hit = None
-            for item, rep in buckets.get(fp, ()):
-                if slp_equals(sub, rep):
-                    hit = item
-                    break
-            if hit is not None:
-                out[(i, j)] = hit
-                continue
-            stack.append((i, j, True))
-            stack.append((i + half, j, False))
-            stack.append((i, i + half - 1, False))
-            continue
-        var = len(rules) + 1
-        rules[var] = (out[(i, i + half - 1)], out[(i + half, j)])
-        out[(i, j)] = Var(var)
-        buckets.setdefault(fp, []).append((Var(var), substring_slp(s, i, j)))
-    top = out[(1, n)]
-    if isinstance(top, Term):
-        return AdmissibleGrammar({1: (top,)}, 1)
-    return AdmissibleGrammar(rules, top.index)
+        return (span,) + tuple(char_at(s, i + o) for o in offs)
+
+    def same(i: int, j: int, k: int) -> bool:
+        return slp_equals(program(i, j), program(k, k + j - i))
+
+    return bisection_driver(s.length, partial(char_at, s), key, same)

@@ -168,17 +168,14 @@ class Slp:
 
     rules: tuple[Term | tuple[int, int], ...]
     lengths: tuple[int, ...] = field(compare=False)
-    heights: tuple[int, ...] = field(compare=False)
 
     @classmethod
     def build(cls, rules: list[Term | tuple[int, int]] | tuple) -> "Slp":
         rules = tuple(rules)
         lengths = []
-        heights = []
         for i, rule in enumerate(rules, start=1):
             if isinstance(rule, Term):
                 lengths.append(1)
-                heights.append(1)
             else:
                 l, r = rule
                 if not (1 <= l < i and 1 <= r < i):
@@ -187,8 +184,7 @@ class Slp:
                         f"rule {i} refers to {l},{r}",
                     )
                 lengths.append(lengths[l - 1] + lengths[r - 1])
-                heights.append(1 + max(heights[l - 1], heights[r - 1]))
-        return cls(rules, tuple(lengths), tuple(heights))
+        return cls(rules, tuple(lengths))
 
     @property
     def n(self) -> int:

@@ -130,6 +130,30 @@ class MetaText:
         """0-based index of the run covering 1-based character position pos."""
         return bisect_left(self.prefix_len, pos) - 1
 
+    def symbol(self, pos: int) -> int:
+        """Symbol at 1-based character position pos."""
+        return self.runs[bisect_left(self.prefix_len, pos) - 1][0]
+
+    def span_key(self, i: int, j: int) -> tuple:
+        """Length, end pieces and run count of the text at i..j, plus the
+        ranks of its first and last whole inner runs: a key that agrees on
+        equal strings and pins down every span of at most four runs."""
+        pl = self.prefix_len
+        u = bisect_left(pl, i) - 1
+        w = bisect_left(pl, j) - 1
+        if u == w:
+            return (j - i + 1, self.runs[u][0])
+        inner = (self.ranks[u + 1], self.ranks[w - 1]) if w - u > 1 else ()
+        return (j - i + 1, w - u, self.runs[u][0], pl[u + 1] - i + 1,
+                self.runs[w][0], j - pl[w], *inner)
+
+    def span_equals(self, i: int, j: int, k: int) -> bool:
+        """Is the text at i..j equal to the span of that length at k, given
+        equal span_keys? Spans of at most four runs then must be."""
+        pl = self.prefix_len
+        return (bisect_left(pl, j) - bisect_left(pl, i) < 4
+                or self.char_lce(i, k) >= j - i + 1)
+
     def meta_lce(self, i: int, j: int) -> int:
         """Equal (symbol, exponent) pairs from 1-based run positions i, j."""
         if i > self.m or j > self.m:
@@ -144,8 +168,8 @@ class MetaText:
             return 0
         if s == t:
             return self.length - s + 1
-        u = self.run_of(s)
-        w = self.run_of(t)
+        u = bisect_left(self.prefix_len, s) - 1  # run_of, inlined: hot path
+        w = bisect_left(self.prefix_len, t) - 1
         if self.runs[u][0] != self.runs[w][0]:
             return 0
         head_s = self.prefix_len[u + 1] - s + 1
@@ -165,11 +189,3 @@ class MetaText:
 def rank_runs(r: RleString) -> MetaText:
     """Rank the runs of an RLE string into a meta text."""
     return MetaText(r.runs)
-
-
-def build_suffix_array(m: MetaText) -> list[int]:
-    return suffix_array(m.ranks)
-
-
-def build_lcp_array(m: MetaText, sa: list[int]) -> list[int]:
-    return lcp_array(m.ranks, sa)

@@ -14,10 +14,9 @@ from crx import (
     LceIndex,
     RleString,
     Text,
-    build_lcp_array,
-    build_suffix_array,
     compressed_size,
     expand_slp,
+    lcp_array,
     naive_bisection,
     naive_lz77,
     naive_lz78,
@@ -34,6 +33,7 @@ from crx import (
     slp_to_lz77,
     slp_to_lz78,
     slp_to_rle,
+    suffix_array,
 )
 from helpers import brute_occurrences, sample_slp, power_slp, random_slp, slp_of
 
@@ -265,9 +265,9 @@ def test_criterion_8_meta_suffix_structures():
             runs.append((sym, rng.randint(1, 8)))
             prev = sym
         m = rank_runs(RleString(tuple(runs)))
-        sa = build_suffix_array(m)
+        sa = suffix_array(m.ranks)
         assert sa == brute_sa(m.ranks)
-        assert build_lcp_array(m, sa) == brute_lcp(m.ranks, sa)
+        assert lcp_array(m.ranks, sa) == brute_lcp(m.ranks, sa)
         idx = LceIndex(m.ranks)
         for _ in range(4):
             i, j = rng.randint(1, m.m), rng.randint(1, m.m)

@@ -199,6 +199,16 @@ def test_invalid_container_exit_code(tmp_path, capsys):
     assert "adjacent-equal-runs" in err
 
 
+@pytest.mark.parametrize("data", [
+    "CRX1 rle 256 3\n97 \u00b3\n".encode(),
+    b"CRX1 rle 256 3\n97 3\xff\n",
+])
+def test_malformed_container_exit_code(tmp_path, capsys, data):
+    code, _, err = run(capsys, "info", write(tmp_path / "a.crx", data))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "info", str(tmp_path / "nope.crx"))
     assert code == 1

@@ -123,6 +123,8 @@ def test_payload_size():
     "CRX1 rle 2 x\n",
     "CRX1 rle 2 3\n0\n",
     "CRX1 rle 2 3\n0 1 2\n",
+    "CRX1 rle 2 3\n0 \u00b3\n",
+    "CRX1 rle 2 3\n0 " + "9" * 5000 + "\n",
     "CRX1 lz77 2 3\nQ 0\n",
     "CRX1 lz77 2 3\nL 0 5\n",
     "CRX1 lz78 2 3\nnope\n",

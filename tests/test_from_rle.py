@@ -6,8 +6,6 @@ from crx import (
     Literal,
     Lz78Factorization,
     Reference,
-    RleCursor,
-    RleSpan,
     RleString,
     Text,
     expand_rle,
@@ -29,59 +27,22 @@ from helpers import random_runs
 AB3 = RleString(((0, 3), (1, 2), (0, 3)))  # aaabbaaa
 
 
-def test_cursor_position():
-    m = rank_runs(AB3)
-    assert RleCursor(1, 1).position(m) == 1
-    assert RleCursor(2, 2).position(m) == 5
-    assert RleCursor(3, 3).position(m) == 8
-
-
-def test_span_from_range_shapes():
-    m = rank_runs(AB3)
-    # whole run
-    assert RleSpan.from_range(m, 4, 5) == RleSpan(0, 2, 1, 0)
-    # trailing piece of run k-1
-    assert RleSpan.from_range(m, 2, 3) == RleSpan(2, 2, 0, 0)
-    # leading piece of a run
-    assert RleSpan.from_range(m, 6, 7) == RleSpan(0, 3, 0, 2)
-    # strict interior of a run is stored like a leading piece
-    assert RleSpan.from_range(m, 2, 2) == RleSpan(0, 1, 0, 1)
-    # crossing spans
-    assert RleSpan.from_range(m, 2, 6) == RleSpan(2, 2, 1, 1)
-    assert RleSpan.from_range(m, 1, 8) == RleSpan(0, 1, 3, 0)
-
-
-def test_span_reconstruction_exhaustive():
-    runs = ((0, 4), (1, 1), (0, 2), (2, 3))
-    m = rank_runs(RleString(runs))
-    text = expand_rle(RleString(runs)).to_str()
-    n = len(text)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            sp = RleSpan.from_range(m, i, j)
-            assert sp.length(m) == j - i + 1
-
-
 def test_span_content_key_equality_matches_string_equality():
-    runs = ((0, 3), (1, 2), (0, 3), (1, 2), (0, 3))
+    # equal end pieces around (1,2)(0,3)(1,2) and (1,2)(2,3)(1,2) inner runs
+    runs = ((0, 3), (1, 2), (0, 3), (1, 2), (0, 3), (1, 2), (2, 3), (1, 2), (0, 3))
     m = rank_runs(RleString(runs))
     text = expand_rle(RleString(runs)).to_str()
     n = len(text)
-    spans = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            sp = RleSpan.from_range(m, i, j)
-            key, midpos = sp.content_key(m)
-            midlen = key[3] if key[0] != "u" else 0
-            spans.setdefault((i, j), (key, midpos, midlen))
-    items = sorted(spans)
-    for a in items:
-        for b in items:
-            ka, pa, la = spans[a]
-            kb, pb, lb = spans[b]
-            same_key = ka == kb and (la <= 0 or m.meta_lce(pa, pb) >= la)
+    spans = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    keys = {sp: m.span_key(*sp) for sp in spans}
+    for a in spans:
+        for b in spans:
             same_str = text[a[0] - 1:a[1]] == text[b[0] - 1:b[1]]
-            assert same_key == same_str, (a, b)
+            if keys[a] != keys[b]:
+                assert not same_str, (a, b)
+                continue
+            assert (m.char_lce(a[0], b[0]) >= a[1] - a[0] + 1) == same_str, (a, b)
+            assert m.span_equals(a[0], a[1], b[0]) == same_str, (a, b)
 
 
 def test_lz77_three_run_example_both_variants():
