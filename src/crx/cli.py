@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 invalid input or a failed verification, 2 no
 conversion path between the requested formats, 3 expansion budget
 exceeded. The budget comes from --max-output, then the CRX_MAX_OUTPUT
-environment variable, then a 64 MiB default.
+environment variable, then a 64 MiB default. A negative budget, or a
+CRX_MAX_OUTPUT that is not an integer, is invalid input (exit 1).
 """
 
 from __future__ import annotations
@@ -80,17 +81,20 @@ class CliConfig:
 
 
 def _budget(args: argparse.Namespace) -> int:
-    flag = getattr(args, "max_output", None)
-    if flag is not None:
-        return flag
-    env = os.environ.get("CRX_MAX_OUTPUT")
-    if env:
+    value, source = getattr(args, "max_output", None), "--max-output"
+    if value is None:
+        env = os.environ.get("CRX_MAX_OUTPUT")
+        if not env:
+            return DEFAULT_LIMIT
+        source = "CRX_MAX_OUTPUT"
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
-            raise InvalidInputError("bad-budget", "CRX_MAX_OUTPUT",
-                                    f"not an integer: {env!r}")
-    return DEFAULT_LIMIT
+            raise InvalidInputError("bad-budget", source,
+                                    f"not an integer: {env!r}") from None
+    if value < 0:
+        raise InvalidInputError("bad-budget", source, f"negative budget: {value}")
+    return value
 
 
 def build_config(args: argparse.Namespace) -> CliConfig:

@@ -45,53 +45,72 @@ def slp_to_rle(s: Slp) -> RleString:
 def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
     """Greedy leftmost-longest factorization computed on the program.
 
-    Factor lengths are found by doubling plus binary search on "does this
-    window have an admissible earlier occurrence", each probe answered by
-    an occurrence query for the window's substring program.
+    Each factor keeps a candidate source src: the leftmost admissible
+    source of the current window. The window grows by galloping plus
+    bisection on "does the window occur at src", a single membership
+    check whose length is capped at pos - src without self-references.
+    That keeps src leftmost, since every admissible source of a longer
+    window is one of the shorter window too. Then one full occurrence
+    query on the window one symbol longer decides: if it has no
+    admissible source the factor is (src, length), otherwise its leftmost
+    start becomes src and the growth resumes. Each factor therefore
+    spends one failing full query, the query that ends it.
     """
     n = s.length
     factors: list[Literal | Reference] = []
     pos = 1
+
+    def window(length: int):
+        return occurrences(s, substring_slp(s, pos, pos + length - 1))
+
+    def leftmost_source(length: int) -> int | None:
+        occ = window(length)
+        if self_referential:
+            found = occ.exists_start_in(1, pos - 1)
+        else:
+            found = occ.exists_fully_within(1, pos - 1)
+        if not found:
+            return None
+        src = occ.min_start()
+        limit = pos - 1 if self_referential else pos - length
+        if src is None or src > limit:
+            raise InternalError("factor source search is inconsistent; "
+                                f"got {src} for window at {pos} length {length}")
+        return src
+
     while pos <= n:
         rem = n - pos + 1
         cap = rem if self_referential else min(rem, pos - 1)
-
-        def valid(length: int):
-            window = substring_slp(s, pos, pos + length - 1)
-            occ = occurrences(s, window)
-            if self_referential:
-                ok = occ.exists_start_in(1, pos - 1)
-            else:
-                ok = occ.exists_fully_within(1, pos - 1)
-            return occ if ok else None
-
-        best = valid(1) if pos > 1 and cap >= 1 else None
-        if best is None:
+        src = leftmost_source(1) if pos > 1 and cap >= 1 else None
+        if src is None:
             factors.append(Literal(char_at(s, pos)))
             pos += 1
             continue
-        lo, hi = 1, cap + 1  # valid at lo, invalid at hi
-        while lo < cap:
-            trial = min(lo * 2, cap)
-            occ = valid(trial)
-            if occ is None:
-                hi = trial
+        length = 1
+        while True:
+            src_cap = cap if self_referential else min(cap, pos - src)
+            lo, hi, step = length, src_cap + 1, 1  # lo occurs at src; hi does not, or exceeds src_cap
+            while lo + step < hi:
+                if not window(lo + step).membership(src):
+                    hi = lo + step
+                    break
+                lo += step
+                step *= 2
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if window(mid).membership(src):
+                    lo = mid
+                else:
+                    hi = mid
+            length = lo
+            if length == cap:
                 break
-            lo, best = trial, occ
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            occ = valid(mid)
-            if occ is None:
-                hi = mid
-            else:
-                lo, best = mid, occ
-        src = best.min_start()
-        limit = pos - 1 if self_referential else pos - lo
-        if src is None or src > limit:
-            raise InternalError("factor source search is inconsistent; "
-                                f"got {src} for window at {pos} length {lo}")
-        factors.append(Reference(src, lo))
-        pos += lo
+            nxt = leftmost_source(length + 1)
+            if nxt is None:
+                break
+            src, length = nxt, length + 1
+        factors.append(Reference(src, length))
+        pos += length
     return Lz77Factorization(tuple(factors), self_referential)
 
 

@@ -2,9 +2,13 @@
 
 Occurrence sets are stored per text variable as arithmetic progressions
 of starts that cross the variable's left/right boundary, plus terminal
-markers for single-character patterns. Every occurrence of a pattern of
+matches for single-character patterns. Every occurrence of a pattern of
 length >= 2 crosses exactly one boundary in the derivation tree, so the
-progressions with derivation multiplicities cover the set exactly.
+progressions with derivation multiplicities cover the set exactly. A
+variable's progressions, and the edge runs of its children they are
+built from, are computed the first time a query needs them: a membership
+test touches one variable, a leftmost-start or range query stops at its
+first hit, and only counting and listing visit every variable.
 
 All positions are 1-based. Traversals use explicit stacks throughout;
 derivation heights can exceed Python's recursion limit.
@@ -259,39 +263,6 @@ def _merge_runs(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tupl
     return a + b
 
 
-def _edge_runs(s: Slp, reach: list[int], need: int, cap: int):
-    """For every reachable variable, the runs covering its first and last
-    `need` characters, truncated to `cap` runs. Exponents are never cut:
-    the run straddling the cutoff keeps its full length, so boundary
-    matching can rely on true exponents. The flag records whether the list
-    covers the variable's whole expansion."""
-    head: dict[int, tuple[list[tuple[int, int]], bool]] = {}
-    tail: dict[int, tuple[list[tuple[int, int]], bool]] = {}
-    for v in reach:
-        rule = s.rules[v - 1]
-        if isinstance(rule, Term):
-            head[v] = ([(rule.code, 1)], True)
-            tail[v] = ([(rule.code, 1)], True)
-            continue
-        l, r = rule
-        hl, cl = head[l]
-        hr, cr = head[r]
-        if not cl:
-            head[v] = (hl, False)
-        else:
-            merged, dropped = _trim_head(_merge_runs(hl, hr), need, cap)
-            head[v] = (merged, cr and not dropped)
-        tl, dl = tail[l]
-        tr, dr = tail[r]
-        if not dr:
-            tail[v] = (tr, False)
-        else:
-            merged = _merge_runs(tl, tr)
-            rev, dropped = _trim_head([(sym, exp) for sym, exp in reversed(merged)], need, cap)
-            tail[v] = ([(sym, exp) for sym, exp in reversed(rev)], dl and not dropped)
-    return head, tail
-
-
 def _kmp_find_all(needle: list, hay: list) -> list[int]:
     if len(needle) > len(hay):
         return []
@@ -335,46 +306,202 @@ def _group_aps(positions: list[int]) -> list[tuple[int, int, int]]:
 class OccRepr:
     """Occurrence starts of one pattern inside one compressed text.
 
-    crossing maps a variable to arithmetic progressions (first, step,
-    count) of starts, relative to the variable's own origin, that cross
-    its child boundary. term_match lists the terminal variables equal to
-    a single-character pattern. Queries combine both with the derivation
-    structure; nothing here ever expands the text.
+    A text variable's crossing progressions are arithmetic progressions
+    (first, step, count) of starts, relative to the variable's own origin,
+    that cross its child boundary. They are computed the first time a
+    query needs them, from the runs at the inner edges of the two
+    children, which are in turn computed along the children's spines on
+    first use. A one-symbol pattern has no crossings and matches the
+    terminal variables deriving its symbol. Queries combine both with the
+    derivation structure; nothing here ever expands the text.
     """
 
-    def __init__(self, text: Slp, pattern_length: int,
-                 crossing: dict[int, tuple[tuple[int, int, int], ...]],
-                 term_match: frozenset[int]):
+    def __init__(self, text: Slp, pattern_runs: list[tuple[int, int]]):
         self.text = text
-        self.pattern_length = pattern_length
-        self.crossing = crossing
-        self.term_match = term_match
-        self._min = self._min_table()
+        self.pattern_length = sum(exp for _, exp in pattern_runs)
+        self._pruns = pattern_runs
+        self._need = self.pattern_length - 1
+        self._cap = len(pattern_runs) + 2
+        self._crossing: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        self._has: dict[int, bool] = {}
+        # edge runs per variable: head in text order, tail from the end
+        # backwards; the flag records whether they cover the whole variable
+        self._head: dict[int, tuple[list[tuple[int, int]], bool]] = {}
+        self._tail: dict[int, tuple[list[tuple[int, int]], bool]] = {}
 
-    def _min_table(self) -> dict[int, int]:
-        s = self.text
-        mn: dict[int, int] = {}
-        for v in range(1, s.n + 1):
-            rule = s.rules[v - 1]
+    def _term_matches(self, code: int) -> bool:
+        return self.pattern_length == 1 and code == self._pruns[0][0]
+
+    def _edge(self, v: int, memo: dict, outer: int) -> tuple[list[tuple[int, int]], bool]:
+        """Runs covering the first (outer=0) or last (outer=1) `need`
+        characters of v, at most `cap` runs, in order away from that edge.
+        Exponents are never cut: the run straddling the cutoff keeps its
+        full length, so boundary matching can rely on true exponents. The
+        inner child is consulted only when the outer child is complete."""
+        got = memo.get(v)
+        if got is not None:
+            return got
+        rules = self.text.rules
+        need, cap = self._need, self._cap
+        stack = [v]
+        while stack:
+            u = stack[-1]
+            rule = rules[u - 1]
             if isinstance(rule, Term):
-                if v in self.term_match:
-                    mn[v] = 1
+                memo[u] = ([(rule.code, 1)], True)
+                stack.pop()
+                continue
+            o = memo.get(rule[outer])
+            if o is None:
+                stack.append(rule[outer])
+                continue
+            if not o[1]:
+                memo[u] = o
+                stack.pop()
+                continue
+            i = memo.get(rule[1 - outer])
+            if i is None:
+                stack.append(rule[1 - outer])
+                continue
+            merged, dropped = _trim_head(_merge_runs(o[0], i[0]), need, cap)
+            memo[u] = (merged, i[1] and not dropped)
+            stack.pop()
+        return memo[v]
+
+    def _cross(self, v: int) -> tuple[tuple[int, int, int], ...]:
+        """Progressions of starts in v that cross its child boundary.
+
+        Candidate starts are anchored at run boundaries of a window of runs
+        around the cut: a crossing occurrence touches at most r_p runs per
+        side (r_p = pattern run count), so windows of r_p + 2 true-exponent
+        runs and pattern length minus one characters per side lose nothing.
+        Single-run patterns collapse to one progression per window by
+        length arithmetic.
+        """
+        got = self._crossing.get(v)
+        if got is not None:
+            return got
+        text = self.text
+        length = self.pattern_length
+        if length == 1 or text.lengths[v - 1] < length:  # terminals included
+            self._crossing[v] = ()
+            return ()
+        l, r = text.rules[v - 1]
+        b = text.lengths[l - 1]
+        window: list[tuple[int, int, int]] = []
+        pos = b + 1
+        for sym, exp in self._edge(l, self._tail, 1)[0]:
+            pos -= exp
+            window.append((sym, exp, pos))
+        window.reverse()
+        head_runs = self._edge(r, self._head, 0)[0]
+        nxt = b + 1
+        start_idx = 0
+        if window and head_runs and window[-1][0] == head_runs[0][0]:
+            sym, exp, ws = window[-1]
+            window[-1] = (sym, exp + head_runs[0][1], ws)
+            nxt += head_runs[0][1]
+            start_idx = 1
+        for sym, exp in head_runs[start_idx:]:
+            window.append((sym, exp, nxt))
+            nxt += exp
+        pruns = self._pruns
+        rp = len(pruns)
+        first_sym, first_exp = pruns[0]
+        last_sym, last_exp = pruns[-1]
+        aps: list[tuple[int, int, int]] = []
+        if rp == 1:
+            for sym, exp, ws in window:
+                if ws <= b and ws + exp - 1 >= b + 1:
+                    if sym == first_sym:
+                        o_lo = max(ws, b - length + 2)
+                        o_hi = min(b, ws + exp - length)
+                        if o_lo <= o_hi:
+                            aps = [(o_lo, 1, o_hi - o_lo + 1)]
+                    break
+        else:
+            interior = pruns[1:-1]
+            pairs = [(sym, exp) for sym, exp, _ in window]
+            anchors = _kmp_find_all(interior, pairs) if interior else range(1, len(window))
+            starts: list[int] = []
+            for t in anchors:
+                tl_idx = t - 1
+                tr_idx = t + rp - 2
+                if tl_idx < 0 or tr_idx >= len(window):
+                    continue
+                psym, pexp, _ = window[tl_idx]
+                qsym, qexp, _ = window[tr_idx]
+                if psym != first_sym or pexp < first_exp:
+                    continue
+                if qsym != last_sym or qexp < last_exp:
+                    continue
+                o = window[t][2] - first_exp
+                if o <= b and o + length - 1 >= b + 1:
+                    if o < 1 or o + length - 1 > text.lengths[v - 1]:
+                        raise InternalError(f"occurrence {o} escapes variable {v}")
+                    starts.append(o)
+            aps = _group_aps(starts)
+        got = self._crossing[v] = tuple(aps)
+        return got
+
+    def _has_occurrence(self, v: int) -> bool:
+        """Does val(v) contain an occurrence? Left child, then the
+        crossings, then the right child, stopping at the first hit."""
+        memo = self._has
+        got = memo.get(v)
+        if got is not None:
+            return got
+        text = self.text
+        length = self.pattern_length
+        stack = [v]
+        while stack:
+            u = stack[-1]
+            if text.lengths[u - 1] < length:
+                memo[u] = False
+                stack.pop()
+                continue
+            rule = text.rules[u - 1]
+            if isinstance(rule, Term):
+                memo[u] = self._term_matches(rule.code)
+                stack.pop()
                 continue
             l, r = rule
-            cands = []
-            aps = self.crossing.get(v)
-            if aps:
-                cands.append(aps[0][0])
-            if l in mn:
-                cands.append(mn[l])
-            if r in mn:
-                cands.append(s.lengths[l - 1] + mn[r])
-            if cands:
-                mn[v] = min(cands)
-        return mn
+            found = memo.get(l)
+            if found is None:
+                stack.append(l)
+                continue
+            if not found:
+                found = bool(self._cross(u))
+            if not found:
+                found = memo.get(r)
+                if found is None:
+                    stack.append(r)
+                    continue
+            memo[u] = found
+            stack.pop()
+        return memo[v]
 
     def min_start(self) -> int | None:
-        return self._min.get(self.text.n)
+        """Leftmost start. An occurrence inside the left child precedes
+        every crossing one, and those precede every occurrence inside the
+        right child, so the walk descends left first."""
+        s = self.text
+        v, base = s.n, 0
+        if not self._has_occurrence(v):
+            return None
+        while True:
+            rule = s.rules[v - 1]
+            if isinstance(rule, Term):
+                return base + 1
+            l, r = rule
+            if self._has_occurrence(l):
+                v = l
+                continue
+            aps = self._cross(v)
+            if aps:
+                return base + aps[0][0]
+            base += s.lengths[l - 1]
+            v = r
 
     def membership(self, k: int) -> bool:
         s = self.text
@@ -385,7 +512,7 @@ class OccRepr:
         while True:
             rule = s.rules[v - 1]
             if isinstance(rule, Term):
-                return v in self.term_match
+                return self._term_matches(rule.code)
             l, r = rule
             ll = s.lengths[l - 1]
             if k + length - 1 <= ll:
@@ -394,40 +521,43 @@ class OccRepr:
                 k -= ll
                 v = r
             else:
-                for f, st, c in self.crossing.get(v, ()):
+                for f, st, c in self._cross(v):
                     if f <= k <= f + st * (c - 1) and (k - f) % st == 0:
                         return True
                 return False
 
     def exists_start_in(self, lo: int, hi: int) -> bool:
-        """Some occurrence starts at a position in [lo, hi]."""
+        """Some occurrence starts at a position in [lo, hi].
+
+        A subtree whose every possible start lies in the range asks the
+        memoized first-hit test; only the O(height) subtrees cut by an end
+        of the range look at their own crossings and split further."""
         s = self.text
         length = self.pattern_length
         stack = [(s.n, lo, hi)]
         while stack:
             v, a, b = stack.pop()
-            vl = s.lengths[v - 1]
+            top = s.lengths[v - 1] - length + 1
             a = max(a, 1)
-            b = min(b, vl)
-            if a > b or v not in self._min:
+            b = min(b, top)
+            if a > b:
                 continue
-            if a == 1 and b >= vl - length + 1:
-                return True
-            rule = s.rules[v - 1]
-            if isinstance(rule, Term):
+            if a == 1 and b == top:
+                if self._has_occurrence(v):
+                    return True
                 continue
-            l, r = rule
+            l, r = s.rules[v - 1]  # a terminal's range is empty or covered
             ll = s.lengths[l - 1]
-            for f, st, c in self.crossing.get(v, ()):
+            for f, st, c in self._cross(v):
                 last = f + st * (c - 1)
                 if last < a or f > b:
                     continue
                 hit = f if f >= a else f + ((a - f + st - 1) // st) * st
                 if hit <= b:
                     return True
-            stack.append((l, a, b))
             if b > ll:
                 stack.append((r, a - ll, b - ll))
+            stack.append((l, a, b))
         return False
 
     def exists_fully_within(self, lo: int, hi: int) -> bool:
@@ -446,10 +576,10 @@ class OccRepr:
                 continue
             rule = s.rules[v - 1]
             if isinstance(rule, Term):
-                if v in self.term_match:
+                if self._term_matches(rule.code):
                     total += m
                 continue
-            for _, _, c in self.crossing.get(v, ()):
+            for _, _, c in self._cross(v):
                 total += m * c
             l, r = rule
             voc[l] += m
@@ -470,10 +600,10 @@ class OccRepr:
                 raise BudgetExceededError(nodes, max_nodes)
             rule = s.rules[v - 1]
             if isinstance(rule, Term):
-                if v in self.term_match:
+                if self._term_matches(rule.code):
                     out.append(base + 1)
                 continue
-            for f, st, c in self.crossing.get(v, ()):
+            for f, st, c in self._cross(v):
                 out.extend(base + f + st * k for k in range(c))
             l, r = rule
             stack.append((r, base + s.lengths[l - 1]))
@@ -483,92 +613,14 @@ class OccRepr:
 
 
 def occurrences(text: Slp, pattern: Slp) -> OccRepr:
-    """Compute the occurrence set of val(pattern) inside val(text).
+    """The occurrence set of val(pattern) inside val(text).
 
-    For each text variable, candidate crossing starts are anchored at run
-    boundaries of a window of runs around the variable's cut: a crossing
-    occurrence touches at most r_p runs per side (r_p = pattern run
-    count), so windows of r_p + 2 true-exponent runs and pattern length
-    minus one characters per side lose nothing. Single-run patterns
-    collapse to one progression per window by length arithmetic.
+    Only the pattern side is computed here: its runs, from which the
+    character reach and the run cap of the edge windows follow. Each text
+    variable's crossings are left to the queries, which compute them on
+    first use.
     """
-    length = pattern.length
-    if length == 1:
-        code = char_at(pattern, 1)
-        tm = frozenset(v for v in range(1, text.n + 1)
-                       if isinstance(text.rules[v - 1], Term)
-                       and text.rules[v - 1].code == code)
-        return OccRepr(text, 1, {}, tm)
-    pruns = list(slp_runs(pattern).runs)
-    rp = len(pruns)
-    need = length - 1
-    cap = rp + 2
-    reach = reachable_vars(text)
-    head, tail = _edge_runs(text, reach, need, cap)
-    interior = pruns[1:-1]
-    first_sym, first_exp = pruns[0]
-    last_sym, last_exp = pruns[-1]
-    crossing: dict[int, tuple[tuple[int, int, int], ...]] = {}
-    for v in reach:
-        rule = text.rules[v - 1]
-        if isinstance(rule, Term) or text.lengths[v - 1] < length:
-            continue
-        l, r = rule
-        b = text.lengths[l - 1]
-        window: list[tuple[int, int, int]] = []
-        pos = b + 1
-        for sym, exp in reversed(tail[l][0]):
-            pos -= exp
-            window.append((sym, exp, pos))
-        window.reverse()
-        head_runs = head[r][0]
-        nxt = b + 1
-        start_idx = 0
-        if window and head_runs and window[-1][0] == head_runs[0][0]:
-            sym, exp, ws = window[-1]
-            window[-1] = (sym, exp + head_runs[0][1], ws)
-            nxt += head_runs[0][1]
-            start_idx = 1
-        for sym, exp in head_runs[start_idx:]:
-            window.append((sym, exp, nxt))
-            nxt += exp
-        aps: list[tuple[int, int, int]] = []
-        starts: list[int] = []
-        if rp == 1:
-            for sym, exp, ws in window:
-                if ws <= b and ws + exp - 1 >= b + 1:
-                    if sym == first_sym:
-                        o_lo = max(ws, b - length + 2)
-                        o_hi = min(b, ws + exp - length)
-                        if o_lo <= o_hi:
-                            aps = [(o_lo, 1, o_hi - o_lo + 1)]
-                    break
-        else:
-            pairs = [(sym, exp) for sym, exp, _ in window]
-            if interior:
-                anchors = _kmp_find_all(interior, pairs)
-            else:
-                anchors = range(1, len(window))
-            for t in anchors:
-                tl_idx = t - 1
-                tr_idx = t + rp - 2
-                if tl_idx < 0 or tr_idx >= len(window):
-                    continue
-                psym, pexp, _ = window[tl_idx]
-                qsym, qexp, _ = window[tr_idx]
-                if psym != first_sym or pexp < first_exp:
-                    continue
-                if qsym != last_sym or qexp < last_exp:
-                    continue
-                o = window[t][2] - first_exp
-                if o <= b and o + length - 1 >= b + 1:
-                    if o < 1 or o + length - 1 > text.lengths[v - 1]:
-                        raise InternalError(f"occurrence {o} escapes variable {v}")
-                    starts.append(o)
-            aps = _group_aps(starts)
-        if aps:
-            crossing[v] = tuple(aps)
-    return OccRepr(text, length, crossing, frozenset())
+    return OccRepr(text, list(slp_runs(pattern).runs))
 
 
 def slp_equals(a: Slp, b: Slp) -> bool:

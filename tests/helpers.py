@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from crx import Slp, Term, Text, grammar_to_slp, naive_bisection
+from hypothesis import strategies as st
+
+from crx import RleString, Slp, Term, Text, grammar_to_slp, naive_bisection
 
 
 def T(s: str) -> Text:
@@ -56,6 +58,18 @@ def random_runs(rng: random.Random, max_runs: int = 8, sigma: int = 3,
         runs.append((sym, rng.randint(1, max_exp)))
         prev = sym
     return tuple(runs)
+
+
+@st.composite
+def long_run_lists(draw):
+    """Run lists over at most 3 symbols with exponents up to 30."""
+    runs = []
+    prev = -1
+    for _ in range(draw(st.integers(1, 8))):
+        sym = draw(st.sampled_from([c for c in range(3) if c != prev]))
+        runs.append((sym, draw(st.integers(1, 30))))
+        prev = sym
+    return RleString(tuple(runs))
 
 
 def brute_occurrences(text: str, pattern: str) -> list[int]:

@@ -191,6 +191,22 @@ def test_decode_budget_flag_and_env(tmp_path, capsys, monkeypatch):
     assert code == 1
 
 
+def test_negative_budget_is_invalid_input(tmp_path, capsys, monkeypatch):
+    a = tmp_path / "a.crx"
+    a.write_text("CRX1 rle 256 4\n97 4\n")
+    out = str(tmp_path / "out.bin")
+    code, _, err = run(capsys, "decode", "--max-output", "-1", str(a), out)
+    assert code == 1
+    assert "negative budget: -1 at --max-output" in err
+    monkeypatch.setenv("CRX_MAX_OUTPUT", "-3")
+    code, _, err = run(capsys, "decode", str(a), out)
+    assert code == 1
+    assert "negative budget: -3 at CRX_MAX_OUTPUT" in err
+    # zero is a budget, not an error: it refuses any non-empty expansion
+    code, _, _ = run(capsys, "decode", "--max-output", "0", str(a), out)
+    assert code == 3
+
+
 def test_invalid_container_exit_code(tmp_path, capsys):
     a = tmp_path / "a.crx"
     a.write_text("CRX1 rle 256 5\n97 2\n97 3\n")

@@ -1,10 +1,8 @@
 """The shared LZ78 and bisection drivers give the same output from both lanes."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from crx import (
-    RleString,
     expand_rle,
     naive_bisection,
     naive_lz78,
@@ -14,18 +12,7 @@ from crx import (
     slp_to_bisection,
     slp_to_lz78,
 )
-
-
-@st.composite
-def long_run_lists(draw):
-    """Run lists over at most 3 symbols with exponents up to 30."""
-    runs = []
-    prev = -1
-    for _ in range(draw(st.integers(1, 8))):
-        sym = draw(st.sampled_from([c for c in range(3) if c != prev]))
-        runs.append((sym, draw(st.integers(1, 30))))
-        prev = sym
-    return RleString(tuple(runs))
+from helpers import long_run_lists
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,21 +2,29 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from crx import (
     Literal,
     Reference,
     RleString,
+    Text,
+    expand_rle,
     expand_slp,
+    grammar_to_slp,
     naive_bisection,
     naive_lz77,
     naive_lz78,
+    rle_as_slp,
     rle_encode,
+    rle_to_lz77,
     slp_to_bisection,
     slp_to_lz77,
     slp_to_lz78,
     slp_to_rle,
 )
-from helpers import sample_slp, power_slp, random_slp
+from helpers import T, long_run_lists, sample_slp, power_slp, random_slp, slp_of
 
 SAMPLE = "aababaababaab"
 
@@ -49,6 +57,32 @@ def test_lz77_of_sample_self_ref():
 def test_lz77_of_power():
     f = slp_to_lz77(power_slp(30), self_referential=True)
     assert f.factors == (Literal(0), Reference(1, 2**30 - 1))
+
+
+def test_lz77_source_switch_frozen():
+    # the leftmost source of "ab" is 1, but only the copy at 4 extends to
+    # "aby": the factor at 7 must move its source on the longer window
+    t = T("abxabyaby")
+    for self_ref in (False, True):
+        f = slp_to_lz77(slp_of(t), self_referential=self_ref)
+        assert f.factors[-1] == Reference(4, 3)
+        assert f.factors == naive_lz77(t, self_referential=self_ref).factors
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_run_lists(), st.booleans())
+def test_lz77_agrees_with_run_lane_and_reference(r, self_ref):
+    want = naive_lz77(expand_rle(r), self_ref)
+    assert rle_to_lz77(r, self_ref) == want
+    assert slp_to_lz77(rle_as_slp(r), self_ref) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=200), st.booleans())
+def test_lz77_of_bisection_program_matches_reference(symbols, self_ref):
+    t = Text(tuple(symbols))
+    s = grammar_to_slp(naive_bisection(t))
+    assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
 
 
 def test_lz78_of_sample_frozen():

@@ -258,3 +258,69 @@ def test_first_mismatch_random():
             k += 1
         want = None if x == y else k + 1
         assert got == want
+
+
+def test_occurrence_queries_each_on_fresh_set():
+    # each query gets its own occurrence set, so no query's memos hide
+    # the lazy crossings, edge runs and first-hit tests of another
+    rng = random.Random(59)
+    for _ in range(120):
+        s = random_slp(rng, max_extra=10, sigma=2, max_len=600)
+        text = expand_slp(s).to_str()
+        if rng.random() < 0.5:
+            i = rng.randint(1, len(text))
+            j = min(len(text), i + rng.randint(0, 12))
+            p = substring_slp(s, i, j)
+        else:
+            p = random_slp(rng, max_extra=4, sigma=2, max_len=20)
+        pat = expand_slp(p).to_str()
+        L = len(pat)
+        want = brute_occurrences(text, pat)
+        assert occurrences(s, p).min_start() == (want[0] if want else None)
+        q = rng.choice(want) if want and rng.random() < 0.5 else rng.randint(1, len(text))
+        assert occurrences(s, p).membership(q) == (q in want)
+        lo = rng.randint(1, len(text))
+        hi = rng.randint(lo, len(text))
+        assert occurrences(s, p).exists_start_in(lo, hi) == any(
+            lo <= w <= hi for w in want)
+        assert occurrences(s, p).exists_start_in(1, hi) == any(w <= hi for w in want)
+        assert occurrences(s, p).exists_fully_within(lo, hi) == any(
+            lo <= w and w + L - 1 <= hi for w in want)
+        assert occurrences(s, p).count() == len(want)
+        assert occurrences(s, p).positions() == want
+
+
+def test_equality_and_mismatch_deep_in_right_half():
+    # equal-length programs of different shape that differ at one position
+    # deep in the right half: the root crossing alone must tell them apart
+    rng = random.Random(61)
+    for _ in range(40):
+        text = "".join(rng.choice("ab") for _ in range(rng.randint(40, 300)))
+        k = rng.randint(3 * len(text) // 4, len(text))
+        other = text[:k - 1] + ("b" if text[k - 1] == "a" else "a") + text[k:]
+        a, b, c = slp_of_str(text), slp_of_str(other), slp_of_str(text[::-1])
+        assert slp_equals(a, a) and slp_equals(a, slp_of_str(text))
+        assert not slp_equals(a, b)
+        assert first_mismatch(a, b) == k
+        assert first_mismatch(b, a) == k
+        assert first_mismatch(a, slp_of_str(text)) is None
+        assert slp_equals(c, slp_of_str(text[::-1]))
+    # a balanced program against a right-deep chain of the same length:
+    # equal, then one symbol changed near the end of the chain
+    n = 2**9
+    for k in (n // 2 + 1, 3 * n // 4, n - 1):
+        text = "a" * (k - 1) + "b" + "a" * (n - k)
+        assert slp_equals(power_slp(9), right_deep_slp("a" * n))
+        assert not slp_equals(power_slp(9), right_deep_slp(text))
+        assert first_mismatch(power_slp(9), right_deep_slp(text)) == k
+        assert first_mismatch(right_deep_slp(text), slp_of_str(text)) is None
+
+
+def right_deep_slp(text: str) -> Slp:
+    """X -> c X' chains, one rule per symbol: height equals the length."""
+    rules: list = [Term(0), Term(1)]
+    cur = "ab".index(text[-1]) + 1
+    for ch in reversed(text[:-1]):
+        rules.append(("ab".index(ch) + 1, cur))
+        cur = len(rules)
+    return Slp.build(rules)
