@@ -25,8 +25,6 @@ from .model import (
     Term,
 )
 from .slp_ops import (
-    RunLinkAnnotations,
-    annotate_runs,
     char_at,
     occurrences,
     prefix_match,
@@ -118,20 +116,18 @@ def slp_to_lz78(s: Slp) -> Lz78Factorization:
     """Dictionary factorization computed on the program; the shared
     driver tests an entry at the cursor with prefix_match against the
     entry's substring program, built the first time the entry is tried."""
-    text_ann = annotate_runs(s)
     sigma = 0
     for v in reachable_vars(s):
         rule = s.rules[v - 1]
         if isinstance(rule, Term):
             sigma = max(sigma, rule.code + 1)
-    programs: dict[int, tuple[Slp, RunLinkAnnotations]] = {}
+    programs: dict[int, Slp] = {}
 
     def matches(pos: int, start: int, length: int) -> bool:
         entry = programs.get(start)
         if entry is None:
-            eslp = substring_slp(s, start, start + length - 1)
-            entry = programs[start] = (eslp, annotate_runs(eslp))
-        return prefix_match(s, pos, entry[0], text_ann, entry[1])
+            entry = programs[start] = substring_slp(s, start, start + length - 1)
+        return prefix_match(s, pos, entry)
 
     return lz78_driver(s.length, sigma, partial(char_at, s), matches)
 

@@ -162,12 +162,40 @@ class AdmissibleGrammar:
 
 
 @dataclass(frozen=True)
+class RunLinkAnnotations:
+    """Per-variable run geometry, indexed by variable - 1.
+
+    plen/slen are the maximal equal-symbol run lengths at the prefix and
+    suffix of each variable's expansion; first/last are the edge symbols.
+    llink is the shallowest descendant on the leftmost path whose suffix
+    run does not swallow its whole right child (slen <= |right|); rlink
+    is the mirror image on the rightmost path (plen <= |left|). Both are
+    the variable itself for terminal rules.
+    """
+    plen: tuple[int, ...]
+    slen: tuple[int, ...]
+    first: tuple[int, ...]
+    last: tuple[int, ...]
+    llink: tuple[int, ...]
+    rlink: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class Slp:
     """Straight-line program: rules[i-1] defines X_i as either a terminal
-    (Term) or a pair (l, r) of smaller variable indices. Start is X_n."""
+    (Term) or a pair (l, r) of smaller variable indices. Start is X_n.
+
+    lengths[i-1] is |val(X_i)|. annotations holds the run annotations
+    once crx.slp_ops.annotate_runs has computed them; neither takes part
+    in equality or hashing. A substring program (crx.slp_ops.substring_slp)
+    inherits both for the rules it shares with its source and computes
+    them only for its O(height) stitched rules.
+    """
 
     rules: tuple[Term | tuple[int, int], ...]
     lengths: tuple[int, ...] = field(compare=False)
+    annotations: RunLinkAnnotations | None = field(
+        default=None, compare=False, repr=False)
 
     @classmethod
     def build(cls, rules: list[Term | tuple[int, int]] | tuple) -> "Slp":

@@ -16,10 +16,11 @@ derivation heights can exceed Python's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from itertools import zip_longest
 
 from .errors import BudgetExceededError, InternalError
-from .model import RleString, Slp, Term
+from .model import RleString, RunLinkAnnotations, Slp, Term
 
 
 def char_at(s: Slp, i: int) -> int:
@@ -55,33 +56,15 @@ def reachable_vars(s: Slp) -> list[int]:
     return [v for v in range(1, s.n + 1) if seen[v]]
 
 
-@dataclass(frozen=True)
-class RunLinkAnnotations:
-    """Per-variable run geometry, indexed by variable - 1.
-
-    plen/slen are the maximal equal-symbol run lengths at the prefix and
-    suffix of each variable's expansion; first/last are the edge symbols.
-    llink is the shallowest descendant on the leftmost path whose suffix
-    run does not swallow its whole right child (slen <= |right|); rlink
-    is the mirror image on the rightmost path (plen <= |left|). Both are
-    the variable itself for terminal rules.
-    """
-    plen: tuple[int, ...]
-    slen: tuple[int, ...]
-    first: tuple[int, ...]
-    last: tuple[int, ...]
-    llink: tuple[int, ...]
-    rlink: tuple[int, ...]
-
-
-def annotate_runs(s: Slp) -> RunLinkAnnotations:
-    plen = [0] * s.n
-    slen = [0] * s.n
-    first = [0] * s.n
-    last = [0] * s.n
-    llink = [0] * s.n
-    rlink = [0] * s.n
-    for idx, rule in enumerate(s.rules):
+def _annotate(rules: tuple, lengths: tuple[int, ...], base: RunLinkAnnotations,
+              keep: int) -> RunLinkAnnotations:
+    """The first `keep` entries of base, extended by those of rules[keep:]."""
+    pad = [0] * (len(rules) - keep)
+    plen, slen, first, last, llink, rlink = (
+        list(col[:keep]) + pad for col in (base.plen, base.slen, base.first,
+                                           base.last, base.llink, base.rlink))
+    for idx in range(keep, len(rules)):
+        rule = rules[idx]
         if isinstance(rule, Term):
             plen[idx] = slen[idx] = 1
             first[idx] = last[idx] = rule.code
@@ -89,7 +72,7 @@ def annotate_runs(s: Slp) -> RunLinkAnnotations:
             continue
         l, r = rule
         li, ri = l - 1, r - 1
-        len_l, len_r = s.lengths[li], s.lengths[ri]
+        len_l, len_r = lengths[li], lengths[ri]
         first[idx] = first[li]
         last[idx] = last[ri]
         p = plen[li]
@@ -106,8 +89,19 @@ def annotate_runs(s: Slp) -> RunLinkAnnotations:
                               tuple(last), tuple(llink), tuple(rlink))
 
 
-def slp_runs(s: Slp, ann: RunLinkAnnotations | None = None) -> RleString:
-    """Run-length encoding of the derived string, without expanding it.
+def annotate_runs(s: Slp) -> RunLinkAnnotations:
+    """The run annotations of s, computed on the first call and kept on
+    s (Slp.annotations) for every later one."""
+    ann = s.annotations
+    if ann is None:
+        ann = _annotate(s.rules, s.lengths, RunLinkAnnotations(*[()] * 6), 0)
+        object.__setattr__(s, "annotations", ann)
+    return ann
+
+
+def _iter_runs(s: Slp) -> Iterator[tuple[int, int]]:
+    """The runs of the derived string in text order, one at a time; the
+    walk holds O(height) pending items, never the whole run list.
 
     A variable whose prefix run swallows its left child contributes the
     same interior runs as its right child (and symmetrically), so interior
@@ -115,18 +109,18 @@ def slp_runs(s: Slp, ann: RunLinkAnnotations | None = None) -> RleString:
     children around the run at the cut, which is the only place where two
     runs can merge.
     """
-    if ann is None:
-        ann = annotate_runs(s)
+    ann = s.annotations or annotate_runs(s)
     root = s.n
     n_chars = s.length
     if ann.plen[root - 1] == n_chars:
-        return RleString(((ann.first[root - 1], n_chars),))
-    out: list[tuple[int, int]] = [(ann.first[root - 1], ann.plen[root - 1])]
+        yield (ann.first[root - 1], n_chars)
+        return
+    yield (ann.first[root - 1], ann.plen[root - 1])
     stack: list[int | tuple[int, int]] = [root]
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
-            out.append(item)
+            yield item
             continue
         v = item
         # interior of v equals the interior of the jump target
@@ -153,19 +147,28 @@ def slp_runs(s: Slp, ann: RunLinkAnnotations | None = None) -> RleString:
             if not r_unary:
                 pushes += [(ann.first[ri], ann.plen[ri]), r]
         stack.extend(reversed(pushes))
-    out.append((ann.last[root - 1], ann.slen[root - 1]))
-    return RleString(tuple(out))
+    yield (ann.last[root - 1], ann.slen[root - 1])
+
+
+def slp_runs(s: Slp) -> RleString:
+    """Run-length encoding of the derived string, without expanding it."""
+    return RleString(tuple(_iter_runs(s)))
 
 
 def substring_slp(s: Slp, i: int, j: int) -> Slp:
     """An SLP deriving positions i..j, of size at most |s| + O(height).
 
-    Descends to the deepest variable containing the range, then stitches
-    the surviving right siblings of the left cut path and left siblings
-    of the right cut path with a left-associative chain of fresh rules.
+    Descends to the deepest variable v containing the range. If the range
+    is all of val(v), the result is the rules up to v. Otherwise it keeps
+    the rules below v and stitches the surviving right siblings of the
+    left cut path and left siblings of the right cut path with a
+    left-associative chain of fresh rules. The result inherits the
+    lengths and run annotations of the rules it shares with s (s is
+    annotated on first use); only the stitched rules get fresh ones.
     """
     if not 1 <= i <= j <= s.length:
         raise IndexError(f"substring [{i}, {j}] out of range 1..{s.length}")
+    ann = s.annotations or annotate_runs(s)
     v, lo, hi = s.n, i, j
     while True:
         rule = s.rules[v - 1]
@@ -182,44 +185,50 @@ def substring_slp(s: Slp, i: int, j: int) -> Slp:
         else:
             break
     if lo == 1 and hi == s.lengths[v - 1]:
-        return Slp.build(s.rules[:v])
-    l, r = s.rules[v - 1]
-    ll = s.lengths[l - 1]
-    suffix_sibs: list[int] = []
-    u, p = l, lo
-    while p != 1:
-        ul, ur = s.rules[u - 1]
-        ull = s.lengths[ul - 1]
-        if p > ull:
-            p -= ull
-            u = ur
-        else:
-            suffix_sibs.append(ur)
-            u = ul
-    pieces = [u] + suffix_sibs[::-1]
-    u, q = r, hi - ll
-    while q != s.lengths[u - 1]:
-        ul, ur = s.rules[u - 1]
-        ull = s.lengths[ul - 1]
-        if q <= ull:
-            u = ul
-        else:
-            pieces.append(ul)
-            q -= ull
-            u = ur
-    pieces.append(u)
-    rules = list(s.rules)
-    cur = pieces[0]
+        keep, pieces = v, [v]
+    else:
+        keep = v - 1  # the stitched chain takes the place of v
+        l, r = s.rules[v - 1]
+        ll = s.lengths[l - 1]
+        suffix_sibs: list[int] = []
+        u, p = l, lo
+        while p != 1:
+            ul, ur = s.rules[u - 1]
+            ull = s.lengths[ul - 1]
+            if p > ull:
+                p -= ull
+                u = ur
+            else:
+                suffix_sibs.append(ur)
+                u = ul
+        pieces = [u] + suffix_sibs[::-1]
+        u, q = r, hi - ll
+        while q != s.lengths[u - 1]:
+            ul, ur = s.rules[u - 1]
+            ull = s.lengths[ul - 1]
+            if q <= ull:
+                u = ul
+            else:
+                pieces.append(ul)
+                q -= ull
+                u = ur
+        pieces.append(u)
+    stitched: list[tuple[int, int]] = []
+    stitched_lengths: list[int] = []
+    cur, cur_len = pieces[0], s.lengths[pieces[0] - 1]
     for nxt in pieces[1:]:
-        rules.append((cur, nxt))
-        cur = len(rules)
-    return Slp.build(tuple(rules))
+        stitched.append((cur, nxt))
+        cur_len += s.lengths[nxt - 1]
+        stitched_lengths.append(cur_len)
+        cur = keep + len(stitched)
+    rules = s.rules[:keep] + tuple(stitched)
+    lengths = s.lengths[:keep] + tuple(stitched_lengths)
+    return Slp(rules, lengths, _annotate(rules, lengths, ann, keep))
 
 
-def runext(s: Slp, pos: int, ann: RunLinkAnnotations | None = None) -> tuple[int, int]:
+def runext(s: Slp, pos: int) -> tuple[int, int]:
     """(symbol, length) of the maximal equal-symbol stretch starting at pos."""
-    if ann is None:
-        ann = annotate_runs(s)
+    ann = s.annotations or annotate_runs(s)
     if not 1 <= pos <= s.length:
         raise IndexError(f"position {pos} out of range 1..{s.length}")
     path: list[tuple[int, int]] = []
@@ -624,17 +633,16 @@ def occurrences(text: Slp, pattern: Slp) -> OccRepr:
 
 
 def slp_equals(a: Slp, b: Slp) -> bool:
-    """Do two programs derive the same string?"""
+    """Do two programs derive the same string? Compares the two run
+    streams and stops at the first pair of runs that differ."""
     if a is b:
         return True
     if a.length != b.length:
         return False
-    return occurrences(a, b).membership(1)
+    return all(x == y for x, y in zip_longest(_iter_runs(a), _iter_runs(b)))
 
 
-def prefix_match(text: Slp, pos: int, pattern: Slp,
-                 text_ann: RunLinkAnnotations | None = None,
-                 pattern_ann: RunLinkAnnotations | None = None) -> bool:
+def prefix_match(text: Slp, pos: int, pattern: Slp) -> bool:
     """Does val(pattern) occur in val(text) starting at pos?
 
     Memoized simultaneous descent on (pattern variable, text position).
@@ -644,10 +652,7 @@ def prefix_match(text: Slp, pos: int, pattern: Slp,
     if pos < 1 or pos + pattern.length - 1 > text.length:
         raise IndexError(f"window [{pos}, {pos + pattern.length - 1}] "
                          f"out of range 1..{text.length}")
-    if text_ann is None:
-        text_ann = annotate_runs(text)
-    if pattern_ann is None:
-        pattern_ann = annotate_runs(pattern)
+    pattern_ann = pattern.annotations or annotate_runs(pattern)
     memo: dict[tuple[int, int], bool] = {}
     root_key = (pattern.n, pos)
     stack = [(pattern.n, pos, False)]
@@ -657,7 +662,7 @@ def prefix_match(text: Slp, pos: int, pattern: Slp,
         if not expanded and key in memo:
             continue
         if pattern_ann.plen[pv - 1] == pattern.lengths[pv - 1]:
-            sym, ext = runext(text, tp, text_ann)
+            sym, ext = runext(text, tp)
             memo[key] = sym == pattern_ann.first[pv - 1] and ext >= pattern.lengths[pv - 1]
             continue
         l, r = pattern.rules[pv - 1]
@@ -680,25 +685,16 @@ def prefix_match(text: Slp, pos: int, pattern: Slp,
 def first_mismatch(a: Slp, b: Slp) -> int | None:
     """First position where the derived strings differ, or None if equal.
 
-    Binary search over prefix lengths; each probe is one slp_equals on
-    substring programs, so the whole search is O(log N) equality checks.
+    Walks the two run streams side by side: the first pair of runs that
+    differ fixes the position, and no run past it is produced.
     """
-    if slp_equals(a, b):
+    if a is b:
         return None
-    common = min(a.length, b.length)
-
-    def prefixes_equal(m: int) -> bool:
-        if m == 0:
-            return True
-        return slp_equals(substring_slp(a, 1, m), substring_slp(b, 1, m))
-
-    lo, hi = 0, common  # prefixes of length lo match, some prefix <= hi differs
-    if prefixes_equal(common):
-        return common + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if prefixes_equal(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    pos = 0
+    for x, y in zip_longest(_iter_runs(a), _iter_runs(b)):
+        if x != y:
+            if x is None or y is None or x[0] != y[0]:
+                return pos + 1
+            return pos + min(x[1], y[1]) + 1
+        pos += x[1]
+    return None

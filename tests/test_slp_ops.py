@@ -1,6 +1,7 @@
 """Operations that work on straight-line programs without expanding them."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,19 +9,31 @@ from crx import (
     RleString,
     Slp,
     Term,
+    Text,
     annotate_runs,
     char_at,
     expand_slp,
     first_mismatch,
+    grammar_to_slp,
+    naive_bisection,
     occurrences,
     prefix_match,
+    rle_as_slp,
     rle_encode,
     runext,
     slp_equals,
     slp_runs,
     substring_slp,
 )
-from helpers import brute_occurrences, sample_slp, power_slp, random_slp, slp_of
+from helpers import (
+    brute_occurrences,
+    power_slp,
+    random_runs,
+    random_slp,
+    random_text,
+    sample_slp,
+    slp_of,
+)
 
 SAMPLE = "aababaababaab"
 
@@ -64,14 +77,13 @@ def test_runext_random():
     for _ in range(60):
         s = random_slp(rng, max_extra=8, sigma=3, max_len=300)
         text = expand_slp(s).to_str()
-        ann = annotate_runs(s)
         for _ in range(15):
             pos = rng.randint(1, len(text))
             c = text[pos - 1]
             k = pos
             while k < len(text) and text[k] == c:
                 k += 1
-            assert runext(s, pos, ann) == (ord(c) - ord("a"), k - pos + 1)
+            assert runext(s, pos) == (ord(c) - ord("a"), k - pos + 1)
 
 
 def test_slp_runs_equals_rle_of_expansion():
@@ -117,6 +129,99 @@ def test_substring_random():
         e = substring_slp(s, i, j)
         assert expand_slp(e).to_str() == text[i - 1:j]
         assert e.n <= 4 * s.n
+
+
+def _assert_window_as_if_built(s: Slp, i: int, j: int, text: str) -> None:
+    e = substring_slp(s, i, j)
+    fresh = Slp.build(e.rules)
+    assert e.rules == fresh.rules
+    assert e.lengths == fresh.lengths
+    assert e.annotations == annotate_runs(fresh)
+    assert annotate_runs(e) is e.annotations
+    assert expand_slp(e).to_str() == text[i - 1:j]
+
+
+def test_substring_inherits_lengths_and_annotations():
+    # every window of small programs (whole variables, prefixes and
+    # single symbols among them) carries the lengths and annotations that
+    # building and annotating its rules from scratch would give
+    rng = random.Random(67)
+    for k in range(60):
+        if k % 3 == 0:
+            s = random_slp(rng, max_extra=7, sigma=3, max_len=40)
+        elif k % 3 == 1:
+            s = slp_of(random_text(rng, max_len=40))
+        else:
+            s = rle_as_slp(RleString(random_runs(rng, max_runs=10, sigma=3)))
+        text = expand_slp(s).to_str()
+        for i in range(1, len(text) + 1):
+            for j in range(i, len(text) + 1):
+                _assert_window_as_if_built(s, i, j, text)
+    for _ in range(60):
+        s = random_slp(rng, max_extra=12, sigma=2, max_len=3000)
+        text = expand_slp(s).to_str()
+        spans = [(1, len(text))]
+        v, base = s.n, 0  # whole variables on a random root-to-leaf path
+        while not isinstance(s.rules[v - 1], Term):
+            l, r = s.rules[v - 1]
+            if rng.random() < 0.5:
+                v = l
+            else:
+                base, v = base + s.lengths[l - 1], r
+            spans.append((base + 1, base + s.lengths[v - 1]))
+        for _ in range(20):
+            spans.append((1, rng.randint(1, len(text))))  # prefixes
+            i = rng.randint(1, len(text))
+            spans += [(i, rng.randint(i, len(text))), (i, i)]
+        for i, j in spans:
+            _assert_window_as_if_built(s, i, j, text)
+    # a window of a window inherits from an annotated window
+    s = random_slp(random.Random(71), max_extra=12, sigma=2, max_len=3000)
+    text = expand_slp(s).to_str()
+    w = substring_slp(s, 2, len(text) - 1)
+    _assert_window_as_if_built(w, 2, len(text) - 3, text[1:])
+
+
+def test_annotation_leaves_equality_and_hash_alone():
+    rng = random.Random(73)
+    for _ in range(30):
+        s = random_slp(rng, max_extra=9, sigma=3, max_len=500)
+        h = hash(s)
+        assert s.annotations is None
+        ann = annotate_runs(s)
+        assert annotate_runs(s) is ann and s.annotations is ann
+        assert s == Slp.build(s.rules)
+        assert hash(s) == h == hash(Slp.build(s.rules))
+        assert "annotations" not in repr(s)
+
+
+def test_first_mismatch_streams_runs():
+    # comparing two programs of a 2,000-run text holds O(height) pending
+    # runs per side, not the per-level run lists of a root crossing
+    rng = random.Random(79)
+    runs: list[tuple[int, int]] = []
+    while len(runs) < 2000:
+        for sym, exp in random_runs(rng, max_runs=50, sigma=3, max_exp=8):
+            if not runs or runs[-1][0] != sym:
+                runs.append((sym, exp))
+    r = RleString(tuple(runs[:2000]))
+    a = rle_as_slp(r)
+    text = expand_slp(a)
+    b = grammar_to_slp(naive_bisection(text))
+    tracemalloc.start()
+    try:
+        got = first_mismatch(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got is None
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    k = 3 * len(text) // 4
+    other = list(text.symbols)
+    other[k - 1] = (other[k - 1] + 1) % 3
+    c = grammar_to_slp(naive_bisection(Text(tuple(other))))
+    assert first_mismatch(a, c) == first_mismatch(c, a) == k
+    assert not slp_equals(a, c)
 
 
 def test_substring_bad_range():
