@@ -91,7 +91,7 @@ def _annotate(rules: tuple, lengths: tuple[int, ...], base: RunLinkAnnotations,
 
 def annotate_runs(s: Slp) -> RunLinkAnnotations:
     """The run annotations of s, computed on the first call and kept on
-    s (Slp.annotations) for every later one."""
+    s.annotations, which hot paths read before calling this."""
     ann = s.annotations
     if ann is None:
         ann = _annotate(s.rules, s.lengths, RunLinkAnnotations(*[()] * 6), 0)
