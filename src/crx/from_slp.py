@@ -137,8 +137,9 @@ def slp_to_bisection(s: Slp) -> AdmissibleGrammar:
 
     The shared driver keys a span by its length plus five sampled
     symbols. Equal keys are confirmed by slp_equals on substring programs,
-    each built once and only when its key meets an earlier span (not by
-    prefix_match, linear in N on periodic programs such as (ab)^k).
+    each built once and only when its key meets an earlier span; it walks
+    the runs of the two spans, linear in their run count up to the first
+    difference.
     """
     program = cache(partial(substring_slp, s))  # one program per span
 

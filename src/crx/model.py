@@ -185,23 +185,23 @@ class Slp:
     """Straight-line program: rules[i-1] defines X_i as either a terminal
     (Term) or a pair (l, r) of smaller variable indices. Start is X_n.
 
-    lengths[i-1] is |val(X_i)|. annotations holds the run annotations
-    once crx.slp_ops.annotate_runs has computed them; neither takes part
-    in equality or hashing. A substring program (crx.slp_ops.substring_slp)
-    inherits both for the rules it shares with its source and computes
-    them only for its O(height) stitched rules.
+    lengths[i-1] is |val(X_i)|; annotations holds the run annotations once
+    crx.slp_ops.annotate_runs has computed them. Neither takes part in
+    equality or hashing. build checks the rules and derives the lengths,
+    skipping a prefix whose lengths are given as known_lengths: a substring
+    program (crx.slp_ops.substring_slp) inherits both for the rules it
+    shares with its source, so only its O(height) stitched rules are new.
     """
 
     rules: tuple[Term | tuple[int, int], ...]
     lengths: tuple[int, ...] = field(compare=False)
-    annotations: RunLinkAnnotations | None = field(
-        default=None, compare=False, repr=False)
+    annotations: RunLinkAnnotations | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def build(cls, rules: list[Term | tuple[int, int]] | tuple) -> "Slp":
+    def build(cls, rules: list[Term | tuple[int, int]] | tuple, known_lengths=()) -> "Slp":
         rules = tuple(rules)
-        lengths = []
-        for i, rule in enumerate(rules, start=1):
+        lengths = list(known_lengths)
+        for i, rule in enumerate(rules[len(lengths):], start=len(lengths) + 1):
             if isinstance(rule, Term):
                 lengths.append(1)
             else:

@@ -91,7 +91,7 @@ def _annotate(rules: tuple, lengths: tuple[int, ...], base: RunLinkAnnotations,
 
 def annotate_runs(s: Slp) -> RunLinkAnnotations:
     """The run annotations of s, computed on the first call and kept on
-    s.annotations, which hot paths read before calling this."""
+    s.annotations for every later one."""
     ann = s.annotations
     if ann is None:
         ann = _annotate(s.rules, s.lengths, RunLinkAnnotations(*[()] * 6), 0)
@@ -109,7 +109,7 @@ def _iter_runs(s: Slp) -> Iterator[tuple[int, int]]:
     children around the run at the cut, which is the only place where two
     runs can merge.
     """
-    ann = s.annotations or annotate_runs(s)
+    ann = annotate_runs(s)
     root = s.n
     n_chars = s.length
     if ann.plen[root - 1] == n_chars:
@@ -158,17 +158,15 @@ def slp_runs(s: Slp) -> RleString:
 def substring_slp(s: Slp, i: int, j: int) -> Slp:
     """An SLP deriving positions i..j, of size at most |s| + O(height).
 
-    Descends to the deepest variable v containing the range. If the range
-    is all of val(v), the result is the rules up to v. Otherwise it keeps
-    the rules below v and stitches the surviving right siblings of the
-    left cut path and left siblings of the right cut path with a
-    left-associative chain of fresh rules. The result inherits the
-    lengths and run annotations of the rules it shares with s (s is
-    annotated on first use); only the stitched rules get fresh ones.
+    Descends to the deepest variable v containing the range. The result is
+    the rules up to v if the range is all of val(v); otherwise the rules
+    below v plus a left-associative chain of fresh rules stitching the
+    surviving right siblings of the left cut path and left siblings of the
+    right cut path. Only the stitched rules get fresh lengths and run
+    annotations; the rest are inherited from s, annotated on first use.
     """
     if not 1 <= i <= j <= s.length:
         raise IndexError(f"substring [{i}, {j}] out of range 1..{s.length}")
-    ann = s.annotations or annotate_runs(s)
     v, lo, hi = s.n, i, j
     while True:
         rule = s.rules[v - 1]
@@ -214,21 +212,21 @@ def substring_slp(s: Slp, i: int, j: int) -> Slp:
                 u = ur
         pieces.append(u)
     stitched: list[tuple[int, int]] = []
-    stitched_lengths: list[int] = []
-    cur, cur_len = pieces[0], s.lengths[pieces[0] - 1]
+    cur = pieces[0]
     for nxt in pieces[1:]:
         stitched.append((cur, nxt))
-        cur_len += s.lengths[nxt - 1]
-        stitched_lengths.append(cur_len)
         cur = keep + len(stitched)
-    rules = s.rules[:keep] + tuple(stitched)
-    lengths = s.lengths[:keep] + tuple(stitched_lengths)
-    return Slp(rules, lengths, _annotate(rules, lengths, ann, keep))
+    out = Slp.build(s.rules[:keep] + tuple(stitched), s.lengths[:keep])
+    object.__setattr__(out, "annotations", _annotate(out.rules, out.lengths, annotate_runs(s), keep))
+    return out
 
 
 def runext(s: Slp, pos: int) -> tuple[int, int]:
     """(symbol, length) of the maximal equal-symbol stretch starting at pos."""
-    ann = s.annotations or annotate_runs(s)
+    return _runext(s, annotate_runs(s), pos)
+
+
+def _runext(s: Slp, ann: RunLinkAnnotations, pos: int) -> tuple[int, int]:
     if not 1 <= pos <= s.length:
         raise IndexError(f"position {pos} out of range 1..{s.length}")
     path: list[tuple[int, int]] = []
@@ -517,6 +515,8 @@ class OccRepr:
         length = self.pattern_length
         if k < 1 or k + length - 1 > s.length:
             return False
+        if length == s.length:  # k is 1: compare the runs, up to the first difference
+            return all(x == y for x, y in zip_longest(_iter_runs(s), self._pruns))
         v = s.n
         while True:
             rule = s.rules[v - 1]
@@ -633,13 +633,13 @@ def occurrences(text: Slp, pattern: Slp) -> OccRepr:
 
 
 def slp_equals(a: Slp, b: Slp) -> bool:
-    """Do two programs derive the same string? Compares the two run
-    streams and stops at the first pair of runs that differ."""
+    """Do two programs derive the same string? The occurrence query walks
+    the runs of a against those of b up to the first pair that differ."""
     if a is b:
         return True
     if a.length != b.length:
         return False
-    return all(x == y for x, y in zip_longest(_iter_runs(a), _iter_runs(b)))
+    return occurrences(a, b).membership(1)
 
 
 def prefix_match(text: Slp, pos: int, pattern: Slp) -> bool:
@@ -652,7 +652,8 @@ def prefix_match(text: Slp, pos: int, pattern: Slp) -> bool:
     if pos < 1 or pos + pattern.length - 1 > text.length:
         raise IndexError(f"window [{pos}, {pos + pattern.length - 1}] "
                          f"out of range 1..{text.length}")
-    pattern_ann = pattern.annotations or annotate_runs(pattern)
+    text_ann = annotate_runs(text)
+    pattern_ann = annotate_runs(pattern)
     memo: dict[tuple[int, int], bool] = {}
     root_key = (pattern.n, pos)
     stack = [(pattern.n, pos, False)]
@@ -662,7 +663,7 @@ def prefix_match(text: Slp, pos: int, pattern: Slp) -> bool:
         if not expanded and key in memo:
             continue
         if pattern_ann.plen[pv - 1] == pattern.lengths[pv - 1]:
-            sym, ext = runext(text, tp)
+            sym, ext = _runext(text, text_ann, tp)
             memo[key] = sym == pattern_ann.first[pv - 1] and ext >= pattern.lengths[pv - 1]
             continue
         l, r = pattern.rules[pv - 1]
@@ -688,8 +689,6 @@ def first_mismatch(a: Slp, b: Slp) -> int | None:
     Walks the two run streams side by side: the first pair of runs that
     differ fixes the position, and no run past it is produced.
     """
-    if a is b:
-        return None
     pos = 0
     for x, y in zip_longest(_iter_runs(a), _iter_runs(b)):
         if x != y:

@@ -146,6 +146,16 @@ def test_slp_forward_reference_rejected():
     assert ei.value.code == "forward-reference-in-slp"
 
 
+def test_slp_build_skips_known_prefix():
+    s = sample_slp()
+    for k in range(s.n + 1):
+        t = Slp.build(s.rules, s.lengths[:k])
+        assert t == s and t.lengths == s.lengths
+    with pytest.raises(InvalidInputError) as ei:
+        Slp.build(s.rules + ((1, s.n + 1),), s.lengths)  # refers to itself
+    assert ei.value.code == "forward-reference-in-slp"
+
+
 def test_slp_empty_rejected():
     with pytest.raises(EmptyInputError):
         expand_slp(Slp.build(()))
