@@ -81,6 +81,7 @@ from .slp_ops import (
     prefix_match,
     runext,
     slp_equals,
+    slp_lce,
     slp_runs,
     substring_slp,
 )

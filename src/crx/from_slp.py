@@ -1,11 +1,11 @@
 """Conversions out of straight-line programs.
 
-Every function here reads only the program: runs and LZ77 factors come
-from pattern queries on the grammar, and LZ78 and bisection run the
-drivers of crx.drivers on random access and substring-program matching,
-never on the derived string. Outputs are defined to match the reference
-codecs on the expansion, which the tests check against the naive
-implementations.
+Every function here reads only the program: runs come from the
+program's run annotations, and LZ77, LZ78 and bisection test whether two
+stretches of the text agree with `slp_lce` (or `slp_equals` on span
+programs), which walk run streams of the program and never the derived
+string. Outputs are defined to match the reference codecs on the
+expansion, which the tests check against the naive implementations.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .model import (
 from .slp_ops import (
     char_at,
     occurrences,
-    prefix_match,
     reachable_vars,
     slp_equals,
+    slp_lce,
     slp_runs,
     substring_slp,
 )
@@ -44,25 +44,21 @@ def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
     """Greedy leftmost-longest factorization computed on the program.
 
     Each factor keeps a candidate source src: the leftmost admissible
-    source of the current window. The window grows by galloping plus
-    bisection on "does the window occur at src", a single membership
-    check whose length is capped at pos - src without self-references.
-    That keeps src leftmost, since every admissible source of a longer
-    window is one of the shorter window too. Then one full occurrence
-    query on the window one symbol longer decides: if it has no
-    admissible source the factor is (src, length), otherwise its leftmost
-    start becomes src and the growth resumes. Each factor therefore
-    spends one failing full query, the query that ends it.
+    source of the current prefix of the factor. The prefix grows by one
+    slp_lce between src and the cursor, capped at pos - src without
+    self-references. That keeps src leftmost, since every admissible
+    source of a longer prefix is one of the shorter prefix too. Then one
+    full occurrence query on the prefix one symbol longer decides: if it
+    has no admissible source the factor is (src, length), otherwise its
+    leftmost start becomes src and the growth resumes. Each factor
+    therefore spends one failing full query, the query that ends it.
     """
     n = s.length
     factors: list[Literal | Reference] = []
     pos = 1
 
-    def window(length: int):
-        return occurrences(s, substring_slp(s, pos, pos + length - 1))
-
     def leftmost_source(length: int) -> int | None:
-        occ = window(length)
+        occ = occurrences(s, substring_slp(s, pos, pos + length - 1))
         if self_referential:
             found = occ.exists_start_in(1, pos - 1)
         else:
@@ -87,20 +83,7 @@ def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
         length = 1
         while True:
             src_cap = cap if self_referential else min(cap, pos - src)
-            lo, hi, step = length, src_cap + 1, 1  # lo occurs at src; hi does not, or exceeds src_cap
-            while lo + step < hi:
-                if not window(lo + step).membership(src):
-                    hi = lo + step
-                    break
-                lo += step
-                step *= 2
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if window(mid).membership(src):
-                    lo = mid
-                else:
-                    hi = mid
-            length = lo
+            length += slp_lce(s, src + length, pos + length, src_cap - length)
             if length == cap:
                 break
             nxt = leftmost_source(length + 1)
@@ -114,20 +97,16 @@ def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
 
 def slp_to_lz78(s: Slp) -> Lz78Factorization:
     """Dictionary factorization computed on the program; the shared
-    driver tests an entry at the cursor with prefix_match against the
-    entry's substring program, built the first time the entry is tried."""
+    driver tests an entry at the cursor with slp_lce between the entry's
+    own text interval and the cursor, so no entry gets a program."""
     sigma = 0
     for v in reachable_vars(s):
         rule = s.rules[v - 1]
         if isinstance(rule, Term):
             sigma = max(sigma, rule.code + 1)
-    programs: dict[int, Slp] = {}
 
     def matches(pos: int, start: int, length: int) -> bool:
-        entry = programs.get(start)
-        if entry is None:
-            entry = programs[start] = substring_slp(s, start, start + length - 1)
-        return prefix_match(s, pos, entry)
+        return slp_lce(s, pos, start, length) == length
 
     return lz78_driver(s.length, sigma, partial(char_at, s), matches)
 

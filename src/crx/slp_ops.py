@@ -6,9 +6,14 @@ matches for single-character patterns. Every occurrence of a pattern of
 length >= 2 crosses exactly one boundary in the derivation tree, so the
 progressions with derivation multiplicities cover the set exactly. A
 variable's progressions, and the edge runs of its children they are
-built from, are computed the first time a query needs them: a membership
-test touches one variable, a leftmost-start or range query stops at its
-first hit, and only counting and listing visit every variable.
+built from, are computed the first time a query needs them: a
+leftmost-start or range query stops at its first hit, and only counting
+and listing visit every variable.
+
+Every test of whether two stretches of the derived string agree
+(`slp_lce`, `membership`, `prefix_match`, `first_mismatch`) walks run
+streams: a window's runs come from its O(height) cover pieces, and the
+walk stops at the first pair of runs that differ.
 
 All positions are 1-based. Traversals use explicit stacks throughout;
 derivation heights can exceed Python's recursion limit.
@@ -16,7 +21,7 @@ derivation heights can exceed Python's recursion limit.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import zip_longest
 
 from .errors import BudgetExceededError, InternalError
@@ -99,9 +104,62 @@ def annotate_runs(s: Slp) -> RunLinkAnnotations:
     return ann
 
 
-def _iter_runs(s: Slp) -> Iterator[tuple[int, int]]:
-    """The runs of the derived string in text order, one at a time; the
-    walk holds O(height) pending items, never the whole run list.
+def _cover(s: Slp, i: int, j: int) -> tuple[int, list[int]]:
+    """The deepest variable v containing positions i..j, and variables
+    whose values concatenate to s[i..j], left to right: [v] alone if the
+    range is all of val(v), otherwise the suffix siblings along the left
+    cut path below v followed by the prefix siblings along the right one,
+    O(height) pieces in all."""
+    if not 1 <= i <= j <= s.length:
+        raise IndexError(f"substring [{i}, {j}] out of range 1..{s.length}")
+    v, lo, hi = s.n, i, j
+    while True:
+        rule = s.rules[v - 1]
+        if isinstance(rule, Term):
+            break
+        l, r = rule
+        ll = s.lengths[l - 1]
+        if hi <= ll:
+            v = l
+        elif lo > ll:
+            lo -= ll
+            hi -= ll
+            v = r
+        else:
+            break
+    if lo == 1 and hi == s.lengths[v - 1]:
+        return v, [v]
+    l, r = s.rules[v - 1]
+    ll = s.lengths[l - 1]
+    suffix_sibs: list[int] = []
+    u, p = l, lo
+    while p != 1:
+        ul, ur = s.rules[u - 1]
+        ull = s.lengths[ul - 1]
+        if p > ull:
+            p -= ull
+            u = ur
+        else:
+            suffix_sibs.append(ur)
+            u = ul
+    pieces = [u] + suffix_sibs[::-1]
+    u, q = r, hi - ll
+    while q != s.lengths[u - 1]:
+        ul, ur = s.rules[u - 1]
+        ull = s.lengths[ul - 1]
+        if q <= ull:
+            u = ul
+        else:
+            pieces.append(ul)
+            q -= ull
+            u = ur
+    pieces.append(u)
+    return v, pieces
+
+
+def _iter_runs(s: Slp, ann: RunLinkAnnotations, top: int) -> Iterator[tuple[int, int]]:
+    """The runs of val(top) in text order, one at a time; the walk holds
+    O(height) pending items, never the whole run list.
 
     A variable whose prefix run swallows its left child contributes the
     same interior runs as its right child (and symmetrically), so interior
@@ -109,14 +167,12 @@ def _iter_runs(s: Slp) -> Iterator[tuple[int, int]]:
     children around the run at the cut, which is the only place where two
     runs can merge.
     """
-    ann = annotate_runs(s)
-    root = s.n
-    n_chars = s.length
-    if ann.plen[root - 1] == n_chars:
-        yield (ann.first[root - 1], n_chars)
+    n_chars = s.lengths[top - 1]
+    if ann.plen[top - 1] == n_chars:
+        yield (ann.first[top - 1], n_chars)
         return
-    yield (ann.first[root - 1], ann.plen[root - 1])
-    stack: list[int | tuple[int, int]] = [root]
+    yield (ann.first[top - 1], ann.plen[top - 1])
+    stack: list[int | tuple[int, int]] = [top]
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
@@ -147,70 +203,61 @@ def _iter_runs(s: Slp) -> Iterator[tuple[int, int]]:
             if not r_unary:
                 pushes += [(ann.first[ri], ann.plen[ri]), r]
         stack.extend(reversed(pushes))
-    yield (ann.last[root - 1], ann.slen[root - 1])
+    yield (ann.last[top - 1], ann.slen[top - 1])
+
+
+def _window_runs(s: Slp, i: int, j: int) -> Iterator[tuple[int, int]]:
+    """The runs of s[i..j] in text order, one at a time: the runs of the
+    window's cover pieces, with equal symbols merged across the piece
+    boundaries. A whole variable is a single piece and streams as is."""
+    ann = annotate_runs(s)
+    _, pieces = _cover(s, i, j)
+    if len(pieces) == 1:
+        yield from _iter_runs(s, ann, pieces[0])
+        return
+    sym, exp = None, 0
+    for v in pieces:
+        for c, e in _iter_runs(s, ann, v):
+            if c == sym:
+                exp += e
+            else:
+                if exp:
+                    yield (sym, exp)
+                sym, exp = c, e
+    yield (sym, exp)
+
+
+def _first_difference(xs: Iterable[tuple[int, int]],
+                      ys: Iterable[tuple[int, int]]) -> int | None:
+    """How many leading symbols two run streams share, or None if they
+    are equal. Stops at the first pair of runs that differ, so no run
+    past it is produced."""
+    pos = 0
+    for x, y in zip_longest(xs, ys):
+        if x != y:
+            if x is None or y is None or x[0] != y[0]:
+                return pos
+            return pos + min(x[1], y[1])
+        pos += x[1]
+    return None
 
 
 def slp_runs(s: Slp) -> RleString:
     """Run-length encoding of the derived string, without expanding it."""
-    return RleString(tuple(_iter_runs(s)))
+    return RleString(tuple(_window_runs(s, 1, s.length)))
 
 
 def substring_slp(s: Slp, i: int, j: int) -> Slp:
     """An SLP deriving positions i..j, of size at most |s| + O(height).
 
-    Descends to the deepest variable v containing the range. The result is
-    the rules up to v if the range is all of val(v); otherwise the rules
-    below v plus a left-associative chain of fresh rules stitching the
-    surviving right siblings of the left cut path and left siblings of the
-    right cut path. Only the stitched rules get fresh lengths and run
+    The result is the rules up to the window's deepest variable v if the
+    range is all of val(v); otherwise the rules below v plus a
+    left-associative chain of fresh rules stitching the window's cover
+    pieces. Only the stitched rules get fresh lengths and run
     annotations; the rest are inherited from s, annotated on first use.
     """
-    if not 1 <= i <= j <= s.length:
-        raise IndexError(f"substring [{i}, {j}] out of range 1..{s.length}")
-    v, lo, hi = s.n, i, j
-    while True:
-        rule = s.rules[v - 1]
-        if isinstance(rule, Term):
-            break
-        l, r = rule
-        ll = s.lengths[l - 1]
-        if hi <= ll:
-            v = l
-        elif lo > ll:
-            lo -= ll
-            hi -= ll
-            v = r
-        else:
-            break
-    if lo == 1 and hi == s.lengths[v - 1]:
-        keep, pieces = v, [v]
-    else:
-        keep = v - 1  # the stitched chain takes the place of v
-        l, r = s.rules[v - 1]
-        ll = s.lengths[l - 1]
-        suffix_sibs: list[int] = []
-        u, p = l, lo
-        while p != 1:
-            ul, ur = s.rules[u - 1]
-            ull = s.lengths[ul - 1]
-            if p > ull:
-                p -= ull
-                u = ur
-            else:
-                suffix_sibs.append(ur)
-                u = ul
-        pieces = [u] + suffix_sibs[::-1]
-        u, q = r, hi - ll
-        while q != s.lengths[u - 1]:
-            ul, ur = s.rules[u - 1]
-            ull = s.lengths[ul - 1]
-            if q <= ull:
-                u = ul
-            else:
-                pieces.append(ul)
-                q -= ull
-                u = ur
-        pieces.append(u)
+    v, pieces = _cover(s, i, j)
+    keep = v if len(pieces) == 1 else v - 1  # the stitched chain takes the place of v
     stitched: list[tuple[int, int]] = []
     cur = pieces[0]
     for nxt in pieces[1:]:
@@ -222,35 +269,31 @@ def substring_slp(s: Slp, i: int, j: int) -> Slp:
 
 
 def runext(s: Slp, pos: int) -> tuple[int, int]:
-    """(symbol, length) of the maximal equal-symbol stretch starting at pos."""
-    return _runext(s, annotate_runs(s), pos)
-
-
-def _runext(s: Slp, ann: RunLinkAnnotations, pos: int) -> tuple[int, int]:
+    """(symbol, length) of the maximal equal-symbol stretch starting at
+    pos: the first run of the window from pos to the end."""
     if not 1 <= pos <= s.length:
         raise IndexError(f"position {pos} out of range 1..{s.length}")
-    path: list[tuple[int, int]] = []
-    v, p = s.n, pos
-    while True:
-        rule = s.rules[v - 1]
-        if isinstance(rule, Term):
-            c = rule.code
-            break
-        path.append((v, p))
-        l, r = rule
-        ll = s.lengths[l - 1]
-        if p <= ll:
-            v = l
-        else:
-            p -= ll
-            v = r
-    ext = 1
-    for v, p in reversed(path):
-        l, r = s.rules[v - 1]
-        ll = s.lengths[l - 1]
-        if p <= ll and p + ext - 1 == ll and ann.first[r - 1] == c:
-            ext += ann.plen[r - 1]
-    return c, ext
+    return next(_window_runs(s, pos, s.length))
+
+
+def slp_lce(s: Slp, i: int, j: int, limit: int) -> int:
+    """How many leading symbols of s[i..i+limit-1] and s[j..j+limit-1]
+    agree; 0 when limit is 0.
+
+    Walks the two windows' run streams up to the first pair of runs that
+    differ: O(height) to cover each window, then one step per run up to
+    the first difference. Every "do these two stretches match" test of
+    the program lane asks this one function, so a faster oracle (say,
+    Karp-Rabin fingerprints of the variables) would plug in here.
+    """
+    if limit < 0 or min(i, j) < 1 or max(i, j) + limit - 1 > s.length:
+        raise IndexError(f"windows at {i} and {j} of length {limit} "
+                         f"out of range 1..{s.length}")
+    if limit == 0:
+        return 0
+    d = _first_difference(_window_runs(s, i, i + limit - 1),
+                          _window_runs(s, j, j + limit - 1))
+    return limit if d is None else d
 
 
 def _trim_head(runs: list[tuple[int, int]], need: int, cap: int) -> tuple[list[tuple[int, int]], bool]:
@@ -511,29 +554,14 @@ class OccRepr:
             v = r
 
     def membership(self, k: int) -> bool:
+        """Does an occurrence start at k? Compares the runs of the text
+        window at k with the pattern's runs, up to the first pair that
+        differ; no crossing is computed."""
         s = self.text
         length = self.pattern_length
         if k < 1 or k + length - 1 > s.length:
             return False
-        if length == s.length:  # k is 1: compare the runs, up to the first difference
-            return all(x == y for x, y in zip_longest(_iter_runs(s), self._pruns))
-        v = s.n
-        while True:
-            rule = s.rules[v - 1]
-            if isinstance(rule, Term):
-                return self._term_matches(rule.code)
-            l, r = rule
-            ll = s.lengths[l - 1]
-            if k + length - 1 <= ll:
-                v = l
-            elif k > ll:
-                k -= ll
-                v = r
-            else:
-                for f, st, c in self._cross(v):
-                    if f <= k <= f + st * (c - 1) and (k - f) % st == 0:
-                        return True
-                return False
+        return _first_difference(_window_runs(s, k, k + length - 1), self._pruns) is None
 
     def exists_start_in(self, lo: int, hi: int) -> bool:
         """Some occurrence starts at a position in [lo, hi].
@@ -643,44 +671,14 @@ def slp_equals(a: Slp, b: Slp) -> bool:
 
 
 def prefix_match(text: Slp, pos: int, pattern: Slp) -> bool:
-    """Does val(pattern) occur in val(text) starting at pos?
-
-    Memoized simultaneous descent on (pattern variable, text position).
-    Pattern variables with a single-symbol expansion compare against the
-    text's run extension at the position, which keeps unary chains cheap.
-    """
+    """Does val(pattern) occur in val(text) starting at pos? Compares the
+    runs of the text window at pos with the pattern's runs, up to the
+    first pair that differ."""
     if pos < 1 or pos + pattern.length - 1 > text.length:
         raise IndexError(f"window [{pos}, {pos + pattern.length - 1}] "
                          f"out of range 1..{text.length}")
-    text_ann = annotate_runs(text)
-    pattern_ann = annotate_runs(pattern)
-    memo: dict[tuple[int, int], bool] = {}
-    root_key = (pattern.n, pos)
-    stack = [(pattern.n, pos, False)]
-    while stack:
-        pv, tp, expanded = stack.pop()
-        key = (pv, tp)
-        if not expanded and key in memo:
-            continue
-        if pattern_ann.plen[pv - 1] == pattern.lengths[pv - 1]:
-            sym, ext = _runext(text, text_ann, tp)
-            memo[key] = sym == pattern_ann.first[pv - 1] and ext >= pattern.lengths[pv - 1]
-            continue
-        l, r = pattern.rules[pv - 1]
-        k1 = (l, tp)
-        k2 = (r, tp + pattern.lengths[l - 1])
-        if expanded:
-            memo[key] = memo[k1] and memo.get(k2, False)
-            continue
-        if memo.get(k1) is False:
-            memo[key] = False
-            continue
-        stack.append((pv, tp, True))
-        if k2 not in memo:
-            stack.append((k2[0], k2[1], False))
-        if k1 not in memo:
-            stack.append((k1[0], k1[1], False))
-    return memo[root_key]
+    return _first_difference(_window_runs(text, pos, pos + pattern.length - 1),
+                             _window_runs(pattern, 1, pattern.length)) is None
 
 
 def first_mismatch(a: Slp, b: Slp) -> int | None:
@@ -689,11 +687,5 @@ def first_mismatch(a: Slp, b: Slp) -> int | None:
     Walks the two run streams side by side: the first pair of runs that
     differ fixes the position, and no run past it is produced.
     """
-    pos = 0
-    for x, y in zip_longest(_iter_runs(a), _iter_runs(b)):
-        if x != y:
-            if x is None or y is None or x[0] != y[0]:
-                return pos + 1
-            return pos + min(x[1], y[1]) + 1
-        pos += x[1]
-    return None
+    d = _first_difference(_window_runs(a, 1, a.length), _window_runs(b, 1, b.length))
+    return None if d is None else d + 1

@@ -5,10 +5,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crx.from_slp
 from crx import (
     Literal,
     Reference,
     RleString,
+    Slp,
+    Term,
     Text,
     expand_rle,
     expand_slp,
@@ -85,6 +88,20 @@ def test_lz77_of_bisection_program_matches_reference(symbols, self_ref):
     assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
 
 
+def test_lz77_of_doubling_program_frozen():
+    # 15 rules: a, b, ab, then twelve doublings deriving (ab)^(2^12)
+    s = Slp.build((Term(0), Term(1), (1, 2)) + tuple((v, v) for v in range(3, 15)))
+    assert s.n == 15 and s.length == 2**13
+    t = expand_slp(s)
+    plain = slp_to_lz77(s)
+    assert plain.factors == (Literal(0), Literal(1)) + tuple(
+        Reference(1, 2**k) for k in range(1, 13))
+    assert plain == naive_lz77(t)
+    self_ref = slp_to_lz77(s, True)
+    assert self_ref.factors == (Literal(0), Literal(1), Reference(1, 2**13 - 2))
+    assert self_ref == naive_lz77(t, True)
+
+
 def test_lz78_of_sample_frozen():
     f = slp_to_lz78(sample_slp())
     assert f.factor_ids == (1, 1, 2, 4, 3, 5, 5, 4)
@@ -97,6 +114,19 @@ def test_lz78_of_power_run():
     f = slp_to_lz78(power_slp(20))
     assert len(f.factor_ids) == 1448
     assert f.factor_ids == naive_lz78(expand_slp(power_slp(20))).factor_ids
+
+
+def test_lz78_builds_no_substring_program(monkeypatch):
+    built = []
+    real = crx.from_slp.substring_slp
+    monkeypatch.setattr(crx.from_slp, "substring_slp",
+                        lambda s, i, j: built.append((i, j)) or real(s, i, j))
+    rng = random.Random(97)
+    programs = [sample_slp(), power_slp(12)]
+    programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
+    for s in programs:
+        assert slp_to_lz78(s).factor_ids == naive_lz78(expand_slp(s)).factor_ids
+    assert built == []
 
 
 def test_bisection_of_sample_rule_for_rule():

@@ -22,9 +22,11 @@ from crx import (
     rle_encode,
     runext,
     slp_equals,
+    slp_lce,
     slp_runs,
     substring_slp,
 )
+from crx.slp_ops import _cover
 from helpers import (
     brute_occurrences,
     power_slp,
@@ -341,6 +343,73 @@ def test_prefix_match_random():
             continue
         pos = rng.randint(1, len(text) - len(pat) + 1)
         assert prefix_match(s, pos, p) == text[pos - 1:].startswith(pat)
+
+
+def brute_lce(text: tuple, i: int, j: int, limit: int) -> int:
+    k = 0
+    while k < limit and text[i - 1 + k] == text[j - 1 + k]:
+        k += 1
+    return k
+
+
+def test_slp_lce_sample_and_bounds():
+    s = sample_slp()
+    # SAMPLE = aababaababaab: 1..8 and 6..13 agree, 2..13 and 1..12 do not
+    assert slp_lce(s, 1, 6, 8) == 8
+    assert slp_lce(s, 6, 1, 8) == 8
+    assert slp_lce(s, 2, 1, 12) == 1
+    assert slp_lce(s, 3, 5, 9) == 2
+    assert slp_lce(s, 13, 3, 1) == 1
+    assert slp_lce(s, 13, 1, 1) == 0
+    assert slp_lce(s, 4, 4, 10) == 10
+    assert slp_lce(s, 14, 1, 0) == 0
+    for i, j, limit in ((0, 1, 1), (1, 0, 1), (13, 1, 2), (1, 13, 2), (14, 1, 1),
+                        (1, 2, -1), (1, 1, 14)):
+        with pytest.raises(IndexError):
+            slp_lce(s, i, j, limit)
+
+
+def test_slp_lce_matches_brute_force():
+    rng = random.Random(83)
+    programs = []
+    for _ in range(40):
+        programs.append(random_slp(rng, max_extra=9, sigma=3, max_len=400))
+        programs.append(slp_of(random_text(rng, max_len=200, sigma=2)))
+        programs.append(rle_as_slp(RleString(random_runs(rng, max_runs=12, max_exp=9))))
+    for s in programs:
+        text = expand_slp(s).symbols
+        n = len(text)
+        if n <= 16:
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        else:
+            pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(40)]
+            # overlapping windows: the second starts inside the first
+            pairs += [(i, i + rng.randint(1, 3)) for i in rng.sample(range(1, n - 2), 10)]
+        for i, j in pairs:
+            room = n - max(i, j) + 1
+            for limit in {1, room, rng.randint(1, room)}:
+                assert slp_lce(s, i, j, limit) == brute_lce(text, i, j, limit), (i, j, limit)
+        assert slp_lce(s, 1, 1, n) == n
+
+
+def test_slp_lce_across_many_cover_pieces():
+    rng = random.Random(89)
+    for _ in range(20):
+        block = [rng.randrange(2) for _ in range(rng.randint(3, 40))]
+        text = (block * (1200 // len(block) + 1))[:1200]
+        k = rng.randint(600, 1200)
+        text[k - 1] ^= 1
+        text = tuple(text)
+        for s in (slp_of(Text(text)), rle_as_slp(rle_encode(Text(text)))):
+            i, j = rng.randint(2, 50), rng.randint(51, 100)
+            limit = len(text) - j + 1
+            assert len(_cover(s, i, i + limit - 1)[1]) >= 8
+            assert slp_lce(s, i, j, limit) == brute_lce(text, i, j, limit)
+            assert slp_lce(s, j, i, limit) == brute_lce(text, i, j, limit)
+    # a periodic text against its own shift: every run agrees
+    s = Slp.build((Term(0), Term(1), (1, 2)) + tuple((v, v) for v in range(3, 15)))
+    assert slp_lce(s, 1, 3, s.length - 2) == s.length - 2
+    assert slp_lce(s, 2, 3, s.length - 2) == 0
 
 
 def test_first_mismatch():
