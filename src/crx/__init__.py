@@ -72,6 +72,7 @@ from .model import (
     slp_from_grammar_rules,
 )
 from .slp_ops import (
+    EdgeRuns,
     OccRepr,
     RunLinkAnnotations,
     annotate_runs,

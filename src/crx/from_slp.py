@@ -4,8 +4,11 @@ Every function here reads only the program: runs come from the
 program's run annotations, and LZ77, LZ78 and bisection test whether two
 stretches of the text agree with `slp_lce` (or `slp_equals` on span
 programs), which walk run streams of the program and never the derived
-string. Outputs are defined to match the reference codecs on the
-expansion, which the tests check against the naive implementations.
+string. LZ77 finds factor sources with occurrence queries on the runs
+of a text window, all sharing one store of the text's edge runs, so no
+window gets a program either. Outputs are defined to match the
+reference codecs on the expansion, which the tests check against the
+naive implementations.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .model import (
     Term,
 )
 from .slp_ops import (
+    EdgeRuns,
+    OccRepr,
     char_at,
     occurrences,
     reachable_vars,
@@ -48,34 +53,38 @@ def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
     slp_lce between src and the cursor, capped at pos - src without
     self-references. That keeps src leftmost, since every admissible
     source of a longer prefix is one of the shorter prefix too. Then one
-    full occurrence query on the prefix one symbol longer decides: if it
-    has no admissible source the factor is (src, length), otherwise its
-    leftmost start becomes src and the growth resumes. Each factor
-    therefore spends one failing full query, the query that ends it.
+    occurrence query on the prefix one symbol longer decides: the window
+    occurs at pos, so its leftmost start always exists, and the window
+    has an admissible source exactly when that leftmost start is one. If
+    it is not, the factor is (src, length), otherwise it becomes src and
+    the growth resumes. Each factor therefore spends one failing query,
+    the query that ends it.
+
+    Every query reads the window's runs, not a program of it, and all of
+    them share one store of the text's edge runs. A longer query at the
+    same pos also starts from the variables the shorter one found to hold
+    no occurrence, since they hold none of any extension either.
     """
     n = s.length
     factors: list[Literal | Reference] = []
     pos = 1
+    edges = EdgeRuns(s)
 
-    def leftmost_source(length: int) -> int | None:
-        occ = occurrences(s, substring_slp(s, pos, pos + length - 1))
-        if self_referential:
-            found = occ.exists_start_in(1, pos - 1)
-        else:
-            found = occ.exists_fully_within(1, pos - 1)
-        if not found:
-            return None
+    def leftmost_source(length: int, shorter: OccRepr | None) -> tuple[OccRepr, int | None]:
+        occ = occurrences(s, slp_runs(s, pos, pos + length - 1), edges)
+        if shorter is not None:
+            occ.inherit_misses(shorter)
         src = occ.min_start()
-        limit = pos - 1 if self_referential else pos - length
-        if src is None or src > limit:
+        if src is None or src > pos or not occ.membership(src):
             raise InternalError("factor source search is inconsistent; "
                                 f"got {src} for window at {pos} length {length}")
-        return src
+        limit = pos - 1 if self_referential else pos - length
+        return occ, (src if src <= limit else None)
 
     while pos <= n:
         rem = n - pos + 1
         cap = rem if self_referential else min(rem, pos - 1)
-        src = leftmost_source(1) if pos > 1 and cap >= 1 else None
+        occ, src = leftmost_source(1, None) if pos > 1 and cap >= 1 else (None, None)
         if src is None:
             factors.append(Literal(char_at(s, pos)))
             pos += 1
@@ -86,7 +95,7 @@ def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
             length += slp_lce(s, src + length, pos + length, src_cap - length)
             if length == cap:
                 break
-            nxt = leftmost_source(length + 1)
+            occ, nxt = leftmost_source(length + 1, occ)
             if nxt is None:
                 break
             src, length = nxt, length + 1

@@ -5,15 +5,19 @@ of starts that cross the variable's left/right boundary, plus terminal
 matches for single-character patterns. Every occurrence of a pattern of
 length >= 2 crosses exactly one boundary in the derivation tree, so the
 progressions with derivation multiplicities cover the set exactly. A
-variable's progressions, and the edge runs of its children they are
-built from, are computed the first time a query needs them: a
-leftmost-start or range query stops at its first hit, and only counting
-and listing visit every variable.
+variable's progressions are computed the first time a query needs them:
+a leftmost-start or range query stops at its first hit, and only
+counting and listing visit every variable. They are built from the runs
+at the inner edges of the variable's children, which do not depend on
+the pattern: an `EdgeRuns` store keeps them per text variable, so a
+caller that asks many queries of one text (`slp_to_lz77` does, one per
+probe) computes each variable's edge runs once, not once per query.
 
 Every test of whether two stretches of the derived string agree
 (`slp_lce`, `membership`, `prefix_match`, `first_mismatch`) walks run
-streams: a window's runs come from its O(height) cover pieces, and the
-walk stops at the first pair of runs that differ.
+streams: a window's runs come from its O(height) cover pieces, found as
+the runs are read, and the walk stops at the first pair of runs that
+differ.
 
 All positions are 1-based. Traversals use explicit stacks throughout;
 derivation heights can exceed Python's recursion limit.
@@ -104,21 +108,17 @@ def annotate_runs(s: Slp) -> RunLinkAnnotations:
     return ann
 
 
-def _cover(s: Slp, i: int, j: int) -> tuple[int, list[int]]:
-    """The deepest variable v containing positions i..j, and variables
-    whose values concatenate to s[i..j], left to right: [v] alone if the
-    range is all of val(v), otherwise the suffix siblings along the left
-    cut path below v followed by the prefix siblings along the right one,
-    O(height) pieces in all."""
+def _cut(s: Slp, i: int, j: int) -> tuple[int, int, int]:
+    """The deepest variable v containing positions i..j, and the range's
+    positions lo..hi inside val(v)."""
     if not 1 <= i <= j <= s.length:
         raise IndexError(f"substring [{i}, {j}] out of range 1..{s.length}")
-    v, lo, hi = s.n, i, j
-    while True:
-        rule = s.rules[v - 1]
-        if isinstance(rule, Term):
-            break
-        l, r = rule
-        ll = s.lengths[l - 1]
+    rules, lengths = s.rules, s.lengths
+    v, lo, hi = len(rules), i, j
+    # a range short of all of val(v) lies in a pair rule
+    while lo != 1 or hi != lengths[v - 1]:
+        l, r = rules[v - 1]
+        ll = lengths[l - 1]
         if hi <= ll:
             v = l
         elif lo > ll:
@@ -127,34 +127,53 @@ def _cover(s: Slp, i: int, j: int) -> tuple[int, list[int]]:
             v = r
         else:
             break
-    if lo == 1 and hi == s.lengths[v - 1]:
-        return v, [v]
-    l, r = s.rules[v - 1]
-    ll = s.lengths[l - 1]
+    return v, lo, hi
+
+
+def _pieces(s: Slp, v: int, lo: int, hi: int) -> Iterator[int]:
+    """Variables whose values concatenate to positions lo..hi of val(v),
+    left to right: v alone if the range is all of val(v), otherwise the
+    suffix siblings along the left cut path below v followed by the
+    prefix siblings along the right one, O(height) pieces in all. The
+    right path is walked only once the left path's pieces are consumed,
+    so a reader that stops early never pays for it."""
+    rules, lengths = s.rules, s.lengths
+    if lo == 1 and hi == lengths[v - 1]:
+        yield v
+        return
+    l, r = rules[v - 1]
+    ll = lengths[l - 1]
     suffix_sibs: list[int] = []
     u, p = l, lo
     while p != 1:
-        ul, ur = s.rules[u - 1]
-        ull = s.lengths[ul - 1]
+        ul, ur = rules[u - 1]
+        ull = lengths[ul - 1]
         if p > ull:
             p -= ull
             u = ur
         else:
             suffix_sibs.append(ur)
             u = ul
-    pieces = [u] + suffix_sibs[::-1]
+    yield u
+    yield from reversed(suffix_sibs)
     u, q = r, hi - ll
-    while q != s.lengths[u - 1]:
-        ul, ur = s.rules[u - 1]
-        ull = s.lengths[ul - 1]
+    while q != lengths[u - 1]:
+        ul, ur = rules[u - 1]
+        ull = lengths[ul - 1]
         if q <= ull:
             u = ul
         else:
-            pieces.append(ul)
+            yield ul
             q -= ull
             u = ur
-    pieces.append(u)
-    return v, pieces
+    yield u
+
+
+def _cover(s: Slp, i: int, j: int) -> tuple[int, list[int]]:
+    """The deepest variable containing positions i..j and the window's
+    cover pieces (see `_pieces`)."""
+    v, lo, hi = _cut(s, i, j)
+    return v, list(_pieces(s, v, lo, hi))
 
 
 def _iter_runs(s: Slp, ann: RunLinkAnnotations, top: int) -> Iterator[tuple[int, int]]:
@@ -209,14 +228,16 @@ def _iter_runs(s: Slp, ann: RunLinkAnnotations, top: int) -> Iterator[tuple[int,
 def _window_runs(s: Slp, i: int, j: int) -> Iterator[tuple[int, int]]:
     """The runs of s[i..j] in text order, one at a time: the runs of the
     window's cover pieces, with equal symbols merged across the piece
-    boundaries. A whole variable is a single piece and streams as is."""
+    boundaries. A whole variable is a single piece and streams as is.
+    Pieces are found as the runs are read, so a comparison that stops at
+    the first runs never walks the window's right cut path."""
     ann = annotate_runs(s)
-    _, pieces = _cover(s, i, j)
-    if len(pieces) == 1:
-        yield from _iter_runs(s, ann, pieces[0])
+    top, lo, hi = _cut(s, i, j)
+    if lo == 1 and hi == s.lengths[top - 1]:
+        yield from _iter_runs(s, ann, top)
         return
     sym, exp = None, 0
-    for v in pieces:
+    for v in _pieces(s, top, lo, hi):
         for c, e in _iter_runs(s, ann, v):
             if c == sym:
                 exp += e
@@ -242,9 +263,10 @@ def _first_difference(xs: Iterable[tuple[int, int]],
     return None
 
 
-def slp_runs(s: Slp) -> RleString:
-    """Run-length encoding of the derived string, without expanding it."""
-    return RleString(tuple(_window_runs(s, 1, s.length)))
+def slp_runs(s: Slp, i: int = 1, j: int | None = None) -> RleString:
+    """Run-length encoding of s[i..j] (by default the whole derived
+    string), without expanding it."""
+    return RleString(tuple(_window_runs(s, i, s.length if j is None else j)))
 
 
 def substring_slp(s: Slp, i: int, j: int) -> Slp:
@@ -296,21 +318,91 @@ def slp_lce(s: Slp, i: int, j: int, limit: int) -> int:
     return limit if d is None else d
 
 
-def _trim_head(runs: list[tuple[int, int]], need: int, cap: int) -> tuple[list[tuple[int, int]], bool]:
-    out: list[tuple[int, int]] = []
-    before = 0
-    for sym, exp in runs:
-        if len(out) >= cap or before >= need:
-            return out, True
-        out.append((sym, exp))
-        before += exp
-    return out, False
+def _trim(runs: list[tuple[int, int]], need: int, cap: int) -> list[tuple[int, int]]:
+    """The shortest prefix of runs that reaches need symbols or holds cap
+    runs; all of runs if there is none."""
+    total = 0
+    for k in range(min(cap, len(runs))):
+        total += runs[k][1]
+        if total >= need:
+            return runs[:k + 1]
+    return runs[:cap]
 
 
-def _merge_runs(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    if a and b and a[-1][0] == b[0][0]:
-        return a[:-1] + [(a[-1][0], a[-1][1] + b[0][1])] + b[1:]
-    return a + b
+class EdgeRuns:
+    """The runs nearest each edge of the variables of one text, shared by
+    every occurrence query on it.
+
+    A variable's head runs (from its first symbol on) and tail runs (from
+    its last symbol backwards) do not depend on the pattern, so one store
+    serves any number of queries. Each list holds true exponents (the run
+    straddling the cutoff keeps its full length, so boundary matching can
+    rely on it) and is the shortest one that reaches `chars` symbols or
+    holds `runs` runs, with a flag for a list that covers the whole
+    variable. A query asking for more than that bound at least doubles it
+    and starts the lists afresh; a query asking for less cuts a stored
+    list down to its own bound, which gives the list it would have
+    computed alone. Lists are computed along the variables' spines on
+    first use.
+    """
+
+    def __init__(self, text: Slp):
+        self.text = text
+        self.chars = 0
+        self.runs = 0
+        self._lists: tuple[dict, dict] = ({}, {})
+
+    def edge(self, v: int, outer: int, need: int, cap: int) -> list[tuple[int, int]]:
+        """Runs covering the first (outer=0) or last (outer=1) need
+        characters of val(v), at most cap runs, in order away from that
+        edge, with true exponents."""
+        if need > self.chars or cap > self.runs:
+            self.chars = max(need, 2 * self.chars)
+            self.runs = max(cap, 2 * self.runs)
+            self._lists = ({}, {})
+        memo = self._lists[outer]
+        got = memo.get(v)
+        if got is None:
+            got = self._fill(v, memo, outer)
+        if need == self.chars and cap == self.runs:
+            return got[0]
+        return _trim(got[0], need, cap)
+
+    def _fill(self, v: int, memo: dict, outer: int) -> tuple[list[tuple[int, int]], bool]:
+        """The stored list of v, computing those of the spine below it
+        first. The inner child is consulted only when the outer child is
+        complete."""
+        rules = self.text.rules
+        chars, runs = self.chars, self.runs
+        stack = [v]
+        while stack:
+            u = stack[-1]
+            rule = rules[u - 1]
+            if isinstance(rule, Term):
+                memo[u] = ([(rule.code, 1)], True)
+                stack.pop()
+                continue
+            o = memo.get(rule[outer])
+            if o is None:
+                stack.append(rule[outer])
+                continue
+            if not o[1]:
+                memo[u] = o
+                stack.pop()
+                continue
+            i = memo.get(rule[1 - outer])
+            if i is None:
+                stack.append(rule[1 - outer])
+                continue
+            a, b = o[0], i[0]
+            if a[-1][0] == b[0][0]:
+                merged = a[:-1] + [(a[-1][0], a[-1][1] + b[0][1])] + b[1:]
+            else:
+                merged = a + b
+            kept = _trim(merged, chars, runs)
+            memo[u] = (kept, i[1] and len(kept) == len(merged))
+            stack.pop()
+        return memo[v]
 
 
 def _kmp_find_all(needle: list, hay: list) -> list[int]:
@@ -360,63 +452,41 @@ class OccRepr:
     (first, step, count) of starts, relative to the variable's own origin,
     that cross its child boundary. They are computed the first time a
     query needs them, from the runs at the inner edges of the two
-    children, which are in turn computed along the children's spines on
-    first use. A one-symbol pattern has no crossings and matches the
-    terminal variables deriving its symbol. Queries combine both with the
+    children, which come from an `EdgeRuns` store of the text: the
+    caller's, shared with its other queries on the same text, or a fresh
+    one. A one-symbol pattern has no crossings and matches the terminal
+    variables deriving its symbol. Queries combine both with the
     derivation structure; nothing here ever expands the text.
     """
 
-    def __init__(self, text: Slp, pattern_runs: list[tuple[int, int]]):
+    def __init__(self, text: Slp, pattern_runs: list[tuple[int, int]],
+                 edges: EdgeRuns | None = None):
+        if edges is None:
+            edges = EdgeRuns(text)
+        elif edges.text is not text:
+            raise ValueError("edge store belongs to another text")
         self.text = text
         self.pattern_length = sum(exp for _, exp in pattern_runs)
         self._pruns = pattern_runs
         self._need = self.pattern_length - 1
         self._cap = len(pattern_runs) + 2
+        self._edges = edges
         self._crossing: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._has: dict[int, bool] = {}
-        # edge runs per variable: head in text order, tail from the end
-        # backwards; the flag records whether they cover the whole variable
-        self._head: dict[int, tuple[list[tuple[int, int]], bool]] = {}
-        self._tail: dict[int, tuple[list[tuple[int, int]], bool]] = {}
 
     def _term_matches(self, code: int) -> bool:
         return self.pattern_length == 1 and code == self._pruns[0][0]
 
-    def _edge(self, v: int, memo: dict, outer: int) -> tuple[list[tuple[int, int]], bool]:
-        """Runs covering the first (outer=0) or last (outer=1) `need`
-        characters of v, at most `cap` runs, in order away from that edge.
-        Exponents are never cut: the run straddling the cutoff keeps its
-        full length, so boundary matching can rely on true exponents. The
-        inner child is consulted only when the outer child is complete."""
-        got = memo.get(v)
-        if got is not None:
-            return got
-        rules = self.text.rules
-        need, cap = self._need, self._cap
-        stack = [v]
-        while stack:
-            u = stack[-1]
-            rule = rules[u - 1]
-            if isinstance(rule, Term):
-                memo[u] = ([(rule.code, 1)], True)
-                stack.pop()
-                continue
-            o = memo.get(rule[outer])
-            if o is None:
-                stack.append(rule[outer])
-                continue
-            if not o[1]:
-                memo[u] = o
-                stack.pop()
-                continue
-            i = memo.get(rule[1 - outer])
-            if i is None:
-                stack.append(rule[1 - outer])
-                continue
-            merged, dropped = _trim_head(_merge_runs(o[0], i[0]), need, cap)
-            memo[u] = (merged, i[1] and not dropped)
-            stack.pop()
-        return memo[v]
+    def inherit_misses(self, shorter: OccRepr) -> None:
+        """Take over the variables known to hold no occurrence of
+        shorter's pattern, which must be a prefix of this one's on the
+        same text: none of them holds an occurrence of this pattern."""
+        a, b = shorter._pruns, self._pruns
+        k = len(a) - 1
+        if (shorter.text is not self.text or k >= len(b) or a[:k] != b[:k]
+                or a[k][0] != b[k][0] or a[k][1] > b[k][1]):
+            raise ValueError("pattern does not extend the shorter one")
+        self._has.update((v, False) for v, hit in shorter._has.items() if not hit)
 
     def _cross(self, v: int) -> tuple[tuple[int, int, int], ...]:
         """Progressions of starts in v that cross its child boundary.
@@ -440,11 +510,12 @@ class OccRepr:
         b = text.lengths[l - 1]
         window: list[tuple[int, int, int]] = []
         pos = b + 1
-        for sym, exp in self._edge(l, self._tail, 1)[0]:
+        edges, need, cap = self._edges, self._need, self._cap
+        for sym, exp in edges.edge(l, 1, need, cap):
             pos -= exp
             window.append((sym, exp, pos))
         window.reverse()
-        head_runs = self._edge(r, self._head, 0)[0]
+        head_runs = edges.edge(r, 0, need, cap)
         nxt = b + 1
         start_idx = 0
         if window and head_runs and window[-1][0] == head_runs[0][0]:
@@ -649,15 +720,20 @@ class OccRepr:
         return out
 
 
-def occurrences(text: Slp, pattern: Slp) -> OccRepr:
-    """The occurrence set of val(pattern) inside val(text).
+def occurrences(text: Slp, pattern: Slp | RleString,
+                edges: EdgeRuns | None = None) -> OccRepr:
+    """The occurrence set of a pattern inside val(text). The pattern is a
+    program or its runs.
 
     Only the pattern side is computed here: its runs, from which the
     character reach and the run cap of the edge windows follow. Each text
     variable's crossings are left to the queries, which compute them on
-    first use.
+    first use from the edge runs in `edges`. Pass one store to every query
+    on the same text to compute each variable's edge runs once; without
+    one, the set gets a store of its own.
     """
-    return OccRepr(text, list(slp_runs(pattern).runs))
+    runs = pattern if isinstance(pattern, RleString) else slp_runs(pattern)
+    return OccRepr(text, list(runs.runs), edges)
 
 
 def slp_equals(a: Slp, b: Slp) -> bool:

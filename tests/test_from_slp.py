@@ -2,11 +2,14 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crx.from_slp
+import crx.slp_ops
 from crx import (
+    InternalError,
     Literal,
     Reference,
     RleString,
@@ -100,6 +103,34 @@ def test_lz77_of_doubling_program_frozen():
     self_ref = slp_to_lz77(s, True)
     assert self_ref.factors == (Literal(0), Literal(1), Reference(1, 2**13 - 2))
     assert self_ref == naive_lz77(t, True)
+
+
+def test_lz77_builds_no_substring_program(monkeypatch):
+    # the occurrence queries read the window's runs, not a program of it
+    built = []
+    real = crx.from_slp.substring_slp
+    monkeypatch.setattr(crx.from_slp, "substring_slp",
+                        lambda s, i, j: built.append((i, j)) or real(s, i, j))
+    rng = random.Random(107)
+    programs = [sample_slp(), power_slp(12), slp_of(T("abxabyaby"))]
+    programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
+    for s in programs:
+        t = expand_slp(s)
+        for self_ref in (False, True):
+            assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
+    assert built == []
+
+
+@pytest.mark.parametrize("fake_min_start", [
+    lambda self: None,                    # no occurrence of the window at all
+    lambda self: self.text.length + 1,    # a start after the window's own
+    lambda self: 1,                       # aab... holds no ab at 1
+])
+def test_lz77_source_search_checks_itself(monkeypatch, fake_min_start):
+    monkeypatch.setattr(crx.slp_ops.OccRepr, "min_start", fake_min_start)
+    for self_ref in (False, True):
+        with pytest.raises(InternalError):
+            slp_to_lz77(sample_slp(), self_ref)
 
 
 def test_lz78_of_sample_frozen():

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from crx import (
+    EdgeRuns,
     RleString,
     Slp,
     Term,
@@ -462,6 +463,83 @@ def test_occurrence_queries_each_on_fresh_set():
             lo <= w and w + L - 1 <= hi for w in want)
         assert occurrences(s, p).count() == len(want)
         assert occurrences(s, p).positions() == want
+
+
+def _answers(occ, lo, hi):
+    return occ.min_start(), occ.exists_start_in(lo, hi), occ.count(), occ.positions()
+
+
+def test_shared_edge_store_matches_fresh_sets():
+    # one store of edge runs serves a sequence of patterns on one text:
+    # short then long (the bound grows and the lists start afresh), long
+    # then short (stored lists are cut down), many runs after one run
+    rng = random.Random(101)
+    for k in range(150):
+        if k % 3 == 0:
+            s = random_slp(rng, max_extra=10, sigma=3, max_len=600)
+        elif k % 3 == 1:
+            s = slp_of(random_text(rng, max_len=300, sigma=2))
+        else:
+            s = rle_as_slp(RleString(random_runs(rng, max_runs=30, max_exp=9)))
+        text = expand_slp(s).to_str()
+        n = len(text)
+
+        def window(length):
+            length = max(1, min(n, length))
+            i = rng.randint(1, n - length + 1)
+            return text[i - 1:i - 1 + length]
+
+        letters = sorted(set(text)) + ["c"]
+        patterns = [window(2), window(rng.randint(n // 3, n)), window(3),
+                    rng.choice(letters) * rng.randint(1, 4),
+                    window(rng.randint(n // 4, n // 2)),
+                    "".join(rng.choice(letters) for _ in range(rng.randint(2, 6)))]
+        edges = EdgeRuns(s)
+        for pat in patterns:
+            t = Text.from_str(pat)
+            p = rle_encode(t) if rng.random() < 0.5 else slp_of(t)
+            want = brute_occurrences(text, pat)
+            lo = rng.randint(1, n)
+            hi = rng.randint(lo, n)
+            expected = (want[0] if want else None, any(lo <= w <= hi for w in want),
+                        len(want), want)
+            assert _answers(occurrences(s, p, edges), lo, hi) == expected, pat
+            assert _answers(occurrences(s, p), lo, hi) == expected, pat
+        assert edges.chars >= len(patterns[1]) - 1  # count() crossed the root
+
+
+def test_longer_pattern_inherits_misses():
+    # windows growing at one start: each set takes over the variables the
+    # previous one found empty, and still answers like a fresh set
+    rng = random.Random(103)
+    for k in range(60):
+        if k % 2:
+            s = random_slp(rng, max_extra=10, sigma=2, max_len=400)
+        else:
+            s = rle_as_slp(RleString(random_runs(rng, max_runs=20, sigma=2, max_exp=5)))
+        text = expand_slp(s).to_str()
+        n = len(text)
+        pos = rng.randint(1, n)
+        edges = EdgeRuns(s)
+        shorter = None
+        for length in range(1, n - pos + 2):
+            occ = occurrences(s, slp_runs(s, pos, pos + length - 1), edges)
+            if shorter is not None:
+                occ.inherit_misses(shorter)
+            want = brute_occurrences(text, text[pos - 1:pos - 1 + length])
+            assert occ.min_start() == want[0]
+            assert occ.exists_start_in(1, pos - 1) == (want[0] < pos)
+            shorter = occ
+    # not an extension: another pattern, a longer one, another text
+    s = sample_slp()
+    ab, aa = occurrences(s, slp_of_str("ab")), occurrences(s, slp_of_str("aa"))
+    for longer, short in ((ab, aa), (aa, ab), (ab, occurrences(s, slp_of_str("aab"))),
+                          (ab, occurrences(sample_slp(), slp_of_str("a")))):
+        with pytest.raises(ValueError):
+            longer.inherit_misses(short)
+    occurrences(s, slp_of_str("aab")).inherit_misses(occurrences(s, slp_of_str("aa")))
+    with pytest.raises(ValueError):
+        occurrences(s, slp_of_str("ab"), EdgeRuns(sample_slp()))
 
 
 def test_equality_and_mismatch_deep_in_right_half():
