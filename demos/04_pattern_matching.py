@@ -1,7 +1,7 @@
 """Search a compressed text for a compressed pattern.
 
-The occurrence set comes back as arithmetic progressions, so counting and
-membership work even when there are a million hits.
+The occurrence set comes back as ranges of starts per grammar rule, so
+counting and membership work even when there are a million hits.
 
 Run with: python3 demos/04_pattern_matching.py
 """

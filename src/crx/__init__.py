@@ -80,7 +80,6 @@ from .slp_ops import (
     first_mismatch,
     occurrences,
     prefix_match,
-    runext,
     slp_equals,
     slp_lce,
     slp_runs,

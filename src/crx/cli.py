@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 invalid input or a failed verification, 2 no
 conversion path between the requested formats, 3 expansion budget
-exceeded. The budget comes from --max-output, then the CRX_MAX_OUTPUT
-environment variable, then a 64 MiB default. A negative budget, or a
-CRX_MAX_OUTPUT that is not an integer, is invalid input (exit 1).
+exceeded. The commands that may expand (decode, convert, verify) take
+their budget from --max-output, then the CRX_MAX_OUTPUT environment
+variable, then a 64 MiB default; the others never read the variable. A
+negative budget, or a CRX_MAX_OUTPUT that is not an integer, is invalid
+input (exit 1).
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .model import (
     expand_lz78,
     expand_rle,
 )
-from .slp_ops import first_mismatch, slp_equals
+from .slp_ops import first_mismatch
 
 CODECS = ("rle", "lz77", "lz78", "repair", "bisection")
 TARGETS = CODECS + ("slp",)
@@ -81,7 +83,9 @@ class CliConfig:
 
 
 def _budget(args: argparse.Namespace) -> int:
-    value, source = getattr(args, "max_output", None), "--max-output"
+    if not hasattr(args, "max_output"):  # a command that never expands
+        return DEFAULT_LIMIT
+    value, source = args.max_output, "--max-output"
     if value is None:
         env = os.environ.get("CRX_MAX_OUTPUT")
         if not env:
@@ -200,6 +204,8 @@ def _convert_direct(c: CompressedContainer, target: str,
             return make_grammar_container(rle_to_repair(r), ab)
         if target == "bisection":
             return make_grammar_container(rle_to_bisection(r), ab)
+        if target == "slp":
+            return make_slp_container(rle_as_slp(r), ab)
     elif c.format == "slp":
         s = c.to_slp()
         if target == "rle":

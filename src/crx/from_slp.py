@@ -1,19 +1,18 @@
 """Conversions out of straight-line programs.
 
-Every function here reads only the program: runs come from the
-program's run annotations, and LZ77, LZ78 and bisection test whether two
-stretches of the text agree with `slp_lce` (or `slp_equals` on span
-programs), which walk run streams of the program and never the derived
-string. LZ77 finds factor sources with occurrence queries on the runs
-of a text window, all sharing one store of the text's edge runs, so no
-window gets a program either. Outputs are defined to match the
-reference codecs on the expansion, which the tests check against the
-naive implementations.
+Every function here reads only the program and builds no other: runs
+come from the program's run annotations, and LZ77, LZ78 and bisection
+test whether two stretches of the text agree by walking run streams of
+the program, never the derived string. LZ77 grows factors and LZ78
+tests entries with `slp_lce`; LZ77 finds factor sources, and bisection
+confirms equal span keys, with occurrence queries on the runs of a text
+window. Outputs are defined to match the reference codecs on the
+expansion, which the tests check against the naive implementations.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 
 from .drivers import bisection_driver, lz78_driver
 from .errors import InternalError
@@ -33,10 +32,8 @@ from .slp_ops import (
     char_at,
     occurrences,
     reachable_vars,
-    slp_equals,
     slp_lce,
     slp_runs,
-    substring_slp,
 )
 
 
@@ -124,19 +121,17 @@ def slp_to_bisection(s: Slp) -> AdmissibleGrammar:
     """Rebuild the balanced splitting grammar without expanding.
 
     The shared driver keys a span by its length plus five sampled
-    symbols. Equal keys are confirmed by slp_equals on substring programs,
-    each built once and only when its key meets an earlier span; it walks
-    the runs of the two spans, linear in their run count up to the first
-    difference.
+    symbols. Equal keys are confirmed on the text itself: the occurrence
+    set of the new span's runs is asked whether it starts at the earlier
+    span, which walks the earlier span's runs up to the first pair that
+    differ. No span gets a program.
     """
-    program = cache(partial(substring_slp, s))  # one program per span
-
     def key(i: int, j: int) -> tuple:
         span = j - i + 1
         offs = sorted({0, span - 1, span // 2, span // 4, (3 * span) // 4})
         return (span,) + tuple(char_at(s, i + o) for o in offs)
 
     def same(i: int, j: int, k: int) -> bool:
-        return slp_equals(program(i, j), program(k, k + j - i))
+        return occurrences(s, slp_runs(s, i, j)).membership(k)
 
     return bisection_driver(s.length, partial(char_at, s), key, same)

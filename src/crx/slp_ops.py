@@ -1,23 +1,23 @@
 """Primitives over straight line programs that never expand the text.
 
-Occurrence sets are stored per text variable as arithmetic progressions
-of starts that cross the variable's left/right boundary, plus terminal
-matches for single-character patterns. Every occurrence of a pattern of
-length >= 2 crosses exactly one boundary in the derivation tree, so the
-progressions with derivation multiplicities cover the set exactly. A
-variable's progressions are computed the first time a query needs them:
-a leftmost-start or range query stops at its first hit, and only
-counting and listing visit every variable. They are built from the runs
-at the inner edges of the variable's children, which do not depend on
-the pattern: an `EdgeRuns` store keeps them per text variable, so a
-caller that asks many queries of one text (`slp_to_lz77` does, one per
-probe) computes each variable's edge runs once, not once per query.
+Occurrence sets are stored per text variable as ranges of starts that
+cross the variable's left/right boundary, plus terminal matches for
+single-character patterns. Every occurrence of a pattern of length >= 2
+crosses exactly one boundary in the derivation tree, so the ranges with
+derivation multiplicities cover the set exactly. A variable's ranges
+are computed the first time a query needs them: a leftmost-start or
+range query stops at its first hit, and only counting and listing visit
+every variable. They are built from the runs at the inner edges of the
+variable's children, which do not depend on the pattern: an `EdgeRuns`
+store keeps them per text variable, so a caller that asks many queries
+of one text (`slp_to_lz77` does, one per probe) computes each
+variable's edge runs once, not once per query.
 
 Every test of whether two stretches of the derived string agree
-(`slp_lce`, `membership`, `prefix_match`, `first_mismatch`) walks run
-streams: a window's runs come from its O(height) cover pieces, found as
-the runs are read, and the walk stops at the first pair of runs that
-differ.
+(`slp_lce`, `membership`, `prefix_match`, `first_mismatch`,
+`slp_equals`) walks run streams: a window's runs come from its
+O(height) cover pieces, found as the runs are read, and the walk stops
+at the first pair of runs that differ.
 
 All positions are 1-based. Traversals use explicit stacks throughout;
 derivation heights can exceed Python's recursion limit.
@@ -290,14 +290,6 @@ def substring_slp(s: Slp, i: int, j: int) -> Slp:
     return out
 
 
-def runext(s: Slp, pos: int) -> tuple[int, int]:
-    """(symbol, length) of the maximal equal-symbol stretch starting at
-    pos: the first run of the window from pos to the end."""
-    if not 1 <= pos <= s.length:
-        raise IndexError(f"position {pos} out of range 1..{s.length}")
-    return next(_window_runs(s, pos, s.length))
-
-
 def slp_lce(s: Slp, i: int, j: int, limit: int) -> int:
     """How many leading symbols of s[i..i+limit-1] and s[j..j+limit-1]
     agree; 0 when limit is 0.
@@ -429,34 +421,18 @@ def _kmp_find_all(needle: list, hay: list) -> list[int]:
     return matches
 
 
-def _group_aps(positions: list[int]) -> list[tuple[int, int, int]]:
-    aps = []
-    i = 0
-    while i < len(positions):
-        if i + 1 == len(positions):
-            aps.append((positions[i], 1, 1))
-            break
-        step = positions[i + 1] - positions[i]
-        j = i + 1
-        while j + 1 < len(positions) and positions[j + 1] - positions[j] == step:
-            j += 1
-        aps.append((positions[i], step, j - i + 1))
-        i = j + 1
-    return aps
-
-
 class OccRepr:
     """Occurrence starts of one pattern inside one compressed text.
 
-    A text variable's crossing progressions are arithmetic progressions
-    (first, step, count) of starts, relative to the variable's own origin,
-    that cross its child boundary. They are computed the first time a
-    query needs them, from the runs at the inner edges of the two
-    children, which come from an `EdgeRuns` store of the text: the
-    caller's, shared with its other queries on the same text, or a fresh
-    one. A one-symbol pattern has no crossings and matches the terminal
-    variables deriving its symbol. Queries combine both with the
-    derivation structure; nothing here ever expands the text.
+    A text variable's crossings are sorted ranges (lo, hi) of starts,
+    relative to the variable's own origin, of occurrences that cross its
+    child boundary. They are computed the first time a query needs them,
+    from the runs at the inner edges of the two children, which come from
+    an `EdgeRuns` store of the text: the caller's, shared with its other
+    queries on the same text, or a fresh one. A one-symbol pattern has no
+    crossings and matches the terminal variables deriving its symbol.
+    Queries combine both with the derivation structure; nothing here ever
+    expands the text.
     """
 
     def __init__(self, text: Slp, pattern_runs: list[tuple[int, int]],
@@ -471,7 +447,7 @@ class OccRepr:
         self._need = self.pattern_length - 1
         self._cap = len(pattern_runs) + 2
         self._edges = edges
-        self._crossing: dict[int, tuple[tuple[int, int, int], ...]] = {}
+        self._crossing: dict[int, tuple[tuple[int, int], ...]] = {}
         self._has: dict[int, bool] = {}
 
     def _term_matches(self, code: int) -> bool:
@@ -488,15 +464,17 @@ class OccRepr:
             raise ValueError("pattern does not extend the shorter one")
         self._has.update((v, False) for v, hit in shorter._has.items() if not hit)
 
-    def _cross(self, v: int) -> tuple[tuple[int, int, int], ...]:
-        """Progressions of starts in v that cross its child boundary.
+    def _cross(self, v: int) -> tuple[tuple[int, int], ...]:
+        """Sorted ranges (lo, hi) of the starts in v that cross its child
+        boundary.
 
         Candidate starts are anchored at run boundaries of a window of runs
         around the cut: a crossing occurrence touches at most r_p runs per
         side (r_p = pattern run count), so windows of r_p + 2 true-exponent
         runs and pattern length minus one characters per side lose nothing.
-        Single-run patterns collapse to one progression per window by
-        length arithmetic.
+        A single-run pattern gets one range, by length arithmetic on the run
+        at the cut. A pattern of two or more runs never starts at two
+        adjacent positions, so each of its starts is a range (o, o).
         """
         got = self._crossing.get(v)
         if got is not None:
@@ -530,7 +508,7 @@ class OccRepr:
         rp = len(pruns)
         first_sym, first_exp = pruns[0]
         last_sym, last_exp = pruns[-1]
-        aps: list[tuple[int, int, int]] = []
+        spans: list[tuple[int, int]] = []
         if rp == 1:
             for sym, exp, ws in window:
                 if ws <= b and ws + exp - 1 >= b + 1:
@@ -538,13 +516,12 @@ class OccRepr:
                         o_lo = max(ws, b - length + 2)
                         o_hi = min(b, ws + exp - length)
                         if o_lo <= o_hi:
-                            aps = [(o_lo, 1, o_hi - o_lo + 1)]
+                            spans.append((o_lo, o_hi))
                     break
         else:
             interior = pruns[1:-1]
             pairs = [(sym, exp) for sym, exp, _ in window]
             anchors = _kmp_find_all(interior, pairs) if interior else range(1, len(window))
-            starts: list[int] = []
             for t in anchors:
                 tl_idx = t - 1
                 tr_idx = t + rp - 2
@@ -560,9 +537,8 @@ class OccRepr:
                 if o <= b and o + length - 1 >= b + 1:
                     if o < 1 or o + length - 1 > text.lengths[v - 1]:
                         raise InternalError(f"occurrence {o} escapes variable {v}")
-                    starts.append(o)
-            aps = _group_aps(starts)
-        got = self._crossing[v] = tuple(aps)
+                    spans.append((o, o))
+        got = self._crossing[v] = tuple(spans)
         return got
 
     def _has_occurrence(self, v: int) -> bool:
@@ -618,9 +594,9 @@ class OccRepr:
             if self._has_occurrence(l):
                 v = l
                 continue
-            aps = self._cross(v)
-            if aps:
-                return base + aps[0][0]
+            spans = self._cross(v)
+            if spans:
+                return base + spans[0][0]
             base += s.lengths[l - 1]
             v = r
 
@@ -656,13 +632,8 @@ class OccRepr:
                 continue
             l, r = s.rules[v - 1]  # a terminal's range is empty or covered
             ll = s.lengths[l - 1]
-            for f, st, c in self._cross(v):
-                last = f + st * (c - 1)
-                if last < a or f > b:
-                    continue
-                hit = f if f >= a else f + ((a - f + st - 1) // st) * st
-                if hit <= b:
-                    return True
+            if any(f <= b and g >= a for f, g in self._cross(v)):
+                return True
             if b > ll:
                 stack.append((r, a - ll, b - ll))
             stack.append((l, a, b))
@@ -687,8 +658,8 @@ class OccRepr:
                 if self._term_matches(rule.code):
                     total += m
                 continue
-            for _, _, c in self._cross(v):
-                total += m * c
+            for f, g in self._cross(v):
+                total += m * (g - f + 1)
             l, r = rule
             voc[l] += m
             voc[r] += m
@@ -711,8 +682,8 @@ class OccRepr:
                 if self._term_matches(rule.code):
                     out.append(base + 1)
                 continue
-            for f, st, c in self._cross(v):
-                out.extend(base + f + st * k for k in range(c))
+            for f, g in self._cross(v):
+                out.extend(range(base + f, base + g + 1))
             l, r = rule
             stack.append((r, base + s.lengths[l - 1]))
             stack.append((l, base))
@@ -737,13 +708,14 @@ def occurrences(text: Slp, pattern: Slp | RleString,
 
 
 def slp_equals(a: Slp, b: Slp) -> bool:
-    """Do two programs derive the same string? The occurrence query walks
-    the runs of a against those of b up to the first pair that differ."""
+    """Do two programs derive the same string? Walks the two run streams
+    side by side up to the first pair of runs that differ."""
     if a is b:
         return True
     if a.length != b.length:
         return False
-    return occurrences(a, b).membership(1)
+    return _first_difference(_window_runs(a, 1, a.length),
+                             _window_runs(b, 1, b.length)) is None
 
 
 def prefix_match(text: Slp, pos: int, pattern: Slp) -> bool:

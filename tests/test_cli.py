@@ -75,13 +75,21 @@ def test_convert_direct_rle_to_lz77(tmp_path, capsys):
 
 
 def test_convert_rle_to_slp_and_back(tmp_path, capsys):
-    # no direct rle -> slp edge: hop through a grammar codec first
+    # directly (a zero budget shows nothing is expanded) and through a
+    # grammar codec
     raw = write(tmp_path / "in.bin", b"aaabbaaa")
     r = str(tmp_path / "x.rle")
     g = str(tmp_path / "x.grammar")
     s = str(tmp_path / "x.slp")
     r2 = str(tmp_path / "x2.rle")
     run(capsys, "encode", "--codec", "rle", raw, r)
+    code, _, err = run(capsys, "convert", "--to", "slp", "--max-output", "0", r, s)
+    assert code == 0, err
+    assert parse((tmp_path / "x.slp").read_text()).format == "slp"
+    assert run(capsys, "convert", "--to", "rle", s, r2)[0] == 0
+    assert (tmp_path / "x.rle").read_bytes() == (tmp_path / "x2.rle").read_bytes()
+    code, out, _ = run(capsys, "verify", r, s)
+    assert (code, out.strip()) == (0, "equal")
     assert run(capsys, "convert", "--to", "bisection", r, g)[0] == 0
     assert run(capsys, "convert", "--to", "slp", g, s)[0] == 0
     assert run(capsys, "convert", "--to", "rle", s, r2)[0] == 0
@@ -189,6 +197,11 @@ def test_decode_budget_flag_and_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CRX_MAX_OUTPUT", "badnumber")
     code, _, err = run(capsys, "decode", str(a), out)
     assert code == 1
+    assert "not an integer: 'badnumber' at CRX_MAX_OUTPUT" in err
+    # a command that never expands never reads the variable
+    code, out_text, err = run(capsys, "info", str(a))
+    assert code == 0, err
+    assert out_text.startswith("format rle")
 
 
 def test_negative_budget_is_invalid_input(tmp_path, capsys, monkeypatch):

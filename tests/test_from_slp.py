@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import crx.from_slp
 import crx.slp_ops
 from crx import (
     InternalError,
@@ -105,17 +104,24 @@ def test_lz77_of_doubling_program_frozen():
     assert self_ref == naive_lz77(t, True)
 
 
+def record_builds(monkeypatch) -> list:
+    """Record every later Slp.build call; programs built before are not
+    seen."""
+    built = []
+    real = Slp.build
+    monkeypatch.setattr(Slp, "build", staticmethod(
+        lambda *args, **kw: built.append(args) or real(*args, **kw)))
+    return built
+
+
 def test_lz77_builds_no_substring_program(monkeypatch):
     # the occurrence queries read the window's runs, not a program of it
-    built = []
-    real = crx.from_slp.substring_slp
-    monkeypatch.setattr(crx.from_slp, "substring_slp",
-                        lambda s, i, j: built.append((i, j)) or real(s, i, j))
     rng = random.Random(107)
     programs = [sample_slp(), power_slp(12), slp_of(T("abxabyaby"))]
     programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
-    for s in programs:
-        t = expand_slp(s)
+    texts = [expand_slp(s) for s in programs]
+    built = record_builds(monkeypatch)
+    for s, t in zip(programs, texts):
         for self_ref in (False, True):
             assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
     assert built == []
@@ -148,20 +154,32 @@ def test_lz78_of_power_run():
 
 
 def test_lz78_builds_no_substring_program(monkeypatch):
-    built = []
-    real = crx.from_slp.substring_slp
-    monkeypatch.setattr(crx.from_slp, "substring_slp",
-                        lambda s, i, j: built.append((i, j)) or real(s, i, j))
     rng = random.Random(97)
     programs = [sample_slp(), power_slp(12)]
     programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
-    for s in programs:
-        assert slp_to_lz78(s).factor_ids == naive_lz78(expand_slp(s)).factor_ids
+    texts = [expand_slp(s) for s in programs]
+    built = record_builds(monkeypatch)
+    for s, t in zip(programs, texts):
+        assert slp_to_lz78(s).factor_ids == naive_lz78(t).factor_ids
     assert built == []
 
 
 def test_bisection_of_sample_rule_for_rule():
     assert slp_to_bisection(sample_slp()) == naive_bisection(expand_slp(sample_slp()))
+
+
+def test_bisection_and_rle_build_no_program(monkeypatch):
+    # equal span keys are confirmed on the text, runs come from annotations
+    rng = random.Random(109)
+    programs = [sample_slp(), power_slp(12), slp_of(T("abababab" * 9 + "b"))]
+    programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
+    programs += [rle_as_slp(RleString(((0, 3), (1, 2)) * 20 + ((2, 5),)))]
+    texts = [expand_slp(s) for s in programs]
+    built = record_builds(monkeypatch)
+    for s, t in zip(programs, texts):
+        assert slp_to_bisection(s) == naive_bisection(t)
+        assert slp_to_rle(s) == rle_encode(t)
+    assert built == []
 
 
 def test_all_conversions_random_vs_naive():

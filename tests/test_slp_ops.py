@@ -21,7 +21,6 @@ from crx import (
     prefix_match,
     rle_as_slp,
     rle_encode,
-    runext,
     slp_equals,
     slp_lce,
     slp_runs,
@@ -65,28 +64,27 @@ def test_annotate_runs_sample():
     assert ann.last[root] == 1
 
 
-def test_runext_sample():
+def test_window_runs_sample():
     s = sample_slp()
-    # SAMPLE = aa b a b aa b a b aa b
-    assert runext(s, 1) == (0, 2)
-    assert runext(s, 2) == (0, 1)
-    assert runext(s, 3) == (1, 1)
-    assert runext(s, 6) == (0, 2)
-    assert runext(s, 13) == (1, 1)
+    # SAMPLE = aa b a b aa b a b aa b; the last run of 6..12 and the run
+    # of 5..7 each straddle two cover pieces
+    assert slp_runs(s, 6, 12).runs == ((0, 2), (1, 1), (0, 1), (1, 1), (0, 2))
+    assert slp_runs(s, 5, 7).runs == ((1, 1), (0, 2))
+    # the first run of the window from pos to the end
+    for pos, first in ((1, (0, 2)), (2, (0, 1)), (3, (1, 1)), (6, (0, 2)), (13, (1, 1))):
+        assert slp_runs(s, pos).runs[0] == first
 
 
-def test_runext_random():
+def test_window_runs_random():
     rng = random.Random(31)
     for _ in range(60):
         s = random_slp(rng, max_extra=8, sigma=3, max_len=300)
-        text = expand_slp(s).to_str()
+        text = expand_slp(s).symbols
+        n = len(text)
         for _ in range(15):
-            pos = rng.randint(1, len(text))
-            c = text[pos - 1]
-            k = pos
-            while k < len(text) and text[k] == c:
-                k += 1
-            assert runext(s, pos) == (ord(c) - ord("a"), k - pos + 1)
+            i = rng.randint(1, n)
+            j = n if rng.random() < 0.3 else rng.randint(i, n)
+            assert slp_runs(s, i, j) == rle_encode(Text(text[i - 1:j])), (i, j)
 
 
 def test_slp_runs_equals_rle_of_expansion():
@@ -435,34 +433,48 @@ def test_first_mismatch_random():
         assert got == want
 
 
+def _check_fresh_sets(rng, s, p):
+    text = expand_slp(s).to_str()
+    pat = expand_slp(p).to_str()
+    L = len(pat)
+    want = brute_occurrences(text, pat)
+    assert occurrences(s, p).min_start() == (want[0] if want else None)
+    q = rng.choice(want) if want and rng.random() < 0.5 else rng.randint(1, len(text))
+    assert occurrences(s, p).membership(q) == (q in want)
+    lo = rng.randint(1, len(text))
+    hi = rng.randint(lo, len(text))
+    assert occurrences(s, p).exists_start_in(lo, hi) == any(
+        lo <= w <= hi for w in want)
+    assert occurrences(s, p).exists_start_in(1, hi) == any(w <= hi for w in want)
+    assert occurrences(s, p).exists_fully_within(lo, hi) == any(
+        lo <= w and w + L - 1 <= hi for w in want)
+    assert occurrences(s, p).count() == len(want)
+    assert occurrences(s, p).positions() == want
+
+
 def test_occurrence_queries_each_on_fresh_set():
     # each query gets its own occurrence set, so no query's memos hide
     # the lazy crossings, edge runs and first-hit tests of another
     rng = random.Random(59)
     for _ in range(120):
         s = random_slp(rng, max_extra=10, sigma=2, max_len=600)
-        text = expand_slp(s).to_str()
+        n = s.length
         if rng.random() < 0.5:
-            i = rng.randint(1, len(text))
-            j = min(len(text), i + rng.randint(0, 12))
+            i = rng.randint(1, n)
+            j = min(n, i + rng.randint(0, 12))
             p = substring_slp(s, i, j)
         else:
             p = random_slp(rng, max_extra=4, sigma=2, max_len=20)
-        pat = expand_slp(p).to_str()
-        L = len(pat)
-        want = brute_occurrences(text, pat)
-        assert occurrences(s, p).min_start() == (want[0] if want else None)
-        q = rng.choice(want) if want and rng.random() < 0.5 else rng.randint(1, len(text))
-        assert occurrences(s, p).membership(q) == (q in want)
-        lo = rng.randint(1, len(text))
-        hi = rng.randint(lo, len(text))
-        assert occurrences(s, p).exists_start_in(lo, hi) == any(
-            lo <= w <= hi for w in want)
-        assert occurrences(s, p).exists_start_in(1, hi) == any(w <= hi for w in want)
-        assert occurrences(s, p).exists_fully_within(lo, hi) == any(
-            lo <= w and w + L - 1 <= hi for w in want)
-        assert occurrences(s, p).count() == len(want)
-        assert occurrences(s, p).positions() == want
+        _check_fresh_sets(rng, s, p)
+    # periodic texts: one variable holds many crossing starts, a period
+    # apart, of a pattern with one run or with several
+    for unit in ("ab", "aab", "abb", "a"):
+        for k in (5, 16, 33):
+            t = Text.from_str(unit * k + unit[0])
+            for s in (slp_of(t), rle_as_slp(rle_encode(t))):
+                for plen in (1, 2, len(unit) + 1, 2 * len(unit), 3 * len(unit) + 1):
+                    i = rng.randint(1, len(t) - plen + 1)
+                    _check_fresh_sets(rng, s, slp_of(Text(t.symbols[i - 1:i - 1 + plen])))
 
 
 def _answers(occ, lo, hi):
