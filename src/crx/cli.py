@@ -1,5 +1,13 @@
 """Command line front end.
 
+`convert` picks its route from the source's format alone. rle takes the
+run lane (`rle_to_*`, or `rle_as_slp` for slp). slp and grammar take the
+program lane: they become an slp, which converts to rle, lz77, lz78 or
+bisection, or is written out for --to slp. lz77 and lz78 convert only
+with --via-expand, which decodes and re-encodes. Exit 2 for an lz source
+without --via-expand, --to repair from slp or grammar, rle to rle, and
+--via-expand --to slp.
+
 Exit codes: 0 success, 1 invalid input or a failed verification, 2 no
 conversion path between the requested formats, 3 expansion budget
 exceeded. The commands that may expand (decode, convert, verify) take
@@ -14,7 +22,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .codecs import (
     compressed_size,
@@ -28,6 +35,7 @@ from .codecs import (
 )
 from .container import (
     CompressedContainer,
+    Payload,
     make_grammar_container,
     make_lz77_container,
     make_lz78_container,
@@ -56,6 +64,7 @@ from .model import (
     DEFAULT_LIMIT,
     Literal,
     Lz78Factorization,
+    Slp,
     Text,
     expand_grammar,
     expand_lz77,
@@ -66,25 +75,11 @@ from .slp_ops import first_mismatch
 
 CODECS = ("rle", "lz77", "lz78", "repair", "bisection")
 TARGETS = CODECS + ("slp",)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Everything a subcommand needs, resolved from flags and environment."""
-
-    command: str
-    inputs: tuple[str, ...]
-    output: str | None
-    codec: str | None
-    target: str | None
-    self_ref: bool
-    via_expand: bool
-    max_output: int
+_SLP_HOP = ("convert --via-expand --to bisection (or repair), then convert "
+            "the grammar file to slp directly")
 
 
 def _budget(args: argparse.Namespace) -> int:
-    if not hasattr(args, "max_output"):  # a command that never expands
-        return DEFAULT_LIMIT
     value, source = args.max_output, "--max-output"
     if value is None:
         env = os.environ.get("CRX_MAX_OUTPUT")
@@ -99,21 +94,6 @@ def _budget(args: argparse.Namespace) -> int:
     if value < 0:
         raise InvalidInputError("bad-budget", source, f"negative budget: {value}")
     return value
-
-
-def build_config(args: argparse.Namespace) -> CliConfig:
-    paths = [p for p in (getattr(args, "input", None), getattr(args, "second", None))
-             if p is not None]
-    return CliConfig(
-        command=args.command,
-        inputs=tuple(paths),
-        output=getattr(args, "output", None),
-        codec=getattr(args, "codec", None),
-        target=getattr(args, "target", None),
-        self_ref=getattr(args, "self_ref", False),
-        via_expand=getattr(args, "via_expand", False),
-        max_output=_budget(args),
-    )
 
 
 def _read_container(path: str) -> CompressedContainer:
@@ -144,16 +124,16 @@ def _expand_container(c: CompressedContainer, limit: int) -> Text:
 
 
 def _encode_text(text: Text, codec: str, self_ref: bool,
-                 alphabet_size: int) -> CompressedContainer:
+                 alphabet_size: int) -> Payload:
     if codec == "rle":
-        return make_rle_container(rle_encode(text), alphabet_size)
+        return rle_encode(text)
     if codec == "lz77":
-        return make_lz77_container(naive_lz77(text, self_ref), alphabet_size)
+        return naive_lz77(text, self_ref)
     if codec == "lz78":
-        return make_lz78_container(naive_lz78(text, alphabet_size))
+        return naive_lz78(text, alphabet_size)
     if codec == "repair":
-        return make_grammar_container(naive_repair(text), alphabet_size)
-    return make_grammar_container(naive_bisection(text), alphabet_size)
+        return naive_repair(text)
+    return naive_bisection(text)
 
 
 def _relabel_lz78(f: Lz78Factorization, sigma: int) -> Lz78Factorization:
@@ -165,7 +145,20 @@ def _relabel_lz78(f: Lz78Factorization, sigma: int) -> Lz78Factorization:
     return Lz78Factorization(ids, sigma)
 
 
-def _as_slp(c: CompressedContainer):
+def _container(target: str, payload: Payload | Slp,
+               alphabet_size: int) -> CompressedContainer:
+    if target == "rle":
+        return make_rle_container(payload, alphabet_size)
+    if target == "lz77":
+        return make_lz77_container(payload, alphabet_size)
+    if target == "lz78":
+        return make_lz78_container(_relabel_lz78(payload, alphabet_size))
+    if target == "slp":
+        return make_slp_container(payload, alphabet_size)
+    return make_grammar_container(payload, alphabet_size)
+
+
+def _as_slp(c: CompressedContainer) -> Slp:
     if c.format == "rle":
         return rle_as_slp(c.payload)
     if c.format == "slp":
@@ -173,74 +166,65 @@ def _as_slp(c: CompressedContainer):
     return grammar_to_slp(c.payload)
 
 
-def cmd_encode(cfg: CliConfig) -> int:
-    with open(cfg.inputs[0], "rb") as fh:
+def cmd_encode(args: argparse.Namespace) -> int:
+    with open(args.input, "rb") as fh:
         text = Text.from_bytes(fh.read())
-    _write_container(cfg.output, _encode_text(text, cfg.codec, cfg.self_ref, 256))
+    payload = _encode_text(text, args.codec, args.self_ref, 256)
+    _write_container(args.output, _container(args.codec, payload, 256))
     return 0
 
 
-def cmd_decode(cfg: CliConfig) -> int:
-    c = _read_container(cfg.inputs[0])
-    text = _expand_container(c, cfg.max_output)
+def cmd_decode(args: argparse.Namespace) -> int:
+    limit = _budget(args)
+    c = _read_container(args.input)
+    text = _expand_container(c, limit)
     if any(sym > 255 for sym in text.symbols):
-        raise InvalidInputError("non-byte-alphabet", cfg.inputs[0],
+        raise InvalidInputError("non-byte-alphabet", args.input,
                                 "decoded symbols do not fit into bytes")
-    with open(cfg.output, "wb") as fh:
+    with open(args.output, "wb") as fh:
         fh.write(bytes(text.symbols))
     return 0
 
 
 def _convert_direct(c: CompressedContainer, target: str,
-                    self_ref: bool) -> CompressedContainer:
-    ab = c.alphabet_size
+                    self_ref: bool) -> Payload | Slp:
+    """The target's payload by the source's lane, without expansion."""
+    lane = {}
     if c.format == "rle":
-        r = c.payload
-        if target == "lz77":
-            return make_lz77_container(rle_to_lz77(r, self_ref), ab)
-        if target == "lz78":
-            return make_lz78_container(_relabel_lz78(rle_to_lz78(r), ab))
-        if target == "repair":
-            return make_grammar_container(rle_to_repair(r), ab)
-        if target == "bisection":
-            return make_grammar_container(rle_to_bisection(r), ab)
-        if target == "slp":
-            return make_slp_container(rle_as_slp(r), ab)
-    elif c.format == "slp":
-        s = c.to_slp()
-        if target == "rle":
-            return make_rle_container(slp_to_rle(s), ab)
-        if target == "lz77":
-            return make_lz77_container(slp_to_lz77(s, self_ref), ab)
-        if target == "lz78":
-            return make_lz78_container(_relabel_lz78(slp_to_lz78(s), ab))
-        if target == "bisection":
-            return make_grammar_container(slp_to_bisection(s), ab)
-    elif c.format == "grammar" and target == "slp":
-        return make_slp_container(grammar_to_slp(c.payload), ab)
-    raise UnreachableConversionError(
-        f"no direct conversion from {c.format} to {target}; "
-        "re-run with --via-expand to decode and re-encode")
+        lane = {"lz77": rle_to_lz77, "lz78": rle_to_lz78, "repair": rle_to_repair,
+                "bisection": rle_to_bisection, "slp": rle_as_slp}
+    elif c.format in ("slp", "grammar"):
+        lane = {"rle": slp_to_rle, "lz77": slp_to_lz77, "lz78": slp_to_lz78,
+                "bisection": slp_to_bisection, "slp": lambda s: s}
+    if target not in lane:
+        advice = _SLP_HOP if target == "slp" else "re-run with --via-expand"
+        raise UnreachableConversionError(
+            f"no direct conversion from {c.format} to {target}; {advice}")
+    source = c.payload if c.format == "rle" else _as_slp(c)
+    if target == "lz77":
+        return lane[target](source, self_ref)
+    return lane[target](source)
 
 
-def cmd_convert(cfg: CliConfig) -> int:
-    c = _read_container(cfg.inputs[0])
-    if cfg.via_expand:
-        if cfg.target == "slp":
+def cmd_convert(args: argparse.Namespace) -> int:
+    limit = _budget(args)
+    c = _read_container(args.input)
+    if args.via_expand:
+        if args.target == "slp":
             raise UnreachableConversionError(
-                "expansion cannot target slp; convert to a grammar codec "
-                "and then to slp")
-        text = _expand_container(c, cfg.max_output)
-        out = _encode_text(text, cfg.target, cfg.self_ref, c.alphabet_size)
+                f"expansion cannot target slp; {_SLP_HOP}")
+        text = _expand_container(c, limit)
+        payload = _encode_text(text, args.target, args.self_ref, c.alphabet_size)
     else:
-        out = _convert_direct(c, cfg.target, cfg.self_ref)
-    _write_container(cfg.output, out)
+        payload = _convert_direct(c, args.target, args.self_ref)
+    _write_container(args.output, _container(args.target, payload, c.alphabet_size))
     return 0
 
 
-def cmd_verify(cfg: CliConfig) -> int:
-    a = _read_container(cfg.inputs[0])
-    b = _read_container(cfg.inputs[1])
+def cmd_verify(args: argparse.Namespace) -> int:
+    limit = _budget(args)
+    a = _read_container(args.input)
+    b = _read_container(args.second)
     if a.length == 0 or b.length == 0:
         equal, pos = a.length == b.length, 1
     elif a.format not in ("lz77", "lz78") and b.format not in ("lz77", "lz78"):
@@ -248,8 +232,8 @@ def cmd_verify(cfg: CliConfig) -> int:
         pos = first_mismatch(sa, sb)
         equal = pos is None
     else:
-        ta = _expand_container(a, cfg.max_output)
-        tb = _expand_container(b, cfg.max_output)
+        ta = _expand_container(a, limit)
+        tb = _expand_container(b, limit)
         equal, pos = ta.symbols == tb.symbols, None
         if not equal:
             common = min(len(ta), len(tb))
@@ -265,22 +249,22 @@ def cmd_verify(cfg: CliConfig) -> int:
     return 1
 
 
-def cmd_ncd(cfg: CliConfig) -> int:
-    with open(cfg.inputs[0], "rb") as fh:
+def cmd_ncd(args: argparse.Namespace) -> int:
+    with open(args.input, "rb") as fh:
         x = fh.read()
-    with open(cfg.inputs[1], "rb") as fh:
+    with open(args.second, "rb") as fh:
         y = fh.read()
-    cx = compressed_size(Text.from_bytes(x), cfg.codec, 256)
-    cy = compressed_size(Text.from_bytes(y), cfg.codec, 256)
-    cxy = compressed_size(Text.from_bytes(x + y), cfg.codec, 256)
+    cx = compressed_size(Text.from_bytes(x), args.codec, 256)
+    cy = compressed_size(Text.from_bytes(y), args.codec, 256)
+    cxy = compressed_size(Text.from_bytes(x + y), args.codec, 256)
     value = ncd(cxy, cx, cy)
     print(f"ncd {value:.6f}")
     print(f"sizes {cxy} {cx} {cy}")
     return 0
 
 
-def cmd_info(cfg: CliConfig) -> int:
-    c = _read_container(cfg.inputs[0])
+def cmd_info(args: argparse.Namespace) -> int:
+    c = _read_container(args.input)
     p = c.payload
     if c.format in ("grammar", "slp"):
         n = len(p.rules)
@@ -316,12 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="allow overlapping sources (lz77 only)")
     enc.add_argument("input")
     enc.add_argument("output")
+    enc.set_defaults(func=cmd_encode)
 
     dec = sub.add_parser("decode", help="expand a container to raw bytes")
     dec.add_argument("--max-output", type=int, dest="max_output",
                      help="expansion budget in bytes")
     dec.add_argument("input")
     dec.add_argument("output")
+    dec.set_defaults(func=cmd_decode)
 
     conv = sub.add_parser("convert", help="convert between representations")
     conv.add_argument("--to", required=True, choices=TARGETS, dest="target")
@@ -331,37 +317,30 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--max-output", type=int, dest="max_output")
     conv.add_argument("input")
     conv.add_argument("output")
+    conv.set_defaults(func=cmd_convert)
 
     ver = sub.add_parser("verify", help="check two containers for equal text")
     ver.add_argument("--max-output", type=int, dest="max_output")
     ver.add_argument("input")
     ver.add_argument("second")
+    ver.set_defaults(func=cmd_verify)
 
     ncd_p = sub.add_parser("ncd", help="normalized compression distance")
     ncd_p.add_argument("--codec", choices=CODECS, default="lz78")
     ncd_p.add_argument("input")
     ncd_p.add_argument("second")
+    ncd_p.set_defaults(func=cmd_ncd)
 
     info = sub.add_parser("info", help="print container statistics")
     info.add_argument("input")
+    info.set_defaults(func=cmd_info)
     return parser
-
-
-_HANDLERS = {
-    "encode": cmd_encode,
-    "decode": cmd_decode,
-    "convert": cmd_convert,
-    "verify": cmd_verify,
-    "ncd": cmd_ncd,
-    "info": cmd_info,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = build_config(args)
-        return _HANDLERS[cfg.command](cfg)
+        return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -22,6 +22,7 @@ from .model import (
     Term,
     Text,
     Var,
+    grammar_lengths,
     item_key,
 )
 
@@ -262,26 +263,6 @@ def grammar_to_slp(g: AdmissibleGrammar) -> Slp:
     sides fold left to right, and single-item rules collapse onto their
     target. Variables are numbered so children precede parents.
     """
-    # postorder over variables, children first
-    order: list[int] = []
-    state: dict[int, int] = {}
-    stack: list[int] = [g.start]
-    while stack:
-        v = stack.pop()
-        if v >= 0:
-            if state.get(v):
-                continue
-            state[v] = 1
-            stack.append(~v)
-            for it in g.rules[v]:
-                if isinstance(it, Var) and not state.get(it.index):
-                    stack.append(it.index)
-        else:
-            v = ~v
-            if state[v] == 1:
-                state[v] = 2
-                order.append(v)
-
     slp_rules: list[Term | tuple[int, int]] = []
     term_var: dict[int, int] = {}
     mapped: dict[int, int] = {}
@@ -292,7 +273,7 @@ def grammar_to_slp(g: AdmissibleGrammar) -> Slp:
             term_var[code] = len(slp_rules)
         return term_var[code]
 
-    for v in order:
+    for v in grammar_lengths(g):
         ids = [term(it.code) if isinstance(it, Term) else mapped[it.index]
                for it in g.rules[v]]
         cur = ids[0]

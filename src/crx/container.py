@@ -31,6 +31,7 @@ from .model import (
     canonical_grammar,
     factor_length,
     grammar_derived_length,
+    grammar_lengths,
     lz78_factor_lengths,
     slp_from_grammar_rules,
 )
@@ -291,18 +292,12 @@ def validate(c: CompressedContainer) -> ValidationReport:
     if p.start != max(p.rules):
         return _fail("bad-start", "header")
     try:
-        derived = grammar_derived_length(p)
+        lengths = grammar_lengths(p)
     except InvalidInputError as e:
         return _fail(e.code, e.location)
-    reachable = {p.start}
-    work = [p.start]
-    while work:
-        for it in p.rules[work.pop()]:
-            if isinstance(it, Var) and it.index not in reachable:
-                reachable.add(it.index)
-                work.append(it.index)
-    if len(reachable) != n:
+    if len(lengths) != n:
         return _fail("unreachable-variable", "rules")
+    derived = lengths[p.start]
     if derived != c.length:
         return _fail("length-mismatch", "payload")
     return ValidationReport(True, length=derived)

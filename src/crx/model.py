@@ -254,8 +254,10 @@ def slp_from_grammar_rules(g: AdmissibleGrammar) -> Slp:
     return Slp.build(out)
 
 
-def grammar_derived_length(g: AdmissibleGrammar) -> int:
-    """Length of the derived string, computed without expansion.
+def grammar_lengths(g: AdmissibleGrammar) -> dict[int, int]:
+    """Derived length of every variable reachable from the start, computed
+    without expansion. Each variable enters the dict after the variables on
+    its right-hand side.
 
     Raises on cycles or undefined variables.
     """
@@ -288,7 +290,15 @@ def grammar_derived_length(g: AdmissibleGrammar) -> int:
         lengths[v] = total
         state[v] = DONE
         stack.pop()
-    return lengths[g.start]
+    return lengths
+
+
+def grammar_derived_length(g: AdmissibleGrammar) -> int:
+    """Length of the derived string, computed without expansion.
+
+    Raises on cycles or undefined variables.
+    """
+    return grammar_lengths(g)[g.start]
 
 
 def canonical_grammar(g: AdmissibleGrammar) -> AdmissibleGrammar:

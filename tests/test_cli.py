@@ -1,9 +1,20 @@
 """Command line driver: every subcommand through main() on temp files."""
 
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crx import parse
-from crx.cli import main
+from crx.cli import TARGETS, main
+
+
+HOP = ("convert --via-expand --to bisection (or repair), then convert the "
+       "grammar file to slp directly")
 
 
 def run(capsys, *argv):
@@ -100,12 +111,20 @@ def test_convert_lz77_source_needs_via_expand(tmp_path, capsys):
     raw = write(tmp_path / "in.bin", b"abcabc")
     z = str(tmp_path / "x.lz77")
     r = str(tmp_path / "x.rle")
+    s = str(tmp_path / "x.slp")
     run(capsys, "encode", "--codec", "lz77", raw, z)
     code, _, err = run(capsys, "convert", "--to", "rle", z, r)
     assert code == 2
     assert "--via-expand" in err
     code, _, err = run(capsys, "convert", "--to", "rle", "--via-expand", z, r)
     assert code == 0, err
+    # for slp the advice names the grammar hop, not the refused --via-expand
+    code, _, err = run(capsys, "convert", "--to", "slp", z, s)
+    assert code == 2
+    assert HOP in err
+    g = str(tmp_path / "x.grammar")
+    assert run(capsys, "convert", "--via-expand", "--to", "bisection", z, g)[0] == 0
+    assert run(capsys, "convert", "--to", "slp", g, s)[0] == 0
 
 
 def test_convert_via_expand_to_slp_unreachable(tmp_path, capsys):
@@ -115,6 +134,7 @@ def test_convert_via_expand_to_slp_unreachable(tmp_path, capsys):
     run(capsys, "encode", "--codec", "lz77", raw, z)
     code, _, err = run(capsys, "convert", "--to", "slp", "--via-expand", z, s)
     assert code == 2
+    assert HOP in err
 
 
 def test_convert_lz78_relabels_to_container_alphabet(tmp_path, capsys):
@@ -320,3 +340,55 @@ def test_convert_preserves_alphabet_size(tmp_path, capsys):
     c = parse(out.read_text())
     assert c.alphabet_size == 7
     assert c.format == "grammar"
+
+
+# the targets each source kind reaches without expansion; lz77 runs with
+# and without --self-ref
+RUN_LANE = ("lz77", "lz78", "repair", "bisection", "slp")
+PROGRAM_LANE = ("rle", "lz77", "lz78", "bisection", "slp")
+
+
+def call(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(b"abc"), min_size=1, max_size=40).map(bytes))
+def test_convert_routes_match_via_expand(data):
+    with tempfile.TemporaryDirectory() as d:
+        def path(name):
+            return os.path.join(d, name)
+
+        def read(name):
+            with open(path(name), "rb") as fh:
+                return fh.read()
+
+        with open(path("in.bin"), "wb") as fh:
+            fh.write(data)
+        for codec in ("rle", "lz77", "lz78", "repair", "bisection"):
+            assert call("encode", "--codec", codec, path("in.bin"), path(codec))[0] == 0
+        assert call("convert", "--to", "slp", path("bisection"), path("slp"))[0] == 0
+        routes = {"rle": RUN_LANE, "repair": PROGRAM_LANE,
+                  "bisection": PROGRAM_LANE, "slp": PROGRAM_LANE}
+        for src, targets in routes.items():
+            for target in targets:
+                for flags in (("--self-ref",), ()) if target == "lz77" else ((),):
+                    code, _, err = call("convert", "--to", target, "--max-output", "0",
+                                        *flags, path(src), path("direct"))
+                    assert code == 0, (src, target, err)
+                    if target == "slp":
+                        assert call("verify", path(src), path("direct"))[:2] == (0, "equal\n")
+                        continue
+                    assert call("convert", "--via-expand", "--to", target, *flags,
+                                path(src), path("expand"))[0] == 0
+                    assert read("direct") == read("expand"), (src, target, flags)
+        off_route = [("lz77", t) for t in TARGETS] + [("lz78", t) for t in TARGETS]
+        off_route += [(src, "repair") for src in ("repair", "bisection", "slp")]
+        off_route.append(("rle", "rle"))
+        for src, target in off_route:
+            code, _, err = call("convert", "--to", target, path(src), path("off"))
+            assert code == 2, (src, target)
+            assert err.startswith("error: ") and "Traceback" not in err

@@ -165,6 +165,28 @@ def test_grammar_to_slp():
     assert s.n == 5
 
 
+def test_grammar_to_slp_numbering_with_shared_children():
+    # variables fold in the order grammar_lengths completes them; the
+    # numbering is part of the container output, so it is pinned
+    g = AdmissibleGrammar({1: (Term(0), Term(1)), 2: (Var(1), Term(2), Var(1)),
+                           3: (Term(1),), 4: (Var(2), Var(3), Var(1), Var(2))},
+                          start=4)
+    s = grammar_to_slp(g)
+    assert s.rules == (Term(0), Term(1), (1, 2), Term(2), (3, 4), (5, 3),
+                       (6, 2), (7, 3), (8, 6))
+    assert expand_slp(s).to_str() == "abcabbababcab"
+
+
+@pytest.mark.parametrize("rules, code", [
+    ({1: (Var(2),), 2: (Var(1),)}, "cyclic-grammar"),
+    ({1: (Var(7),)}, "undefined-variable"),
+])
+def test_grammar_to_slp_rejects_broken_grammar(rules, code):
+    with pytest.raises(InvalidInputError) as ei:
+        grammar_to_slp(AdmissibleGrammar(rules, start=1))
+    assert ei.value.code == code
+
+
 def test_grammar_to_slp_preserves_long_random():
     rng = random.Random(11)
     for _ in range(30):

@@ -27,6 +27,7 @@ from crx import (
     rle_encode,
     slp_from_grammar_rules,
 )
+from crx.model import grammar_lengths
 from helpers import T, sample_slp, power_slp
 
 
@@ -99,6 +100,17 @@ def test_expand_grammar():
     g = AdmissibleGrammar({1: (Term(0),), 2: (Var(1), Term(1), Var(1))}, start=2)
     assert expand_grammar(g).to_str() == "aba"
     assert g.size == 4
+
+
+def test_grammar_lengths_children_first():
+    # variable 5 is unreachable; 1 is shared by 2 and 4
+    g = AdmissibleGrammar({1: (Term(0), Term(1)), 2: (Var(1), Term(2), Var(1)),
+                           3: (Term(1),), 4: (Var(2), Var(3), Var(1), Var(2)),
+                           5: (Var(4),)}, start=4)
+    lengths = grammar_lengths(g)
+    assert lengths == {1: 2, 2: 5, 3: 1, 4: 13}
+    assert list(lengths) == [1, 2, 3, 4]
+    assert grammar_derived_length(g) == 13
 
 
 def test_grammar_derived_length_cycle():
