@@ -1,12 +1,13 @@
 """Command line front end.
 
 `convert` picks its route from the source's format alone. rle takes the
-run lane (`rle_to_*`, or `rle_as_slp` for slp). slp and grammar take the
-program lane: they become an slp, which converts to rle, lz77, lz78 or
-bisection, or is written out for --to slp. lz77 and lz78 convert only
-with --via-expand, which decodes and re-encodes. Exit 2 for an lz source
-without --via-expand, --to repair from slp or grammar, rle to rle, and
---via-expand --to slp.
+run lane (`rle_to_*`, or `rle_as_slp` for slp), and rle to rle writes
+the runs back. slp and grammar take the program lane: they become an
+slp, which converts to rle, lz77, lz78 or bisection, or is written out
+for --to slp. lz77 and lz78 convert only with --via-expand, which
+decodes and re-encodes; it reaches slp through the bisection grammar.
+Exit 2 for an lz source without --via-expand and for --to repair from
+slp or grammar.
 
 Exit codes: 0 success, 1 invalid input or a failed verification, 2 no
 conversion path between the requested formats, 3 expansion budget
@@ -75,8 +76,6 @@ from .slp_ops import first_mismatch
 
 CODECS = ("rle", "lz77", "lz78", "repair", "bisection")
 TARGETS = CODECS + ("slp",)
-_SLP_HOP = ("convert --via-expand --to bisection (or repair), then convert "
-            "the grammar file to slp directly")
 
 
 def _budget(args: argparse.Namespace) -> int:
@@ -124,7 +123,9 @@ def _expand_container(c: CompressedContainer, limit: int) -> Text:
 
 
 def _encode_text(text: Text, codec: str, self_ref: bool,
-                 alphabet_size: int) -> Payload:
+                 alphabet_size: int) -> Payload | Slp:
+    if codec == "slp":
+        return grammar_to_slp(naive_bisection(text))
     if codec == "rle":
         return rle_encode(text)
     if codec == "lz77":
@@ -191,15 +192,16 @@ def _convert_direct(c: CompressedContainer, target: str,
     """The target's payload by the source's lane, without expansion."""
     lane = {}
     if c.format == "rle":
-        lane = {"lz77": rle_to_lz77, "lz78": rle_to_lz78, "repair": rle_to_repair,
-                "bisection": rle_to_bisection, "slp": rle_as_slp}
+        lane = {"rle": lambda r: r, "lz77": rle_to_lz77, "lz78": rle_to_lz78,
+                "repair": rle_to_repair, "bisection": rle_to_bisection,
+                "slp": rle_as_slp}
     elif c.format in ("slp", "grammar"):
         lane = {"rle": slp_to_rle, "lz77": slp_to_lz77, "lz78": slp_to_lz78,
                 "bisection": slp_to_bisection, "slp": lambda s: s}
     if target not in lane:
-        advice = _SLP_HOP if target == "slp" else "re-run with --via-expand"
         raise UnreachableConversionError(
-            f"no direct conversion from {c.format} to {target}; {advice}")
+            f"no direct conversion from {c.format} to {target}; "
+            "re-run with --via-expand")
     source = c.payload if c.format == "rle" else _as_slp(c)
     if target == "lz77":
         return lane[target](source, self_ref)
@@ -210,9 +212,6 @@ def cmd_convert(args: argparse.Namespace) -> int:
     limit = _budget(args)
     c = _read_container(args.input)
     if args.via_expand:
-        if args.target == "slp":
-            raise UnreachableConversionError(
-                f"expansion cannot target slp; {_SLP_HOP}")
         text = _expand_container(c, limit)
         payload = _encode_text(text, args.target, args.self_ref, c.alphabet_size)
     else:

@@ -195,7 +195,6 @@ class RepairTrace:
 
     rules: tuple[tuple[GrammarItem, GrammarItem], ...]
     final_string: tuple[GrammarItem, ...]
-    tie_break: str = "smallest-pair"
 
 
 def repair_trace(g: AdmissibleGrammar) -> RepairTrace:

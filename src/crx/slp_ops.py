@@ -5,9 +5,10 @@ cross the variable's left/right boundary, plus terminal matches for
 single-character patterns. Every occurrence of a pattern of length >= 2
 crosses exactly one boundary in the derivation tree, so the ranges with
 derivation multiplicities cover the set exactly. A variable's ranges
-are computed the first time a query needs them: a leftmost-start or
-range query stops at its first hit, and only counting and listing visit
-every variable. They are built from the runs at the inner edges of the
+are computed the first time a query needs them. Every leftmost-start
+and range query is one walk that stops at its first hit and records the
+variables it finds empty, and only counting and listing visit every
+variable. The ranges are built from the runs at the inner edges of the
 variable's children, which do not depend on the pattern: an `EdgeRuns`
 store keeps them per text variable, so a caller that asks many queries
 of one text (`slp_to_lz77` does, one per probe) computes each
@@ -169,13 +170,6 @@ def _pieces(s: Slp, v: int, lo: int, hi: int) -> Iterator[int]:
     yield u
 
 
-def _cover(s: Slp, i: int, j: int) -> tuple[int, list[int]]:
-    """The deepest variable containing positions i..j and the window's
-    cover pieces (see `_pieces`)."""
-    v, lo, hi = _cut(s, i, j)
-    return v, list(_pieces(s, v, lo, hi))
-
-
 def _iter_runs(s: Slp, ann: RunLinkAnnotations, top: int) -> Iterator[tuple[int, int]]:
     """The runs of val(top) in text order, one at a time; the walk holds
     O(height) pending items, never the whole run list.
@@ -278,7 +272,8 @@ def substring_slp(s: Slp, i: int, j: int) -> Slp:
     pieces. Only the stitched rules get fresh lengths and run
     annotations; the rest are inherited from s, annotated on first use.
     """
-    v, pieces = _cover(s, i, j)
+    v, lo, hi = _cut(s, i, j)
+    pieces = list(_pieces(s, v, lo, hi))
     keep = v if len(pieces) == 1 else v - 1  # the stitched chain takes the place of v
     stitched: list[tuple[int, int]] = []
     cur = pieces[0]
@@ -431,8 +426,10 @@ class OccRepr:
     an `EdgeRuns` store of the text: the caller's, shared with its other
     queries on the same text, or a fresh one. A one-symbol pattern has no
     crossings and matches the terminal variables deriving its symbol.
-    Queries combine both with the derivation structure; nothing here ever
-    expands the text.
+    `min_start`, `exists_start_in` and `exists_fully_within` are one
+    left-to-right walk for the first start in a range, which keeps the
+    set of variables found to hold no occurrence (the miss set) for every
+    later query; nothing here ever expands the text.
     """
 
     def __init__(self, text: Slp, pattern_runs: list[tuple[int, int]],
@@ -448,21 +445,21 @@ class OccRepr:
         self._cap = len(pattern_runs) + 2
         self._edges = edges
         self._crossing: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._has: dict[int, bool] = {}
+        self._misses: set[int] = set()
 
     def _term_matches(self, code: int) -> bool:
         return self.pattern_length == 1 and code == self._pruns[0][0]
 
     def inherit_misses(self, shorter: OccRepr) -> None:
-        """Take over the variables known to hold no occurrence of
-        shorter's pattern, which must be a prefix of this one's on the
-        same text: none of them holds an occurrence of this pattern."""
+        """Take over the miss set of shorter's pattern, which must be a
+        prefix of this one's on the same text: a variable holding no
+        occurrence of it holds none of this pattern either."""
         a, b = shorter._pruns, self._pruns
         k = len(a) - 1
         if (shorter.text is not self.text or k >= len(b) or a[:k] != b[:k]
                 or a[k][0] != b[k][0] or a[k][1] > b[k][1]):
             raise ValueError("pattern does not extend the shorter one")
-        self._has.update((v, False) for v, hit in shorter._has.items() if not hit)
+        self._misses |= shorter._misses
 
     def _cross(self, v: int) -> tuple[tuple[int, int], ...]:
         """Sorted ranges (lo, hi) of the starts in v that cross its child
@@ -541,64 +538,54 @@ class OccRepr:
         got = self._crossing[v] = tuple(spans)
         return got
 
-    def _has_occurrence(self, v: int) -> bool:
-        """Does val(v) contain an occurrence? Left child, then the
-        crossings, then the right child, stopping at the first hit."""
-        memo = self._has
-        got = memo.get(v)
-        if got is not None:
-            return got
-        text = self.text
+    def _first_start(self, lo: int, hi: int) -> int | None:
+        """The leftmost start in [lo, hi], or None.
+
+        Visits the left child, then the variable's crossings, then the
+        right child, so the first start found is the leftmost, and stops
+        there. A variable enters the miss set only when every start it
+        could hold lay inside the range and none was found; every later
+        walk skips it."""
+        if lo > hi:
+            return None
+        s = self.text
+        rules, lengths = s.rules, s.lengths
         length = self.pattern_length
-        stack = [v]
+        misses = self._misses
+        # stage 0 enters a variable, 1 follows a left child with no start
+        # in the range, 2 a right child with none; a..b is the range
+        # relative to the variable's origin, top its last possible start
+        stack = [(s.n, 0, 0)]  # (variable, offset, stage)
         while stack:
-            u = stack[-1]
-            if text.lengths[u - 1] < length:
-                memo[u] = False
-                stack.pop()
-                continue
-            rule = text.rules[u - 1]
-            if isinstance(rule, Term):
-                memo[u] = self._term_matches(rule.code)
-                stack.pop()
-                continue
-            l, r = rule
-            found = memo.get(l)
-            if found is None:
-                stack.append(l)
-                continue
-            if not found:
-                found = bool(self._cross(u))
-            if not found:
-                found = memo.get(r)
-                if found is None:
-                    stack.append(r)
+            v, base, stage = stack.pop()
+            top = lengths[v - 1] - length + 1
+            a = lo - base
+            b = hi - base
+            if stage == 0:
+                if a > top or b < 1 or top < 1 or v in misses:
                     continue
-            memo[u] = found
-            stack.pop()
-        return memo[v]
+                rule = rules[v - 1]
+                if isinstance(rule, Term):  # a one-symbol pattern, a <= 1 <= b
+                    if self._term_matches(rule.code):
+                        return base + 1
+                    misses.add(v)
+                    continue
+                stack.append((v, base, 1))
+                stack.append((rule[0], base, 0))
+            elif stage == 1:
+                for f, g in self._cross(v):
+                    if f <= b and g >= a:
+                        return base + (f if f > a else a)
+                l, r = rules[v - 1]
+                stack.append((v, base, 2))
+                stack.append((r, base + lengths[l - 1], 0))
+            elif a <= 1 and b >= top:
+                misses.add(v)
+        return None
 
     def min_start(self) -> int | None:
-        """Leftmost start. An occurrence inside the left child precedes
-        every crossing one, and those precede every occurrence inside the
-        right child, so the walk descends left first."""
-        s = self.text
-        v, base = s.n, 0
-        if not self._has_occurrence(v):
-            return None
-        while True:
-            rule = s.rules[v - 1]
-            if isinstance(rule, Term):
-                return base + 1
-            l, r = rule
-            if self._has_occurrence(l):
-                v = l
-                continue
-            spans = self._cross(v)
-            if spans:
-                return base + spans[0][0]
-            base += s.lengths[l - 1]
-            v = r
+        """Leftmost start, or None."""
+        return self._first_start(1, self.text.length)
 
     def membership(self, k: int) -> bool:
         """Does an occurrence start at k? Compares the runs of the text
@@ -611,38 +598,12 @@ class OccRepr:
         return _first_difference(_window_runs(s, k, k + length - 1), self._pruns) is None
 
     def exists_start_in(self, lo: int, hi: int) -> bool:
-        """Some occurrence starts at a position in [lo, hi].
-
-        A subtree whose every possible start lies in the range asks the
-        memoized first-hit test; only the O(height) subtrees cut by an end
-        of the range look at their own crossings and split further."""
-        s = self.text
-        length = self.pattern_length
-        stack = [(s.n, lo, hi)]
-        while stack:
-            v, a, b = stack.pop()
-            top = s.lengths[v - 1] - length + 1
-            a = max(a, 1)
-            b = min(b, top)
-            if a > b:
-                continue
-            if a == 1 and b == top:
-                if self._has_occurrence(v):
-                    return True
-                continue
-            l, r = s.rules[v - 1]  # a terminal's range is empty or covered
-            ll = s.lengths[l - 1]
-            if any(f <= b and g >= a for f, g in self._cross(v)):
-                return True
-            if b > ll:
-                stack.append((r, a - ll, b - ll))
-            stack.append((l, a, b))
-        return False
+        """Some occurrence starts at a position in [lo, hi]."""
+        return self._first_start(lo, hi) is not None
 
     def exists_fully_within(self, lo: int, hi: int) -> bool:
         """Some occurrence lies entirely inside positions [lo, hi]."""
-        top = hi - self.pattern_length + 1
-        return top >= lo and self.exists_start_in(lo, top)
+        return self._first_start(lo, hi - self.pattern_length + 1) is not None
 
     def count(self) -> int:
         s = self.text

@@ -13,10 +13,6 @@ from crx import parse
 from crx.cli import TARGETS, main
 
 
-HOP = ("convert --via-expand --to bisection (or repair), then convert the "
-       "grammar file to slp directly")
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
@@ -118,23 +114,27 @@ def test_convert_lz77_source_needs_via_expand(tmp_path, capsys):
     assert "--via-expand" in err
     code, _, err = run(capsys, "convert", "--to", "rle", "--via-expand", z, r)
     assert code == 0, err
-    # for slp the advice names the grammar hop, not the refused --via-expand
+    # slp too (see test_convert_via_expand_to_slp)
     code, _, err = run(capsys, "convert", "--to", "slp", z, s)
     assert code == 2
-    assert HOP in err
-    g = str(tmp_path / "x.grammar")
-    assert run(capsys, "convert", "--via-expand", "--to", "bisection", z, g)[0] == 0
-    assert run(capsys, "convert", "--to", "slp", g, s)[0] == 0
+    assert "--via-expand" in err
 
 
-def test_convert_via_expand_to_slp_unreachable(tmp_path, capsys):
+def test_convert_via_expand_to_slp(tmp_path, capsys):
+    # the bisection grammar of the decoded text, as a program
     raw = write(tmp_path / "in.bin", b"abcabc")
     z = str(tmp_path / "x.lz77")
     s = str(tmp_path / "x.slp")
+    g = str(tmp_path / "x.grammar")
+    s2 = str(tmp_path / "x2.slp")
     run(capsys, "encode", "--codec", "lz77", raw, z)
     code, _, err = run(capsys, "convert", "--to", "slp", "--via-expand", z, s)
-    assert code == 2
-    assert HOP in err
+    assert code == 0, err
+    code, out, _ = run(capsys, "verify", z, s)
+    assert (code, out.strip()) == (0, "equal")
+    run(capsys, "encode", "--codec", "bisection", raw, g)
+    run(capsys, "convert", "--to", "slp", g, s2)
+    assert (tmp_path / "x.slp").read_bytes() == (tmp_path / "x2.slp").read_bytes()
 
 
 def test_convert_lz78_relabels_to_container_alphabet(tmp_path, capsys):
@@ -344,7 +344,7 @@ def test_convert_preserves_alphabet_size(tmp_path, capsys):
 
 # the targets each source kind reaches without expansion; lz77 runs with
 # and without --self-ref
-RUN_LANE = ("lz77", "lz78", "repair", "bisection", "slp")
+RUN_LANE = ("rle", "lz77", "lz78", "repair", "bisection", "slp")
 PROGRAM_LANE = ("rle", "lz77", "lz78", "bisection", "slp")
 
 
@@ -379,15 +379,17 @@ def test_convert_routes_match_via_expand(data):
                     code, _, err = call("convert", "--to", target, "--max-output", "0",
                                         *flags, path(src), path("direct"))
                     assert code == 0, (src, target, err)
-                    if target == "slp":
-                        assert call("verify", path(src), path("direct"))[:2] == (0, "equal\n")
-                        continue
                     assert call("convert", "--via-expand", "--to", target, *flags,
                                 path(src), path("expand"))[0] == 0
+                    if target == "slp":
+                        for out in ("direct", "expand"):
+                            assert call("verify", path(src), path(out))[:2] == (0, "equal\n")
+                        continue
                     assert read("direct") == read("expand"), (src, target, flags)
+                    if src == target:
+                        assert read(src) == read("direct")
         off_route = [("lz77", t) for t in TARGETS] + [("lz78", t) for t in TARGETS]
         off_route += [(src, "repair") for src in ("repair", "bisection", "slp")]
-        off_route.append(("rle", "rle"))
         for src, target in off_route:
             code, _, err = call("convert", "--to", target, path(src), path("off"))
             assert code == 2, (src, target)

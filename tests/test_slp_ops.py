@@ -26,7 +26,7 @@ from crx import (
     slp_runs,
     substring_slp,
 )
-from crx.slp_ops import _cover
+from crx.slp_ops import _cut, _pieces
 from helpers import (
     brute_occurrences,
     power_slp,
@@ -402,7 +402,7 @@ def test_slp_lce_across_many_cover_pieces():
         for s in (slp_of(Text(text)), rle_as_slp(rle_encode(Text(text)))):
             i, j = rng.randint(2, 50), rng.randint(51, 100)
             limit = len(text) - j + 1
-            assert len(_cover(s, i, i + limit - 1)[1]) >= 8
+            assert len(list(_pieces(s, *_cut(s, i, i + limit - 1)))) >= 8
             assert slp_lce(s, i, j, limit) == brute_lce(text, i, j, limit)
             assert slp_lce(s, j, i, limit) == brute_lce(text, i, j, limit)
     # a periodic text against its own shift: every run agrees
@@ -475,6 +475,53 @@ def test_occurrence_queries_each_on_fresh_set():
                 for plen in (1, 2, len(unit) + 1, 2 * len(unit), 3 * len(unit) + 1):
                     i = rng.randint(1, len(t) - plen + 1)
                     _check_fresh_sets(rng, s, slp_of(Text(t.symbols[i - 1:i - 1 + plen])))
+
+
+def test_interleaved_queries_share_one_set():
+    # one set answers every query in turn, so a variable that one range
+    # query wrongly records as empty, or a start found out of order,
+    # shows up in a later answer
+    rng = random.Random(107)
+    for k in range(90):
+        if k % 3 == 0:
+            s = random_slp(rng, max_extra=10, sigma=2, max_len=600)
+        elif k % 3 == 1:
+            s = slp_of(random_text(rng, max_len=300, sigma=2))
+        else:
+            s = rle_as_slp(RleString(random_runs(rng, max_runs=30, sigma=2, max_exp=9)))
+        text = expand_slp(s).to_str()
+        n = len(text)
+        if rng.random() < 0.8:
+            i = rng.randint(1, n)
+            pat = text[i - 1:min(n, i + rng.randint(0, 8))]
+        else:
+            pat = "".join(rng.choice("ab") for _ in range(rng.randint(1, 5)))
+        want = brute_occurrences(text, pat)
+        queries = [("min", 0, 0)]
+        # ranges ending just before or starting just after an occurrence
+        # cut the variables holding it
+        for w in rng.sample(want, min(4, len(want))):
+            queries += [("start", rng.randint(1, w), w - 1),
+                        ("start", w + 1, rng.randint(w + 1, n + 1)),
+                        ("start", w, w), ("fully", rng.randint(1, w), w + len(pat) - 2)]
+        for _ in range(4):
+            lo = rng.randint(1, n)
+            hi = rng.randint(lo, n)
+            queries += [("start", lo, hi), ("start", lo, lo - 1), ("start", lo, lo),
+                        ("fully", lo, hi)]
+        orders = [queries, queries[::-1], queries[1:] + queries[:1]]
+        orders += [rng.sample(queries, len(queries)) for _ in range(2)]
+        for order in orders:
+            occ = occurrences(s, slp_of_str(pat))
+            for kind, lo, hi in order:
+                if kind == "min":
+                    assert occ.min_start() == (want[0] if want else None), pat
+                elif kind == "start":
+                    assert occ.exists_start_in(lo, hi) == any(
+                        lo <= w <= hi for w in want), (pat, lo, hi)
+                else:
+                    assert occ.exists_fully_within(lo, hi) == any(
+                        lo <= w and w + len(pat) - 1 <= hi for w in want), (pat, lo, hi)
 
 
 def _answers(occ, lo, hi):
