@@ -1,44 +1,52 @@
 """Codec drivers shared by the run-length and program lanes.
 
 A driver owns one codec's control flow and sees the text only through
-primitives on 1-based positions that a lane supplies: the symbol at a
-position and an equality test on two text intervals.
+primitives on 1-based positions that a lane supplies. LZ78 reads the
+text's runs from a position onwards; bisection asks the symbol at a
+position, a key of a span and an equality test on two spans.
 """
 
 from __future__ import annotations
 
-from bisect import insort
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterable
 
 from .model import AdmissibleGrammar, GrammarItem, Lz78Factorization, Term, Var
 
 
-def lz78_driver(n: int, sigma: int, char: Callable[[int], int],
-                matches: Callable[[int, int, int], bool]) -> Lz78Factorization:
+def lz78_driver(n: int, sigma: int,
+                runs_from: Callable[[int], Iterable[tuple[int, int]]]) -> Lz78Factorization:
     """LZ78 factorization of a text of length n over symbols 0..sigma-1.
 
-    char(pos) is the symbol at pos. Entries are text intervals, and
-    matches(pos, start, length) tells whether the entry at start also
-    occurs at pos, which always leaves room for it. Entries are bucketed
-    by first symbol and tried longest first; they are distinct strings,
-    so the first hit is the longest match.
+    runs_from(pos) yields the maximal runs (symbol, exponent) of the text
+    from pos to its end, the first one cut at pos; a factor reads only
+    the runs it covers plus one. The dictionary is prefix closed, so the
+    longest entry at pos ends one walk down its trie. The trie's edges
+    are runs: ext[(b, c)] lists the ids of b·c, b·c², ... for an entry b
+    that does not end in c (0 is the empty string), so one lookup
+    matches a whole text run (c, e) up to the chain's length, and the
+    walk stops at the first run it does not match in full. The new
+    entry, the factor plus the next symbol, extends the chain where the
+    walk stopped.
     """
-    buckets: dict[int, list[tuple[int, int, int]]] = {}
+    ext: dict[tuple[int, int], list[int]] = {}
     ids: list[int] = []
     pos = 1
     while pos <= n:
-        c = char(pos)
-        rem = n - pos + 1
-        flen, fid = 1, c + 1
-        for ln, eid, est in buckets.get(c, ()):
-            if ln <= rem and matches(pos, est, ln):
-                flen, fid = ln, eid
+        node = flen = 0
+        for c, e in runs_from(pos):
+            chain = ext.get((node, c))
+            if chain is None:  # each single symbol is an entry from the start
+                chain = ext[node, c] = [] if node else [c + 1]
+            k = min(e, len(chain))
+            if k:
+                node = chain[k - 1]
+                flen += k
+            if k < e:
                 break
-        ids.append(fid)
+        ids.append(node)
         pos += flen
         if pos <= n:
-            insort(buckets.setdefault(c, []), (flen + 1, sigma + len(ids), pos - flen),
-                   key=lambda e: -e[0])
+            chain.append(sigma + len(ids))
     return Lz78Factorization(tuple(ids), sigma)
 
 

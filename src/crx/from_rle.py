@@ -1,15 +1,21 @@
 """Conversions out of run-length encoded strings.
 
-Only the run structure is ever touched. LZ77 and Re-Pair walk the runs;
-LZ78 and bisection run the drivers of crx.drivers on the meta text's
-symbol lookup and character-level LCE queries. Outputs match the
-reference codecs on the decoded string.
+Only the run structure is ever touched. LZ77 and Re-Pair walk the runs,
+LZ78's driver reads them from the cursor on, and bisection's driver runs
+on the meta text's symbol lookup and character-level LCE queries.
+Outputs match the reference codecs on the decoded string. The codec
+conversions need maximal runs: they reject a run of exponent 0 or two
+adjacent runs of one symbol, on which their run walks would go wrong.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator
+from itertools import accumulate
+
 from .drivers import bisection_driver, lz78_driver
-from .errors import EmptyInputError
+from .errors import EmptyInputError, InvalidInputError
 from .model import (
     AdmissibleGrammar,
     GrammarItem,
@@ -26,6 +32,16 @@ from .model import (
 from .suffix import rank_runs
 
 
+def _require_maximal(r: RleString) -> None:
+    prev = None
+    for i, (sym, exp) in enumerate(r.runs, start=1):
+        if exp < 1:
+            raise InvalidInputError("zero-exponent", f"run {i}")
+        if sym == prev:
+            raise InvalidInputError("adjacent-equal-runs", f"run {i}")
+        prev = sym
+
+
 def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorization:
     """Greedy leftmost-longest factorization computed on the runs.
 
@@ -35,6 +51,7 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
     whose surrounding runs match; those anchors are scored with one meta
     LCE query each.
     """
+    _require_maximal(r)
     runs = r.runs
     m = len(runs)
     if m == 0:
@@ -100,16 +117,20 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
 
 
 def rle_to_lz78(r: RleString) -> Lz78Factorization:
-    """Dictionary factorization computed on the runs; the shared driver
-    tests an entry at the cursor with one character-level LCE query."""
-    meta = rank_runs(r)
-    char_lce = meta.char_lce
+    """Dictionary factorization computed on the runs: the shared driver
+    walks its trie one run at a time, reading the runs from the cursor's
+    run on, so no index of the runs is built."""
+    _require_maximal(r)
+    runs = r.runs
+    pl = list(accumulate((exp for _, exp in runs), initial=0))
 
-    def matches(pos: int, start: int, length: int) -> bool:
-        return char_lce(pos, start) >= length
+    def runs_from(pos: int) -> Iterator[tuple[int, int]]:
+        u = bisect_left(pl, pos) - 1
+        yield runs[u][0], pl[u + 1] - pos + 1
+        yield from map(runs.__getitem__, range(u + 1, len(runs)))
 
-    sigma = max((sym + 1 for sym, _ in r.runs), default=0)
-    return lz78_driver(meta.length, sigma, meta.symbol, matches)
+    sigma = max((sym + 1 for sym, _ in runs), default=0)
+    return lz78_driver(pl[-1], sigma, runs_from)
 
 
 def _pair_counts(seq: list[tuple[GrammarItem, int]]):
@@ -132,6 +153,7 @@ def rle_to_repair(r: RleString) -> AdmissibleGrammar:
     pair tie-break, same left-greedy replacement, so the grammars come out
     identical. The working string just never leaves run form.
     """
+    _require_maximal(r)
     if not r.runs:
         raise EmptyInputError("cannot build a grammar for the empty string")
     seq: list[tuple[GrammarItem, int]] = [(Term(sym), exp) for sym, exp in r.runs]
@@ -197,6 +219,7 @@ def rle_to_bisection(r: RleString) -> AdmissibleGrammar:
     """Balanced splitting grammar rebuilt from the runs by the shared
     driver: spans are bucketed by MetaText.span_key and compared with at
     most one character-level LCE query, so no span is ever expanded."""
+    _require_maximal(r)
     if not r.runs:
         raise EmptyInputError("cannot build a grammar for the empty string")
     meta = rank_runs(r)

@@ -2,11 +2,11 @@
 
 Every function here reads only the program and builds no other: runs
 come from the program's run annotations, and LZ77, LZ78 and bisection
-test whether two stretches of the text agree by walking run streams of
-the program, never the derived string. LZ77 grows factors and LZ78
-tests entries with `slp_lce`; LZ77 finds factor sources, and bisection
+read run streams of the program, never the derived string. LZ77 grows
+factors with `slp_lce`; LZ77 finds factor sources, and bisection
 confirms equal span keys, with occurrence queries on the runs of a text
-window. Outputs are defined to match the reference codecs on the
+window. LZ78 walks its dictionary trie along the runs from the cursor
+on. Outputs are defined to match the reference codecs on the
 expansion, which the tests check against the naive implementations.
 """
 
@@ -29,6 +29,7 @@ from .model import (
 from .slp_ops import (
     EdgeRuns,
     OccRepr,
+    _window_runs,
     char_at,
     occurrences,
     reachable_vars,
@@ -102,19 +103,16 @@ def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
 
 
 def slp_to_lz78(s: Slp) -> Lz78Factorization:
-    """Dictionary factorization computed on the program; the shared
-    driver tests an entry at the cursor with slp_lce between the entry's
-    own text interval and the cursor, so no entry gets a program."""
+    """Dictionary factorization computed on the program: the shared
+    driver walks its trie one run at a time, reading the runs of the
+    text from the cursor on. Each factor costs O(height) to reach the
+    cursor plus the runs it reads; no entry is compared with slp_lce."""
     sigma = 0
     for v in reachable_vars(s):
         rule = s.rules[v - 1]
         if isinstance(rule, Term):
             sigma = max(sigma, rule.code + 1)
-
-    def matches(pos: int, start: int, length: int) -> bool:
-        return slp_lce(s, pos, start, length) == length
-
-    return lz78_driver(s.length, sigma, partial(char_at, s), matches)
+    return lz78_driver(s.length, sigma, lambda pos: _window_runs(s, pos, s.length))
 
 
 def slp_to_bisection(s: Slp) -> AdmissibleGrammar:

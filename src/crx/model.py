@@ -86,7 +86,12 @@ def item_key(item: GrammarItem) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class RleString:
-    """Run-length factorization: maximal runs (symbol, exponent)."""
+    """Run-length factorization: maximal runs (symbol, exponent).
+
+    Exponents must be at least 1 and adjacent runs must have distinct
+    symbols: the rle_to_* conversions raise InvalidInputError
+    ("zero-exponent", "adjacent-equal-runs") otherwise.
+    """
 
     runs: tuple[tuple[int, int], ...]
 

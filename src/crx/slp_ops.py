@@ -291,9 +291,9 @@ def slp_lce(s: Slp, i: int, j: int, limit: int) -> int:
 
     Walks the two windows' run streams up to the first pair of runs that
     differ: O(height) to cover each window, then one step per run up to
-    the first difference. Every "do these two stretches match" test of
-    the program lane asks this one function, so a faster oracle (say,
-    Karp-Rabin fingerprints of the variables) would plug in here.
+    the first difference. LZ77's factor growth asks this function, so
+    a faster oracle (say, Karp-Rabin fingerprints of the variables) would
+    plug in here; LZ78 reads the runs from the cursor instead.
     """
     if limit < 0 or min(i, j) < 1 or max(i, j) + limit - 1 > s.length:
         raise IndexError(f"windows at {i} and {j} of length {limit} "

@@ -61,15 +61,27 @@ def random_runs(rng: random.Random, max_runs: int = 8, sigma: int = 3,
 
 
 @st.composite
-def long_run_lists(draw):
-    """Run lists over at most 3 symbols with exponents up to 30."""
+def long_run_lists(draw, sigma: int = 3, max_exp: int = 30):
+    """Run lists over at most sigma symbols with exponents up to max_exp;
+    a single run when sigma is 1."""
     runs = []
     prev = -1
-    for _ in range(draw(st.integers(1, 8))):
-        sym = draw(st.sampled_from([c for c in range(3) if c != prev]))
-        runs.append((sym, draw(st.integers(1, 30))))
+    for _ in range(draw(st.integers(1, 8 if sigma > 1 else 1))):
+        sym = draw(st.sampled_from([c for c in range(sigma) if c != prev]))
+        runs.append((sym, draw(st.integers(1, max_exp))))
         prev = sym
     return RleString(tuple(runs))
+
+
+def record_calls(monkeypatch, name: str, *modules) -> list:
+    """Record every later call of the function name made through any of
+    the modules' bindings of it."""
+    calls = []
+    for mod in modules:
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *args, real=real, **kw:
+                            calls.append(args) or real(*args, **kw))
+    return calls
 
 
 def brute_occurrences(text: str, pattern: str) -> list[int]:

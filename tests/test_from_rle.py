@@ -1,8 +1,14 @@
 """Conversions that start from a run-length encoded string."""
 
 import random
+from functools import partial
 
+import pytest
+
+import crx.from_rle
+import crx.suffix
 from crx import (
+    InvalidInputError,
     Literal,
     Lz78Factorization,
     Reference,
@@ -22,7 +28,7 @@ from crx import (
     rle_to_lz78,
     rle_to_repair,
 )
-from helpers import random_runs
+from helpers import random_runs, record_calls
 
 AB3 = RleString(((0, 3), (1, 2), (0, 3)))  # aaabbaaa
 
@@ -78,6 +84,32 @@ def test_lz78_giant_run_is_polylog():
     assert isinstance(f, Lz78Factorization)
     assert len(f.factor_ids) == 1448
     assert f.alphabet_size == 1
+
+
+def test_lz78_builds_no_run_index(monkeypatch):
+    # the trie walk reads runs from the cursor's run; no suffix array or LCP
+    rng = random.Random(127)
+    inputs = [RleString(random_runs(rng, max_runs=12, max_exp=40)) for _ in range(60)]
+    inputs.append(RleString(((0, 5000), (1, 1)) + ((0, 1), (1, 1)) * 30))
+    calls = record_calls(monkeypatch, "rank_runs", crx.suffix, crx.from_rle)
+    for r in inputs:
+        assert rle_to_lz78(r) == naive_lz78(expand_rle(r))
+    assert calls == []
+
+
+@pytest.mark.parametrize("runs, code, location", [
+    (((0, 2), (0, 3), (1, 1), (0, 2), (0, 2), (1, 4)), "adjacent-equal-runs", "run 2"),
+    (((0, 2), (1, 1), (0, 2), (0, 2), (1, 4)), "adjacent-equal-runs", "run 4"),
+    (((0, 2), (1, 0), (0, 3), (1, 2)), "zero-exponent", "run 2"),
+])
+def test_conversions_reject_runs_that_are_not_maximal(runs, code, location):
+    # the run walks can give a wrong output for the decoded string on these
+    r = RleString(runs)
+    for convert in (rle_to_lz77, partial(rle_to_lz77, self_referential=True),
+                    rle_to_lz78, rle_to_repair, rle_to_bisection):
+        with pytest.raises(InvalidInputError) as err:
+            convert(r)
+        assert (err.value.code, err.value.location) == (code, location)
 
 
 def test_repair_matches_naive_rule_for_rule():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crx.from_slp
 import crx.slp_ops
 from crx import (
     InternalError,
@@ -29,7 +30,15 @@ from crx import (
     slp_to_lz78,
     slp_to_rle,
 )
-from helpers import T, long_run_lists, sample_slp, power_slp, random_slp, slp_of
+from helpers import (
+    T,
+    long_run_lists,
+    power_slp,
+    random_slp,
+    record_calls,
+    sample_slp,
+    slp_of,
+)
 
 SAMPLE = "aababaababaab"
 
@@ -162,6 +171,19 @@ def test_lz78_builds_no_substring_program(monkeypatch):
     for s, t in zip(programs, texts):
         assert slp_to_lz78(s).factor_ids == naive_lz78(t).factor_ids
     assert built == []
+
+
+def test_lz78_asks_no_slp_lce(monkeypatch):
+    # the trie walk reads the text's runs; no entry is compared at the cursor
+    rng = random.Random(113)
+    programs = [sample_slp(), power_slp(12), slp_of(T("abababab" * 9 + "b"))]
+    programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
+    programs += [rle_as_slp(RleString(((0, 3), (1, 2)) * 20 + ((2, 5),)))]
+    texts = [expand_slp(s) for s in programs]
+    calls = record_calls(monkeypatch, "slp_lce", crx.slp_ops, crx.from_slp)
+    for s, t in zip(programs, texts):
+        assert slp_to_lz78(s) == naive_lz78(t)
+    assert calls == []
 
 
 def test_bisection_of_sample_rule_for_rule():
