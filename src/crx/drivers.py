@@ -1,8 +1,10 @@
 """Codec drivers shared by the run-length and program lanes.
 
 A driver owns one codec's control flow and sees the text only through
-primitives on 1-based positions that a lane supplies. LZ78 reads the
-text's runs from a position onwards; bisection asks the symbol at a
+primitives on 1-based positions that a lane supplies. LZ77 asks the
+symbol at a position, the common extension of two positions up to a
+limit and the leftmost start of the window at a position; LZ78 reads
+the text's runs from a position onwards; bisection asks the symbol at a
 position, a key of a span and an equality test on two spans.
 """
 
@@ -10,7 +12,56 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
 
-from .model import AdmissibleGrammar, GrammarItem, Lz78Factorization, Term, Var
+from .model import (
+    AdmissibleGrammar,
+    GrammarItem,
+    Literal,
+    Lz77Factorization,
+    Lz78Factorization,
+    Reference,
+    Term,
+    Var,
+)
+
+
+def lz77_driver(n: int, self_referential: bool, char: Callable[[int], int],
+                lce: Callable[[int, int, int], int],
+                leftmost: Callable[[int, int], int]) -> Lz77Factorization:
+    """Greedy leftmost-longest LZ77 factorization of a text of length n.
+
+    char(pos) is the symbol at pos; lce(i, j, limit) counts the leading
+    symbols, at most limit, on which the text at i and at j agree;
+    leftmost(pos, length), asked for pos > 1 with growing lengths, is
+    the leftmost start of the window pos..pos+length-1, so at most pos.
+
+    A factor keeps src, the leftmost admissible source of its prefix,
+    and grows the prefix by one lce between src and pos, capped at
+    pos - src without self-references; an admissible source of a longer
+    prefix is one of the shorter prefix too, so src stays leftmost. The
+    window one symbol longer has an admissible source exactly when its
+    leftmost start is one, which then becomes src; otherwise the factor
+    ends, after at most one failing query.
+    """
+    factors: list[Literal | Reference] = []
+    pos = 1
+    while pos <= n:
+        rem = n - pos + 1
+        cap = rem if self_referential and pos > 1 else min(rem, pos - 1)  # no source before pos 1
+        src = length = 0
+        while length < cap:
+            start = leftmost(pos, length + 1)
+            if start > (pos - 1 if self_referential else pos - length - 1):
+                break
+            src = start
+            src_cap = cap if self_referential else min(cap, pos - src)
+            length += 1 + lce(src + length + 1, pos + length + 1, src_cap - length - 1)
+        if length:
+            factors.append(Reference(src, length))
+            pos += length
+        else:
+            factors.append(Literal(char(pos)))
+            pos += 1
+    return Lz77Factorization(tuple(factors), self_referential)
 
 
 def lz78_driver(n: int, sigma: int,
@@ -82,9 +133,7 @@ def bisection_driver(n: int, char: Callable[[int], int],
                     done.append(var)
                     break
             else:
-                half = 1
-                while half * 2 < j - i + 1:
-                    half *= 2
+                half = 1 << (j - i).bit_length() - 1  # largest power of two below j-i+1
                 stack += ((i, j, k), (i + half, j, None), (i, i + half - 1, None))
     top = done[0]
     if isinstance(top, Term):

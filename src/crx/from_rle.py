@@ -1,11 +1,12 @@
 """Conversions out of run-length encoded strings.
 
-Only the run structure is ever touched. LZ77 and Re-Pair walk the runs,
-LZ78's driver reads them from the cursor on, and bisection's driver runs
-on the meta text's symbol lookup and character-level LCE queries.
-Outputs match the reference codecs on the decoded string. The codec
-conversions need maximal runs: they reject a run of exponent 0 or two
-adjacent runs of one symbol, on which their run walks would go wrong.
+Only the run structure is ever touched. LZ77's driver and bisection's
+run on the meta text's symbol lookup and character-level LCE queries,
+LZ77's also on leftmost window starts found from the runs; LZ78's
+driver reads the runs from the cursor on, and Re-Pair walks them.
+Outputs match the reference codecs on the decoded string. They need
+maximal runs: a run of exponent 0 or two adjacent runs of one symbol,
+on which the run walks would go wrong, is rejected.
 """
 
 from __future__ import annotations
@@ -14,15 +15,13 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from itertools import accumulate
 
-from .drivers import bisection_driver, lz78_driver
+from .drivers import bisection_driver, lz77_driver, lz78_driver
 from .errors import EmptyInputError, InvalidInputError
 from .model import (
     AdmissibleGrammar,
     GrammarItem,
-    Literal,
     Lz77Factorization,
     Lz78Factorization,
-    Reference,
     RleString,
     Slp,
     Term,
@@ -45,75 +44,66 @@ def _require_maximal(r: RleString) -> None:
 def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorization:
     """Greedy leftmost-longest factorization computed on the runs.
 
-    A factor either stays inside the cursor's run (longest earlier run of
-    the same symbol bounds it) or crosses into the next run, in which case
-    every admissible source sits head symbols before some run boundary
-    whose surrounding runs match; those anchors are scored with one meta
-    LCE query each.
+    The shared driver reads symbols off the meta text and asks this lane
+    for LCEs and leftmost window starts. Let c^head be the rest of the
+    cursor's run. A window c^length (length <= head) starts first at the
+    first run of c with exponent >= length, one of the runs beating
+    every earlier run of c. A longer window starts head symbols before a
+    run boundary j whose run j-1 is c^(>=head) and whose run j has the
+    next symbol. Such boundaries are scored once per cursor position by
+    their reach, one meta LCE each; the prefix maxima of the reach,
+    closed by the cursor itself, answer each length with a bisection.
+    An answer's reach is known, so the LCE the driver asks next along it
+    costs no query; other LCEs go to the meta text.
     """
     _require_maximal(r)
     runs = r.runs
-    m = len(runs)
-    if m == 0:
-        return Lz77Factorization((), self_referential)
     meta = rank_runs(r)
     pl = meta.prefix_len
-    n = meta.length
-    syms = [sym for sym, _ in runs]
-    exps = [exp for _, exp in runs]
-    by_sym: dict[int, list[int]] = {}
-    max_exp: dict[int, int] = {}
-    filled = 0  # runs 0..filled-1 lie before the cursor's run
-    factors: list[Literal | Reference] = []
-    s = 1
-    while s <= n:
-        u = meta.run_of(s)
-        q = s - pl[u]
-        while filled < u:
-            c0 = syms[filled]
-            max_exp[c0] = max(max_exp.get(c0, 0), exps[filled])
-            by_sym.setdefault(c0, []).append(filled)
-            filled += 1
-        c = syms[u]
-        head = exps[u] - q + 1
-        prior = max_exp.get(c, 0)
-        if self_referential:
-            avail = head if q >= 2 else min(head, prior)
-        else:
-            avail = min(head, max(prior, q - 1))
-        best_len = avail
-        best_src = 0
-        if avail:
-            src = None
-            for jr in by_sym.get(c, ()):
-                if exps[jr] >= avail:
-                    src = pl[jr] + 1
-                    break
-            best_src = src if src is not None else pl[u] + 1
-        if u + 1 < m:
-            nxt = syms[u + 1]
+    m = meta.m
+    syms, exps = [sym for sym, _ in runs], [exp for _, exp in runs]
+    records: dict[int, list[tuple[int, int]]] = {}  # (exponent, start), after a (0, 0) floor
+    for j, (c, e) in enumerate(runs):
+        if e > records.setdefault(c, [(0, 0)])[-1][0]:
+            records[c].append((e, pl[j] + 1))
+    scored: list = [0, []]  # cursor, prefix maxima (reach, start) of its boundaries
+    known: list = [0, 0, 0]  # the last answer: cursor, start, their common extension
+
+    def lce(i: int, j: int, limit: int) -> int:
+        pos, start, reach = known
+        t = j - pos  # i and j lie t symbols after start and pos: reach - t more agree
+        return min(limit, reach - t if i - start == t and 0 <= t <= reach else meta.char_lce(i, j))
+
+    def leftmost(pos: int, length: int) -> int:
+        u = bisect_left(pl, pos) - 1
+        head = pl[u + 1] - pos + 1
+        if length <= head:
+            rec = records[syms[u]]
+            e, start = rec[bisect_left(rec, (length,))]
+            if e != head:  # one of the two runs of c ends first
+                known[:] = pos, start, min(e, head)
+            return start
+        if scored[0] != pos:
+            c, nxt, base = syms[u], syms[u + 1], pl[u + 1]
+            best = [(0, 0)]  # a floor; the cursor itself closes the list
             for j in range(1, u + 1):
                 if syms[j - 1] != c or exps[j - 1] < head or syms[j] != nxt:
                     continue
-                k = pl[j] + 1 - head
-                if k < 1 or k >= s:
-                    continue
                 full = meta.meta_lce(j + 1, u + 2)
-                cand = head + (pl[u + 1 + full] - pl[u + 1])
+                cand = head + (pl[u + 1 + full] - base)
                 a, b = j + full, u + 1 + full
                 if b < m and syms[a] == syms[b]:
                     cand += min(exps[a], exps[b])
-                if not self_referential:
-                    cand = min(cand, s - k)
-                if cand > best_len:
-                    best_len, best_src = cand, k
-        if best_len == 0:
-            factors.append(Literal(c))
-            s += 1
-        else:
-            factors.append(Reference(best_src, best_len))
-            s += best_len
-    return Lz77Factorization(tuple(factors), self_referential)
+                if cand > best[-1][0]:
+                    best.append((cand, pl[j] + 1 - head))
+            best.append((meta.length - pos + 1, pos))
+            scored[:] = pos, best
+        best = scored[1]
+        reach, start = best[bisect_left(best, (length,))]
+        known[:] = pos, start, reach
+        return start
+
+    return lz77_driver(meta.length, self_referential, meta.symbol, lce, leftmost)
 
 
 def rle_to_lz78(r: RleString) -> Lz78Factorization:

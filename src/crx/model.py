@@ -341,9 +341,9 @@ def expand_rle(r: RleString, limit: int = DEFAULT_LIMIT) -> Text:
     if n > limit:
         raise BudgetExceededError(n, limit)
     out: list[int] = []
-    for sym, exp in r.runs:
+    for i, (sym, exp) in enumerate(r.runs, start=1):
         if exp < 1:
-            raise InvalidInputError("zero-exponent", f"run {(sym, exp)}")
+            raise InvalidInputError("zero-exponent", f"run {i}")
         out.extend([sym] * exp)
     return Text(tuple(out))
 

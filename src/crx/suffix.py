@@ -126,10 +126,6 @@ class MetaText:
         self.length = self.prefix_len[-1]
         self._lce = LceIndex(self.ranks) if self.m else None
 
-    def run_of(self, pos: int) -> int:
-        """0-based index of the run covering 1-based character position pos."""
-        return bisect_left(self.prefix_len, pos) - 1
-
     def symbol(self, pos: int) -> int:
         """Symbol at 1-based character position pos."""
         return self.runs[bisect_left(self.prefix_len, pos) - 1][0]
@@ -168,7 +164,7 @@ class MetaText:
             return 0
         if s == t:
             return self.length - s + 1
-        u = bisect_left(self.prefix_len, s) - 1  # run_of, inlined: hot path
+        u = bisect_left(self.prefix_len, s) - 1  # the runs covering s and t
         w = bisect_left(self.prefix_len, t) - 1
         if self.runs[u][0] != self.runs[w][0]:
             return 0

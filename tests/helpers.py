@@ -61,12 +61,13 @@ def random_runs(rng: random.Random, max_runs: int = 8, sigma: int = 3,
 
 
 @st.composite
-def long_run_lists(draw, sigma: int = 3, max_exp: int = 30):
-    """Run lists over at most sigma symbols with exponents up to max_exp;
-    a single run when sigma is 1."""
+def long_run_lists(draw, sigma: int = 3, max_exp: int = 30, min_runs: int = 1,
+                   max_runs: int = 8):
+    """Run lists of min_runs to max_runs runs over at most sigma symbols
+    with exponents up to max_exp; a single run when sigma is 1."""
     runs = []
     prev = -1
-    for _ in range(draw(st.integers(1, 8 if sigma > 1 else 1))):
+    for _ in range(draw(st.integers(min_runs, max_runs) if sigma > 1 else st.just(1))):
         sym = draw(st.sampled_from([c for c in range(sigma) if c != prev]))
         runs.append((sym, draw(st.integers(1, max_exp))))
         prev = sym

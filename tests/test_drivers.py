@@ -1,4 +1,5 @@
-"""The shared LZ78 and bisection drivers give the same output from both lanes."""
+"""The shared drivers give the reference output from a plain-text lane and
+the same output from both lanes."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from crx import (
     Text,
     expand_rle,
     naive_bisection,
+    naive_lz77,
     naive_lz78,
     rle_as_slp,
     rle_encode,
@@ -16,6 +18,7 @@ from crx import (
     slp_to_bisection,
     slp_to_lz78,
 )
+from crx.drivers import lz77_driver
 from helpers import T, long_run_lists, slp_of
 
 
@@ -39,6 +42,25 @@ def random_or_block_texts(draw):
     reps = draw(st.integers(1, 40))
     cut = draw(st.integers(1, len(block) * reps))
     return Text(tuple((block * reps)[:cut]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_or_block_texts(), st.booleans())
+def test_lz77_driver_on_plain_text(t, self_ref):
+    # the driver's contract apart from either lane: primitives on the text
+    syms = t.symbols
+
+    def lce(i, j, limit):
+        assert limit >= 0 and max(i, j) + limit - 1 <= len(syms)
+        pairs = zip(syms[i - 1:i - 1 + limit], syms[j - 1:j - 1 + limit])
+        return next((k for k, (x, y) in enumerate(pairs) if x != y), limit)
+
+    def leftmost(pos, length):
+        assert pos > 1 and pos + length - 1 <= len(syms)
+        window = syms[pos - 1:pos - 1 + length]
+        return next(k for k in range(1, pos + 1) if syms[k - 1:k - 1 + length] == window)
+
+    assert lz77_driver(len(t), self_ref, t.char, lce, leftmost) == naive_lz77(t, self_ref)
 
 
 @settings(max_examples=150, deadline=None)

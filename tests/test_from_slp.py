@@ -83,12 +83,24 @@ def test_lz77_source_switch_frozen():
         assert f.factors == naive_lz77(t, self_referential=self_ref).factors
 
 
-@settings(max_examples=100, deadline=None)
-@given(long_run_lists(), st.booleans())
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(long_run_lists(),
+                 # records and giant first runs inside one run
+                 long_run_lists(sigma=1, max_exp=1000), long_run_lists(sigma=2, max_exp=1000),
+                 # many run boundaries to score at each cursor position
+                 long_run_lists(max_exp=2, min_runs=30, max_runs=60)),
+       st.booleans())
 def test_lz77_agrees_with_run_lane_and_reference(r, self_ref):
     want = naive_lz77(expand_rle(r), self_ref)
     assert rle_to_lz77(r, self_ref) == want
     assert slp_to_lz77(rle_as_slp(r), self_ref) == want
+
+
+@pytest.mark.parametrize("self_ref", [False, True])
+def test_lz77_of_empty_runs_and_one_symbol_program(self_ref):
+    assert rle_to_lz77(RleString(()), self_ref).factors == ()
+    f = slp_to_lz77(Slp.build((Term(3),)), self_ref)
+    assert f.factors == (Literal(3),) and f == naive_lz77(Text((3,)), self_ref)
 
 
 @settings(max_examples=100, deadline=None)

@@ -24,8 +24,11 @@ from crx import (
     expand_slp,
     grammar_derived_length,
     lz78_factor_lengths,
+    make_rle_container,
     rle_encode,
+    rle_to_lz77,
     slp_from_grammar_rules,
+    validate,
 )
 from crx.model import grammar_lengths
 from helpers import T, sample_slp, power_slp
@@ -52,6 +55,27 @@ def test_expand_rle():
     r = RleString(((0, 2), (1, 1), (0, 3)))
     assert r.length == 6
     assert expand_rle(r).to_str() == "aabaaa"
+
+
+def _raised_location(convert, r):
+    with pytest.raises(InvalidInputError) as ei:
+        convert(r)
+    return ei.value.code, ei.value.location
+
+
+def _report_location(r):
+    report = validate(make_rle_container(r, 2))
+    return report.error, report.location
+
+
+@pytest.mark.parametrize("locate", [
+    lambda r: _raised_location(expand_rle, r),
+    lambda r: _raised_location(rle_to_lz77, r),
+    _report_location,
+], ids=["expand_rle", "rle_to_lz77", "validate"])
+def test_zero_exponent_location_is_the_run_index(locate):
+    # every entry point names the run by its 1-based index
+    assert locate(RleString(((0, 2), (1, 0), (0, 3)))) == ("zero-exponent", "run 2")
 
 
 def test_expand_rle_budget():

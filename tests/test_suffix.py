@@ -95,9 +95,9 @@ def test_rank_runs_distinct_exponents_get_distinct_ranks():
     assert m.ranks[0] != m.ranks[2]
 
 
-def test_run_of():
-    m = MetaText(((0, 3), (1, 2), (0, 3)))
-    assert [m.run_of(p) for p in (1, 3, 4, 5, 6, 8)] == [0, 0, 1, 1, 2, 2]
+def test_symbol_at_run_edges():
+    m = MetaText(((0, 3), (1, 2), (2, 3)))
+    assert [m.symbol(p) for p in (1, 3, 4, 5, 6, 8)] == [0, 0, 1, 1, 2, 2]
 
 
 def test_char_lce_within_and_across_runs():
