@@ -4,7 +4,7 @@ Only the run structure is ever touched. LZ77's driver and bisection's
 run on the meta text's symbol lookup and character-level LCE queries,
 LZ77's also on leftmost window starts found from the runs; LZ78's
 driver reads the runs from the cursor on, and Re-Pair walks them.
-Outputs match the reference codecs on the decoded string. They need
+Outputs match the reference codecs on the decoded string. They require
 maximal runs: a run of exponent 0 or two adjacent runs of one symbol,
 on which the run walks would go wrong, is rejected.
 """

@@ -32,6 +32,8 @@ from itertools import zip_longest
 from .errors import BudgetExceededError, InternalError
 from .model import RleString, RunLinkAnnotations, Slp, Term
 
+_MAX_TREE_NODES = 1 << 21  # derivation tree nodes `OccRepr.positions` may visit
+
 
 def char_at(s: Slp, i: int) -> int:
     """Symbol at position i of the derived string, in O(height) steps."""
@@ -305,62 +307,44 @@ def slp_lce(s: Slp, i: int, j: int, limit: int) -> int:
     return limit if d is None else d
 
 
-def _trim(runs: list[tuple[int, int]], need: int, cap: int) -> list[tuple[int, int]]:
-    """The shortest prefix of runs that reaches need symbols or holds cap
-    runs; all of runs if there is none."""
-    total = 0
-    for k in range(min(cap, len(runs))):
-        total += runs[k][1]
-        if total >= need:
-            return runs[:k + 1]
-    return runs[:cap]
-
-
 class EdgeRuns:
     """The runs nearest each edge of the variables of one text, shared by
     every occurrence query on it.
 
     A variable's head runs (from its first symbol on) and tail runs (from
     its last symbol backwards) do not depend on the pattern, so one store
-    serves any number of queries. Each list holds true exponents (the run
-    straddling the cutoff keeps its full length, so boundary matching can
-    rely on it) and is the shortest one that reaches `chars` symbols or
-    holds `runs` runs, with a flag for a list that covers the whole
-    variable. A query asking for more than that bound at least doubles it
-    and starts the lists afresh; a query asking for less cuts a stored
-    list down to its own bound, which gives the list it would have
-    computed alone. Lists are computed along the variables' spines on
-    first use.
+    serves any number of queries. Each list is the first `runs` runs of
+    the variable from that edge, with true exponents, and a flag for a
+    list that covers the whole variable. A query asking for more runs at
+    least doubles the bound and starts the lists afresh; a query asking
+    for fewer gets the first runs of a stored list. Lists are computed
+    along the variables' spines on first use.
     """
 
     def __init__(self, text: Slp):
         self.text = text
-        self.chars = 0
         self.runs = 0
         self._lists: tuple[dict, dict] = ({}, {})
 
-    def edge(self, v: int, outer: int, need: int, cap: int) -> list[tuple[int, int]]:
-        """Runs covering the first (outer=0) or last (outer=1) need
-        characters of val(v), at most cap runs, in order away from that
-        edge, with true exponents."""
-        if need > self.chars or cap > self.runs:
-            self.chars = max(need, 2 * self.chars)
+    def edge(self, v: int, outer: int, cap: int) -> list[tuple[int, int]]:
+        """The first cap runs of val(v) from its first (outer=0) or last
+        (outer=1) symbol, in order away from that edge, with true
+        exponents; all of them if val(v) has fewer."""
+        if cap > self.runs:
             self.runs = max(cap, 2 * self.runs)
             self._lists = ({}, {})
         memo = self._lists[outer]
         got = memo.get(v)
         if got is None:
             got = self._fill(v, memo, outer)
-        if need == self.chars and cap == self.runs:
-            return got[0]
-        return _trim(got[0], need, cap)
+        return got[0] if cap == self.runs else got[0][:cap]
 
     def _fill(self, v: int, memo: dict, outer: int) -> tuple[list[tuple[int, int]], bool]:
         """The stored list of v, computing those of the spine below it
         first. The inner child is consulted only when the outer child is
         complete."""
         rules = self.text.rules
-        chars, runs = self.chars, self.runs
+        runs = self.runs
         stack = [v]
         while stack:
             u = stack[-1]
@@ -386,7 +370,7 @@ class EdgeRuns:
                 merged = a[:-1] + [(a[-1][0], a[-1][1] + b[0][1])] + b[1:]
             else:
                 merged = a + b
-            kept = _trim(merged, chars, runs)
+            kept = merged[:runs]
             memo[u] = (kept, i[1] and len(kept) == len(merged))
             stack.pop()
         return memo[v]
@@ -441,7 +425,6 @@ class OccRepr:
         self.text = text
         self.pattern_length = sum(exp for _, exp in pattern_runs)
         self._pruns = pattern_runs
-        self._need = self.pattern_length - 1
         self._cap = len(pattern_runs) + 2
         self._edges = edges
         self._crossing: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -468,7 +451,7 @@ class OccRepr:
         Candidate starts are anchored at run boundaries of a window of runs
         around the cut: a crossing occurrence touches at most r_p runs per
         side (r_p = pattern run count), so windows of r_p + 2 true-exponent
-        runs and pattern length minus one characters per side lose nothing.
+        runs per side lose nothing.
         A single-run pattern gets one range, by length arithmetic on the run
         at the cut. A pattern of two or more runs never starts at two
         adjacent positions, so each of its starts is a range (o, o).
@@ -485,12 +468,12 @@ class OccRepr:
         b = text.lengths[l - 1]
         window: list[tuple[int, int, int]] = []
         pos = b + 1
-        edges, need, cap = self._edges, self._need, self._cap
-        for sym, exp in edges.edge(l, 1, need, cap):
+        edges, cap = self._edges, self._cap
+        for sym, exp in edges.edge(l, 1, cap):
             pos -= exp
             window.append((sym, exp, pos))
         window.reverse()
-        head_runs = edges.edge(r, 0, need, cap)
+        head_runs = edges.edge(r, 0, cap)
         nxt = b + 1
         start_idx = 0
         if window and head_runs and window[-1][0] == head_runs[0][0]:
@@ -626,7 +609,7 @@ class OccRepr:
             voc[r] += m
         return total
 
-    def positions(self, max_nodes: int = 1 << 21) -> list[int]:
+    def positions(self) -> list[int]:
         """All absolute starts, by walking the derivation tree. Test-scale
         only; the tree has one node per text position."""
         s = self.text
@@ -636,8 +619,8 @@ class OccRepr:
         while stack:
             v, base = stack.pop()
             nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceededError(nodes, max_nodes)
+            if nodes > _MAX_TREE_NODES:
+                raise BudgetExceededError(nodes, _MAX_TREE_NODES)
             rule = s.rules[v - 1]
             if isinstance(rule, Term):
                 if self._term_matches(rule.code):
@@ -657,12 +640,12 @@ def occurrences(text: Slp, pattern: Slp | RleString,
     """The occurrence set of a pattern inside val(text). The pattern is a
     program or its runs.
 
-    Only the pattern side is computed here: its runs, from which the
-    character reach and the run cap of the edge windows follow. Each text
-    variable's crossings are left to the queries, which compute them on
-    first use from the edge runs in `edges`. Pass one store to every query
-    on the same text to compute each variable's edge runs once; without
-    one, the set gets a store of its own.
+    Only the pattern side is computed here: its runs, whose count fixes
+    the run cap of the edge windows. Each text variable's crossings are
+    left to the queries, which compute them on first use from the edge
+    runs in `edges`. Pass one store to every query on the same text to
+    compute each variable's edge runs once; without one, the set gets a
+    store of its own.
     """
     runs = pattern if isinstance(pattern, RleString) else slp_runs(pattern)
     return OccRepr(text, list(runs.runs), edges)

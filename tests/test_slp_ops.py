@@ -4,8 +4,12 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crx.slp_ops
 from crx import (
+    BudgetExceededError,
     EdgeRuns,
     RleString,
     Slp,
@@ -29,6 +33,7 @@ from crx import (
 from crx.slp_ops import _cut, _pieces
 from helpers import (
     brute_occurrences,
+    long_run_lists,
     power_slp,
     random_runs,
     random_slp,
@@ -531,15 +536,20 @@ def _answers(occ, lo, hi):
 def test_shared_edge_store_matches_fresh_sets():
     # one store of edge runs serves a sequence of patterns on one text:
     # short then long (the bound grows and the lists start afresh), long
-    # then short (stored lists are cut down), many runs after one run
+    # then short (stored lists are cut down), many runs after one run;
+    # runs of up to 10**3 with patterns of 1-3 runs make the run-capped
+    # edge windows reach far past the pattern, so the crossing filter
+    # must drop every start that does not cross
     rng = random.Random(101)
-    for k in range(150):
-        if k % 3 == 0:
+    for k in range(200):
+        if k % 4 == 0:
             s = random_slp(rng, max_extra=10, sigma=3, max_len=600)
-        elif k % 3 == 1:
+        elif k % 4 == 1:
             s = slp_of(random_text(rng, max_len=300, sigma=2))
-        else:
+        elif k % 4 == 2:
             s = rle_as_slp(RleString(random_runs(rng, max_runs=30, max_exp=9)))
+        else:
+            s = rle_as_slp(RleString(random_runs(rng, max_runs=8, sigma=2, max_exp=10**3)))
         text = expand_slp(s).to_str()
         n = len(text)
 
@@ -548,11 +558,23 @@ def test_shared_edge_store_matches_fresh_sets():
             i = rng.randint(1, n - length + 1)
             return text[i - 1:i - 1 + length]
 
+        def few_runs():
+            # 1-3 runs of the text, the outer two cut short at random
+            runs = slp_runs(s).runs
+            i = rng.randrange(len(runs))
+            j = min(len(runs), i + rng.randint(1, 3))
+            parts = [chr(ord("a") + c) * e for c, e in runs[i:j]]
+            parts[0] = parts[0][:rng.randint(1, len(parts[0]))]
+            parts[-1] = parts[-1][-rng.randint(1, len(parts[-1])):]
+            return "".join(parts)
+
         letters = sorted(set(text)) + ["c"]
         patterns = [window(2), window(rng.randint(n // 3, n)), window(3),
                     rng.choice(letters) * rng.randint(1, 4),
                     window(rng.randint(n // 4, n // 2)),
                     "".join(rng.choice(letters) for _ in range(rng.randint(2, 6)))]
+        if k % 4 == 3:
+            patterns += [few_runs() for _ in range(3)]
         edges = EdgeRuns(s)
         for pat in patterns:
             t = Text.from_str(pat)
@@ -564,7 +586,50 @@ def test_shared_edge_store_matches_fresh_sets():
                         len(want), want)
             assert _answers(occurrences(s, p, edges), lo, hi) == expected, pat
             assert _answers(occurrences(s, p), lo, hi) == expected, pat
-        assert edges.chars >= len(patterns[1]) - 1  # count() crossed the root
+        if len(patterns[1]) > 1:  # count() crossed the root
+            assert edges.runs >= len(rle_encode(Text.from_str(patterns[1])).runs) + 2
+
+
+@st.composite
+def edge_programs(draw):
+    """Random programs, run lists as left folds, and bisection programs."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        rules: list = [Term(c) for c in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 10))):
+            rules.append((draw(st.integers(1, len(rules))), draw(st.integers(1, len(rules)))))
+        return Slp.build(tuple(rules))
+    if kind == 1:
+        return rle_as_slp(draw(long_run_lists(max_runs=12, max_exp=20)))
+    return slp_of(Text(tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=60)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_programs())
+def test_edge_lists_are_first_runs_from_each_edge(s):
+    # every list is the first cap runs of the variable from that edge with
+    # true exponents, whether the store was first asked for more or not
+    larger = EdgeRuns(s)
+    for outer in (0, 1):
+        larger.edge(s.n, outer, 13)
+    for v in range(1, s.n + 1):
+        runs = rle_encode(expand_slp(Slp.build(s.rules[:v]))).runs
+        for outer, from_edge in ((0, runs), (1, runs[::-1])):
+            for cap in range(1, 9):
+                want = list(from_edge[:cap])
+                assert EdgeRuns(s).edge(v, outer, cap) == want, (v, outer, cap)
+                assert larger.edge(v, outer, cap) == want, (v, outer, cap)
+    assert larger.runs == 13
+
+
+def test_positions_walk_is_bounded(monkeypatch):
+    # power_slp(10)'s derivation tree has 2**11 - 1 nodes
+    occ = occurrences(power_slp(10), slp_of_str("aa"))
+    monkeypatch.setattr(crx.slp_ops, "_MAX_TREE_NODES", 2**11 - 1)
+    assert occ.positions() == list(range(1, 2**10))
+    monkeypatch.setattr(crx.slp_ops, "_MAX_TREE_NODES", 2**11 - 2)
+    with pytest.raises(BudgetExceededError):
+        occ.positions()
 
 
 def test_longer_pattern_inherits_misses():
