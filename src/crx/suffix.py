@@ -4,105 +4,116 @@ The conversions never index the raw text. They index the run-length
 encoding instead: each distinct (symbol, exponent) pair gets a rank, the
 sequence of ranks forms a meta text, and longest common extensions on it
 translate back to character counts with a little boundary arithmetic.
+
+The index over a sequence comes from one numpy prefix-doubling pass
+(Manber & Myers) that keeps each round's ranks. The suffix array is the
+last round's order; the LCP of every adjacent pair of suffixes is lifted
+over the kept rounds from the top down, and a sparse table over the LCP
+array (Bender & Farach-Colton) answers range minima. numpy only sees
+ranks; the run exponents, which may exceed 64 bits, stay Python ints.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import accumulate
 
 import numpy as np
 
 from .model import RleString
 
 
+def _doubling(seq: Sequence[int]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Prefix doubling over seq, whose values must fit in int64: the
+    0-based suffix order and, for each round t, the dense rank of every
+    suffix's first 2^t symbols (equal ranks for equal blocks), with one
+    extra -1 entry at position n. The last round's ranks are distinct."""
+    n = len(seq)
+    values, rank = np.unique(np.asarray(seq, dtype=np.int64), return_inverse=True)
+    rank = np.append(rank, -1)
+    rounds = [rank]
+    k = 1
+    while len(values) < n:
+        second = np.full(n, -1, dtype=np.int64)
+        second[: n - k] = rank[k:n]
+        # one int64 key per (rank, second) pair, ordered as the pairs are
+        values, rank = np.unique(rank[:n] * (n + 1) + second + 1, return_inverse=True)
+        rank = np.append(rank, -1)
+        rounds.append(rank)
+        k *= 2
+    order = np.empty(n, dtype=np.int64)
+    order[rank[:n]] = np.arange(n)
+    return order, rounds
+
+
+def _lift(rounds: list[np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Common prefix lengths of the suffixes at 0-based positions a[k] and
+    b[k] != a[k]. From the top round down, the 2^t symbols at a + h and
+    b + h are equal exactly when their round-t ranks are, and then h
+    grows by 2^t; the -1 at position n stops a side that reaches the end."""
+    h = np.zeros(len(a), dtype=np.int64)
+    for t in range(len(rounds) - 1, -1, -1):
+        rank = rounds[t]
+        h[rank[a + h] == rank[b + h]] += 1 << t
+    return h
+
+
 def suffix_array(seq: Sequence[int]) -> list[int]:
     """1-based starting positions of the suffixes in sorted order."""
-    n = len(seq)
-    if n == 0:
-        return []
-    arr = np.asarray(seq, dtype=np.int64)
-    _, rank = np.unique(arr, return_inverse=True)
-    rank = rank.astype(np.int64)
-    k = 1
-    while True:
-        second = np.full(n, -1, dtype=np.int64)
-        second[: n - k] = rank[k:]
-        order = np.lexsort((second, rank))
-        fresh = np.empty(n, dtype=np.int64)
-        fresh[order[0]] = 0
-        bumps = (rank[order[1:]] != rank[order[:-1]]) | (
-            second[order[1:]] != second[order[:-1]])
-        fresh[order[1:]] = np.cumsum(bumps)
-        rank = fresh
-        if rank[order[-1]] == n - 1:
-            return [int(p) + 1 for p in order]
-        k *= 2
+    return (_doubling(seq)[0] + 1).tolist()
 
 
 def lcp_array(seq: Sequence[int], sa: list[int]) -> list[int]:
     """lcp[i] = common prefix length of suffixes sa[i-1] and sa[i]; lcp[0] = 0."""
-    n = len(sa)
-    lcp = [0] * n
-    rank = [0] * (n + 1)
-    for idx, pos in enumerate(sa):
-        rank[pos] = idx
-    h = 0
-    for pos in range(1, n + 1):
-        r = rank[pos]
-        if r == 0:
-            h = 0
-            continue
-        prev = sa[r - 1]
-        while pos + h <= n and prev + h <= n and seq[pos - 1 + h] == seq[prev - 1 + h]:
-            h += 1
-        lcp[r] = h
-        if h:
-            h -= 1
-    return lcp
-
-
-class RangeMin:
-    """Sparse table for min queries over a fixed array."""
-
-    def __init__(self, values: Sequence[int]):
-        row = list(values)
-        self.table = [row]
-        width = 1
-        while width * 2 <= len(row):
-            prev = self.table[-1]
-            self.table.append([min(prev[i], prev[i + width])
-                               for i in range(len(prev) - width)])
-            width *= 2
-
-    def query(self, lo: int, hi: int) -> int:
-        """Min over the inclusive 0-based index range [lo, hi]."""
-        span = hi - lo + 1
-        level = span.bit_length() - 1
-        row = self.table[level]
-        return min(row[lo], row[hi - (1 << level) + 1])
+    if not sa:
+        return []
+    _, rounds = _doubling(seq)
+    pos = np.asarray(sa, dtype=np.int64) - 1
+    return [0, *_lift(rounds, pos[:-1], pos[1:]).tolist()]
 
 
 class LceIndex:
-    """Longest common extension queries between suffixes of one sequence."""
+    """Longest common extension queries between suffixes of one sequence.
+
+    sa, lcp and rank (rank[pos] = index of the suffix at 1-based pos in
+    sa; rank[0] = 0 is a placeholder) come from one doubling pass, the
+    LCP lifted over its rounds. table[k][r] is the minimum of
+    lcp[r .. r + 2^k - 1]. Every array is a Python list, so a query is
+    two list lookups and a min.
+    """
 
     def __init__(self, seq: Sequence[int]):
-        self.n = len(seq)
-        self.sa = suffix_array(seq)
-        self.lcp = lcp_array(seq, self.sa)
-        self.rank = [0] * (self.n + 1)
-        for idx, pos in enumerate(self.sa):
-            self.rank[pos] = idx
-        self.rmq = RangeMin(self.lcp) if self.n else None
+        self.n = n = len(seq)
+        order, rounds = _doubling(seq)
+        row = np.zeros(n, dtype=np.int64)
+        row[1:] = _lift(rounds, order[:-1], order[1:])
+        del rounds  # free the round arrays before the table's lists exist
+        rank = np.zeros(n + 1, dtype=np.int64)
+        rank[order + 1] = np.arange(n)
+        self.sa = (order + 1).tolist()
+        self.rank = rank.tolist()
+        self.table = [row.tolist()]
+        width = 1
+        while width * 2 <= n:
+            row = np.minimum(row[:-width], row[width:])
+            self.table.append(row.tolist())
+            width *= 2
+        self.lcp = self.table[0]
 
     def lce(self, i: int, j: int) -> int:
         """Common prefix length of the suffixes at 1-based positions i, j."""
+        n = self.n
+        if not (0 < i <= n and 0 < j <= n):
+            raise IndexError(f"positions {i}, {j} out of range 1..{n}")
         if i == j:
-            return self.n - i + 1
+            return n - i + 1
         ri, rj = self.rank[i], self.rank[j]
         if ri > rj:
             ri, rj = rj, ri
-        return self.rmq.query(ri + 1, rj)
+        level = (rj - ri).bit_length() - 1
+        row = self.table[level]
+        return min(row[ri + 1], row[rj - (1 << level) + 1])
 
 
 class MetaText:
@@ -120,14 +131,14 @@ class MetaText:
         self.m = len(self.runs)
         order = {pair: rk for rk, pair in enumerate(sorted(set(self.runs)), start=1)}
         self.ranks = [order[pair] for pair in self.runs]
-        self.prefix_len = [0]
-        for _, exp in self.runs:
-            self.prefix_len.append(self.prefix_len[-1] + exp)
+        self.prefix_len = list(accumulate((exp for _, exp in self.runs), initial=0))
         self.length = self.prefix_len[-1]
-        self._lce = LceIndex(self.ranks) if self.m else None
+        self._lce = LceIndex(self.ranks)
 
     def symbol(self, pos: int) -> int:
         """Symbol at 1-based character position pos."""
+        if not 0 < pos <= self.length:
+            raise IndexError(f"position {pos} out of range 1..{self.length}")
         return self.runs[bisect_left(self.prefix_len, pos) - 1][0]
 
     def span_key(self, i: int, j: int) -> tuple:
@@ -157,9 +168,12 @@ class MetaText:
         return self._lce.lce(i, j)
 
     def char_lce(self, s: int, t: int) -> int:
-        """Common extension of the decoded text at character positions s, t."""
+        """Common extension of the decoded text at character positions s, t;
+        0 when one of them lies past the end."""
         if s > t:
             s, t = t, s
+        if s < 1:
+            raise IndexError(f"position {s} out of range 1..{self.length}")
         if t > self.length:
             return 0
         if s == t:

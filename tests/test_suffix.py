@@ -1,6 +1,13 @@
 """Suffix arrays, LCP, LCE index and the run-rank layer on top."""
 
 import random
+from functools import cmp_to_key
+from itertools import repeat
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crx import (
     LceIndex,
@@ -8,6 +15,8 @@ from crx import (
     RleString,
     lcp_array,
     rank_runs,
+    rle_to_bisection,
+    rle_to_lz77,
     suffix_array,
 )
 from helpers import random_runs
@@ -143,3 +152,139 @@ def test_meta_suffix_structures_random():
         sa = suffix_array(m.ranks)
         assert sa == brute_sa(m.ranks)
         assert lcp_array(m.ranks, sa) == brute_lcp(m.ranks, sa)
+
+
+@st.composite
+def index_sequences(draw):
+    """0 to 2,000 symbols: random over 1-4 symbols, one symbol repeated,
+    or a block of 1-5 symbols repeated and cut. The long periodic ones
+    take the doubling through ~11 rounds."""
+    n = draw(st.integers(0, 2000))
+    kind = draw(st.sampled_from(("random", "one", "periodic")))
+    if kind == "one":
+        return [draw(st.integers(0, 9))] * n
+    if kind == "periodic":
+        block = draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+        return (block * (n // len(block) + 1))[:n]
+    rng = draw(st.randoms(use_true_random=False))
+    sigma = draw(st.integers(1, 4))
+    return [rng.randrange(sigma) for _ in range(n)]
+
+
+def brute_lce_table(seq):
+    """table[i][j] = common prefix length of the 0-based suffixes i, j."""
+    n = len(seq)
+    arr = np.asarray(seq)
+    table = np.zeros((n + 1, n + 1), dtype=np.int32)
+    for i in range(n - 1, -1, -1):
+        table[i, :n] = np.where(arr == arr[i], table[i + 1, 1:] + 1, 0)
+    return table
+
+
+@settings(max_examples=25, deadline=None)
+@given(index_sequences())
+@example([])
+@example([5])
+@example([0, 0, 1] * 667)  # 12 doubling rounds
+def test_lce_index_matches_brute_force(seq):
+    n = len(seq)
+    idx = LceIndex(seq)
+    table = brute_lce_table(seq)
+
+    def before(a, b):  # compare the suffixes at 1-based a, b by brute force
+        k = table[a - 1, b - 1]
+        return -1 if a + k > n or (b + k <= n and seq[a + k - 1] < seq[b + k - 1]) else 1
+
+    sa = sorted(range(1, n + 1), key=cmp_to_key(before))
+    rank = [0] * (n + 1)
+    for r, p in enumerate(sa):
+        rank[p] = r
+    assert idx.sa == sa
+    assert idx.lcp == [0, *(table[a - 1, b - 1] for a, b in zip(sa, sa[1:]))][:n]
+    assert idx.rank == rank
+    # lce is symmetric in its code; both rank orders occur among i <= j
+    got = [list(map(idx.lce, repeat(i), range(i, n + 1))) for i in range(1, n + 1)]
+    assert got == [table[i, i:n].tolist() for i in range(n)]
+    # a numpy scalar would compare equal above but repr as np.int64(3)
+    stored = [idx.sa, idx.lcp, idx.rank, *idx.table, *got]
+    assert all(type(x) is int for row in stored for x in row)
+
+
+def test_symbol_rejects_position_zero():
+    with pytest.raises(IndexError, match=r"position 0 out of range 1\.\.6"):
+        MetaText(((0, 2), (1, 3), (0, 1))).symbol(0)
+
+
+def test_symbol_rejects_position_past_end():
+    with pytest.raises(IndexError, match=r"position 7 out of range 1\.\.6"):
+        MetaText(((0, 2), (1, 3), (0, 1))).symbol(7)
+
+
+def test_char_lce_rejects_position_before_start():
+    m = MetaText(((0, 2), (1, 3), (0, 1)))
+    with pytest.raises(IndexError, match=r"position -1 out of range 1\.\.6"):
+        m.char_lce(-1, 2)
+    with pytest.raises(IndexError, match=r"position 0 out of range 1\.\.6"):
+        m.char_lce(3, 0)
+    assert m.char_lce(2, 7) == 0  # past the end still extends by nothing
+
+
+def test_lce_index_rejects_position_zero():
+    idx = LceIndex([1, 2, 1, 2, 3])
+    with pytest.raises(IndexError, match=r"positions 0, 3 out of range 1\.\.5"):
+        idx.lce(0, 3)
+    with pytest.raises(IndexError, match=r"out of range 1\.\.5"):
+        idx.lce(2, 6)
+    with pytest.raises(IndexError, match=r"out of range 1\.\.0"):
+        LceIndex([]).lce(1, 1)
+
+
+def run_lce(runs, s, t):
+    """Common extension at character positions s, t, by walking the runs."""
+    def at(pos):  # (run index, characters left in it) at pos
+        for u, (_, exp) in enumerate(runs):
+            if pos <= exp:
+                return u, exp - pos + 1
+            pos -= exp
+        return len(runs), 0
+
+    (u, left_u), (w, left_w) = at(s), at(t)
+    total = 0
+    while u < len(runs) and w < len(runs) and runs[u][0] == runs[w][0]:
+        step = min(left_u, left_w)
+        total += step
+        left_u -= step
+        left_w -= step
+        if not left_u:
+            u += 1
+            left_u = runs[u][1] if u < len(runs) else 0
+        if not left_w:
+            w += 1
+            left_w = runs[w][1] if w < len(runs) else 0
+    return total
+
+
+def test_huge_exponents_stay_python_ints():
+    # exponents past int64: only ranks may reach numpy
+    e = 2 ** 70
+    runs = ((0, e), (1, 1), (0, e), (1, 1))
+    r = RleString(runs)
+    m = rank_runs(r)
+    assert m.length == 2 * e + 2
+    assert all(type(x) is int for x in [*m.ranks, *m.prefix_len])
+    assert m.char_lce(1, e + 2) == e + 1
+    edges = sorted({p + d for p in m.prefix_len for d in (-1, 0, 1, 2)
+                    if 1 <= p + d <= m.length})
+    for s in edges:
+        for t in edges:
+            assert m.char_lce(s, t) == run_lce(runs, s, t), (s, t)
+    for i in edges:
+        for j in (j for j in edges if j >= i):
+            for k in (k for k in edges if k + j - i <= m.length):
+                equal = run_lce(runs, i, k) >= j - i + 1
+                same_key = m.span_key(i, j) == m.span_key(k, k + j - i)
+                assert same_key or not equal, (i, j, k)
+                if same_key:
+                    assert m.span_equals(i, j, k) == equal, (i, j, k)
+    assert len(rle_to_lz77(r).factors) == 73
+    assert len(rle_to_bisection(r).rules) == 143
