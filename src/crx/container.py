@@ -11,6 +11,15 @@ Payload lines by format:
 * ``lz78``     -- ``<id>``
 * ``grammar``  -- ``<var> -> <item>+`` with items ``t<code>`` / ``v<index>``
 * ``slp``      -- same as grammar, restricted to ``X -> a`` / ``X -> Y Z``
+
+Errors come from two places. `parse` raises ContainerFormatError on a
+file it cannot read as this layout, and InvalidInputError where the rle
+or lz77 payload breaks its type's rule (see RleString and
+Lz77Factorization), with the type's code and location. `validate`
+reports what needs the header: symbols outside the alphabet and a
+declared length the payload does not derive, plus the faults that the
+LZ78 and grammar walks and the SLP shape (`slp_from_grammar_rules`)
+find on the way.
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ from .model import (
     Term,
     Var,
     canonical_grammar,
-    factor_length,
     grammar_derived_length,
     grammar_lengths,
     lz78_factor_lengths,
@@ -137,6 +145,9 @@ def _int(tok: str, where: str) -> int:
 
 
 def parse(data: str) -> CompressedContainer:
+    """Read a container. Raises ContainerFormatError on a malformed file
+    and InvalidInputError on an rle or lz77 payload that its type
+    rejects; the rest of the checking is left to validate."""
     lines = data.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -221,83 +232,47 @@ def _fail(code: str, location: str) -> ValidationReport:
 
 
 def validate(c: CompressedContainer) -> ValidationReport:
-    """Check payload invariants; reports the first violation found."""
+    """Check the payload against the header: every symbol inside the
+    alphabet and the derived length equal to the declared one. LZ78 ids,
+    grammar references and the SLP shape are checked on the way by the
+    walks that own them. Reports the first violation found; an rle or
+    lz77 payload has checked its own rule when it was built."""
     sigma = c.alphabet_size
     p = c.payload
-    if c.format == "rle":
-        total = 0
-        prev = None
-        for i, (sym, exp) in enumerate(p.runs, start=1):
-            if exp < 1:
-                return _fail("zero-exponent", f"run {i}")
-            if not 0 <= sym < sigma:
-                return _fail("symbol-out-of-range", f"run {i}")
-            if sym == prev:
-                return _fail("adjacent-equal-runs", f"run {i}")
-            prev = sym
-            total += exp
-        if total != c.length:
-            return _fail("length-mismatch", "payload")
-        return ValidationReport(True, length=total)
-    if c.format == "lz77":
-        pos = 1
-        for i, f in enumerate(p.factors, start=1):
-            if isinstance(f, Literal):
-                if not 0 <= f.symbol < sigma:
-                    return _fail("symbol-out-of-range", f"factor {i}")
-                pos += 1
-                continue
-            if f.length < 1 or f.src < 1:
-                return _fail("bad-reference", f"factor {i}")
-            if p.self_referential:
-                if f.src >= pos:
-                    return _fail("dangling-reference", f"factor {i}")
-            elif f.src + f.length - 1 >= pos:
-                return _fail("dangling-reference", f"factor {i}")
-            pos += f.length
-        if pos - 1 != c.length:
-            return _fail("length-mismatch", "payload")
-        return ValidationReport(True, length=pos - 1)
-    if c.format == "lz78":
-        try:
-            lens = lz78_factor_lengths(p)
-        except InvalidInputError as e:
-            return _fail(e.code, e.location)
-        if sum(lens) != c.length:
-            return _fail("length-mismatch", "payload")
-        return ValidationReport(True, length=sum(lens))
-
-    # grammar and slp
-    n = len(p.rules)
-    for var in sorted(p.rules):
-        rhs = p.rules[var]
-        if not rhs:
-            return _fail("empty-rule", f"rule {var}")
-        for it in rhs:
-            if isinstance(it, Term):
-                if not 0 <= it.code < sigma:
-                    return _fail("symbol-out-of-range", f"rule {var}")
-            elif it.index not in p.rules:
-                return _fail("undefined-variable", f"rule {var}")
-        if c.format == "slp":
-            shape_ok = (len(rhs) == 1 and isinstance(rhs[0], Term)) or (
-                len(rhs) == 2 and isinstance(rhs[0], Var) and isinstance(rhs[1], Var))
-            if not shape_ok:
-                return _fail("malformed-slp-rule", f"rule {var}")
-            for it in rhs:
-                if isinstance(it, Var) and it.index >= var:
-                    return _fail("forward-reference-in-slp", f"rule {var}")
-    if c.format == "slp" and set(p.rules) != set(range(1, n + 1)):
-        return _fail("missing-variable", "rules")
-    if p.start != max(p.rules):
-        return _fail("bad-start", "header")
     try:
-        lengths = grammar_lengths(p)
+        if c.format == "rle":
+            for i, (sym, _) in enumerate(p.runs, start=1):
+                if not 0 <= sym < sigma:
+                    return _fail("symbol-out-of-range", f"run {i}")
+            length = p.length
+        elif c.format == "lz77":
+            for i, f in enumerate(p.factors, start=1):
+                if isinstance(f, Literal) and not 0 <= f.symbol < sigma:
+                    return _fail("symbol-out-of-range", f"factor {i}")
+            length = p.length
+        elif c.format == "lz78":
+            length = sum(lz78_factor_lengths(p))
+        else:
+            for var in sorted(p.rules):
+                rhs = p.rules[var]
+                if not rhs:
+                    return _fail("empty-rule", f"rule {var}")
+                for it in rhs:
+                    if isinstance(it, Term):
+                        if not 0 <= it.code < sigma:
+                            return _fail("symbol-out-of-range", f"rule {var}")
+                    elif it.index not in p.rules:
+                        return _fail("undefined-variable", f"rule {var}")
+            if c.format == "slp":
+                slp_from_grammar_rules(p)
+            if p.start != max(p.rules):
+                return _fail("bad-start", "header")
+            lengths = grammar_lengths(p)
+            if len(lengths) != len(p.rules):
+                return _fail("unreachable-variable", "rules")
+            length = lengths[p.start]
     except InvalidInputError as e:
         return _fail(e.code, e.location)
-    if len(lengths) != n:
-        return _fail("unreachable-variable", "rules")
-    derived = lengths[p.start]
-    if derived != c.length:
+    if length != c.length:
         return _fail("length-mismatch", "payload")
-    return ValidationReport(True, length=derived)
+    return ValidationReport(True, length=length)

@@ -4,9 +4,9 @@ Only the run structure is ever touched. LZ77's driver and bisection's
 run on the meta text's symbol lookup and character-level LCE queries,
 LZ77's also on leftmost window starts found from the runs; LZ78's
 driver reads the runs from the cursor on, and Re-Pair walks them.
-Outputs match the reference codecs on the decoded string. They require
-maximal runs: a run of exponent 0 or two adjacent runs of one symbol,
-on which the run walks would go wrong, is rejected.
+Outputs match the reference codecs on the decoded string. The run
+walks rely on maximal runs, which every RleString has: its construction
+rejects a run of exponent 0 and two adjacent runs of one symbol.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from itertools import accumulate
 
 from .drivers import bisection_driver, lz77_driver, lz78_driver
-from .errors import EmptyInputError, InvalidInputError
+from .errors import EmptyInputError
 from .model import (
     AdmissibleGrammar,
     GrammarItem,
@@ -29,16 +29,6 @@ from .model import (
     item_key,
 )
 from .suffix import rank_runs
-
-
-def _require_maximal(r: RleString) -> None:
-    prev = None
-    for i, (sym, exp) in enumerate(r.runs, start=1):
-        if exp < 1:
-            raise InvalidInputError("zero-exponent", f"run {i}")
-        if sym == prev:
-            raise InvalidInputError("adjacent-equal-runs", f"run {i}")
-        prev = sym
 
 
 def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorization:
@@ -56,7 +46,6 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
     An answer's reach is known, so the LCE the driver asks next along it
     costs no query; other LCEs go to the meta text.
     """
-    _require_maximal(r)
     runs = r.runs
     meta = rank_runs(r)
     pl = meta.prefix_len
@@ -110,7 +99,6 @@ def rle_to_lz78(r: RleString) -> Lz78Factorization:
     """Dictionary factorization computed on the runs: the shared driver
     walks its trie one run at a time, reading the runs from the cursor's
     run on, so no index of the runs is built."""
-    _require_maximal(r)
     runs = r.runs
     pl = list(accumulate((exp for _, exp in runs), initial=0))
 
@@ -143,7 +131,6 @@ def rle_to_repair(r: RleString) -> AdmissibleGrammar:
     pair tie-break, same left-greedy replacement, so the grammars come out
     identical. The working string just never leaves run form.
     """
-    _require_maximal(r)
     if not r.runs:
         raise EmptyInputError("cannot build a grammar for the empty string")
     seq: list[tuple[GrammarItem, int]] = [(Term(sym), exp) for sym, exp in r.runs]
@@ -209,7 +196,6 @@ def rle_to_bisection(r: RleString) -> AdmissibleGrammar:
     """Balanced splitting grammar rebuilt from the runs by the shared
     driver: spans are bucketed by MetaText.span_key and compared with at
     most one character-level LCE query, so no span is ever expanded."""
-    _require_maximal(r)
     if not r.runs:
         raise EmptyInputError("cannot build a grammar for the empty string")
     meta = rank_runs(r)

@@ -88,12 +88,22 @@ def item_key(item: GrammarItem) -> tuple[int, int]:
 class RleString:
     """Run-length factorization: maximal runs (symbol, exponent).
 
-    Exponents must be at least 1 and adjacent runs must have distinct
-    symbols: the rle_to_* conversions raise InvalidInputError
-    ("zero-exponent", "adjacent-equal-runs") otherwise.
+    Construction raises InvalidInputError on a run of exponent below 1
+    ("zero-exponent") and on a run with the symbol of the run before it
+    ("adjacent-equal-runs"), naming the first such run by its 1-based
+    index ("run 2"). Every RleString therefore has maximal runs.
     """
 
     runs: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        prev = None
+        for i, (sym, exp) in enumerate(self.runs, start=1):
+            if exp < 1:
+                raise InvalidInputError("zero-exponent", f"run {i}")
+            if sym == prev:
+                raise InvalidInputError("adjacent-equal-runs", f"run {i}")
+            prev = sym
 
     @property
     def length(self) -> int:
@@ -123,10 +133,30 @@ def factor_length(f: Lz77Factor) -> int:
 
 @dataclass(frozen=True)
 class Lz77Factorization:
-    """LZ77 factor sequence; self_referential factors may overlap themselves."""
+    """LZ77 factor sequence; self_referential factors may overlap themselves.
+
+    Construction raises InvalidInputError on a reference of length or
+    source below 1 ("bad-reference") and on a source that does not point
+    back into the text decoded so far ("dangling-reference"): it must
+    start before the factor, and without self-reference also end before
+    it. The error names the first such factor by its 1-based index
+    ("factor 2").
+    """
 
     factors: tuple[Lz77Factor, ...]
     self_referential: bool
+
+    def __post_init__(self) -> None:
+        pos = 1  # where the next factor starts
+        for i, f in enumerate(self.factors, start=1):
+            if isinstance(f, Literal):
+                pos += 1
+                continue
+            if f.length < 1 or f.src < 1:
+                raise InvalidInputError("bad-reference", f"factor {i}")
+            if (f.src if self.self_referential else f.src + f.length - 1) >= pos:
+                raise InvalidInputError("dangling-reference", f"factor {i}")
+            pos += f.length
 
     @property
     def length(self) -> int:
@@ -341,9 +371,7 @@ def expand_rle(r: RleString, limit: int = DEFAULT_LIMIT) -> Text:
     if n > limit:
         raise BudgetExceededError(n, limit)
     out: list[int] = []
-    for i, (sym, exp) in enumerate(r.runs, start=1):
-        if exp < 1:
-            raise InvalidInputError("zero-exponent", f"run {i}")
+    for sym, exp in r.runs:
         out.extend([sym] * exp)
     return Text(tuple(out))
 
@@ -353,21 +381,12 @@ def expand_lz77(f: Lz77Factorization, limit: int = DEFAULT_LIMIT) -> Text:
     if n > limit:
         raise BudgetExceededError(n, limit)
     out: list[int] = []
-    for idx, factor in enumerate(f.factors, start=1):
+    for factor in f.factors:
         if isinstance(factor, Literal):
             out.append(factor.symbol)
             continue
-        src, ln = factor.src, factor.length
-        if ln < 1 or src < 1:
-            raise InvalidInputError("bad-reference", f"factor {idx}")
-        end = src + ln - 1
-        if f.self_referential:
-            if src > len(out):
-                raise InvalidInputError("dangling-reference", f"factor {idx}")
-        elif end > len(out):
-            raise InvalidInputError("dangling-reference", f"factor {idx}")
-        for t in range(ln):
-            out.append(out[src - 1 + t])
+        for t in range(factor.src - 1, factor.src - 1 + factor.length):
+            out.append(out[t])
     return Text(tuple(out))
 
 

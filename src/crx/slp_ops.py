@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from itertools import zip_longest
 
-from .errors import BudgetExceededError, InternalError
+from .errors import BudgetExceededError, EmptyInputError, InternalError
 from .model import RleString, RunLinkAnnotations, Slp, Term
 
 _MAX_TREE_NODES = 1 << 21  # derivation tree nodes `OccRepr.positions` may visit
@@ -645,8 +645,10 @@ def occurrences(text: Slp, pattern: Slp | RleString,
     left to the queries, which compute them on first use from the edge
     runs in `edges`. Pass one store to every query on the same text to
     compute each variable's edge runs once; without one, the set gets a
-    store of its own.
+    store of its own. An empty pattern raises EmptyInputError.
     """
+    if not (pattern.runs if isinstance(pattern, RleString) else pattern.rules):
+        raise EmptyInputError("cannot search for the empty pattern")
     runs = pattern if isinstance(pattern, RleString) else slp_runs(pattern)
     return OccRepr(text, list(runs.runs), edges)
 

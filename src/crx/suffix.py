@@ -145,6 +145,8 @@ class MetaText:
         """Length, end pieces and run count of the text at i..j, plus the
         ranks of its first and last whole inner runs: a key that agrees on
         equal strings and pins down every span of at most four runs."""
+        if not 1 <= i <= j <= self.length:
+            raise IndexError(f"span [{i}, {j}] out of range 1..{self.length}")
         pl = self.prefix_len
         u = bisect_left(pl, i) - 1
         w = bisect_left(pl, j) - 1
@@ -157,6 +159,10 @@ class MetaText:
     def span_equals(self, i: int, j: int, k: int) -> bool:
         """Is the text at i..j equal to the span of that length at k, given
         equal span_keys? Spans of at most four runs then must be."""
+        n = self.length
+        if not (1 <= i <= j <= n and 1 <= k <= n - (j - i)):
+            raise IndexError(f"spans [{i}, {j}] and [{k}, {k + j - i}] "
+                             f"out of range 1..{n}")
         pl = self.prefix_len
         return (bisect_left(pl, j) - bisect_left(pl, i) < 4
                 or self.char_lce(i, k) >= j - i + 1)

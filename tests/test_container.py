@@ -6,6 +6,7 @@ from crx import (
     AdmissibleGrammar,
     CompressedContainer,
     ContainerFormatError,
+    InvalidInputError,
     Literal,
     Lz77Factorization,
     Lz78Factorization,
@@ -143,15 +144,9 @@ def V(wire: str):
 
 
 @pytest.mark.parametrize("wire,code", [
-    ("CRX1 rle 2 3\n0 0\n0 3\n", "zero-exponent"),
     ("CRX1 rle 2 3\n5 3\n", "symbol-out-of-range"),
-    ("CRX1 rle 2 4\n0 2\n0 2\n", "adjacent-equal-runs"),
     ("CRX1 rle 2 9\n0 2\n1 2\n", "length-mismatch"),
     ("CRX1 lz77 2 1\nL 7\n", "symbol-out-of-range"),
-    ("CRX1 lz77 2 2\nL 0\nR 0 1\n", "bad-reference"),
-    ("CRX1 lz77 2 2\nL 0\nR 1 0\n", "bad-reference"),
-    ("CRX1 lz77 2 3\nL 0\nR 2 2\n", "dangling-reference"),
-    ("CRX1 lz77 2 3\nL 0\nR 1 2\n", "dangling-reference"),
     ("CRX1 lz77 2 9\nL 0\nR 1 1\n", "length-mismatch"),
     ("CRX1 lz78 2 3\n9\n", "dangling-reference"),
     ("CRX1 lz78 2 9\n1\n2\n", "length-mismatch"),
@@ -169,6 +164,20 @@ def test_validate_codes(wire, code):
     rep = V(wire)
     assert not rep.ok
     assert rep.error == code
+
+
+@pytest.mark.parametrize("wire,code,location", [
+    ("CRX1 rle 2 3\n0 0\n0 3\n", "zero-exponent", "run 1"),
+    ("CRX1 rle 2 4\n0 2\n0 2\n", "adjacent-equal-runs", "run 2"),
+    ("CRX1 lz77 2 2\nL 0\nR 0 1\n", "bad-reference", "factor 2"),
+    ("CRX1 lz77 2 2\nL 0\nR 1 0\n", "bad-reference", "factor 2"),
+    ("CRX1 lz77 2 3\nL 0\nR 2 2\n", "dangling-reference", "factor 2"),
+    ("CRX1 lz77 2 3\nL 0\nR 1 2\n", "dangling-reference", "factor 2"),
+])
+def test_parse_rejects_payload_its_type_refuses(wire, code, location):
+    with pytest.raises(InvalidInputError) as ei:
+        parse(wire)
+    assert (ei.value.code, ei.value.location) == (code, location)
 
 
 def test_validate_ok_reports_length():

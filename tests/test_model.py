@@ -1,6 +1,8 @@
 """Core value types and the plain expanders."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crx import (
     AdmissibleGrammar,
@@ -24,7 +26,7 @@ from crx import (
     expand_slp,
     grammar_derived_length,
     lz78_factor_lengths,
-    make_rle_container,
+    parse,
     rle_encode,
     rle_to_lz77,
     slp_from_grammar_rules,
@@ -57,25 +59,83 @@ def test_expand_rle():
     assert expand_rle(r).to_str() == "aabaaa"
 
 
-def _raised_location(convert, r):
+def _raised_location(build, runs):
     with pytest.raises(InvalidInputError) as ei:
-        convert(r)
+        build(runs)
     return ei.value.code, ei.value.location
 
 
-def _report_location(r):
-    report = validate(make_rle_container(r, 2))
-    return report.error, report.location
+def _container_wire(runs):
+    return "CRX1 rle 2 5\n" + "".join(f"{sym} {exp}\n" for sym, exp in runs)
 
 
-@pytest.mark.parametrize("locate", [
-    lambda r: _raised_location(expand_rle, r),
-    lambda r: _raised_location(rle_to_lz77, r),
-    _report_location,
+@pytest.mark.parametrize("build", [
+    lambda runs: expand_rle(RleString(runs)),
+    lambda runs: rle_to_lz77(RleString(runs)),
+    lambda runs: validate(parse(_container_wire(runs))),
 ], ids=["expand_rle", "rle_to_lz77", "validate"])
-def test_zero_exponent_location_is_the_run_index(locate):
-    # every entry point names the run by its 1-based index
-    assert locate(RleString(((0, 2), (1, 0), (0, 3)))) == ("zero-exponent", "run 2")
+def test_zero_exponent_location_is_the_run_index(build):
+    # every route to an entry point builds an RleString, which names the
+    # run by its 1-based index; a container file is refused by parse
+    assert _raised_location(build, ((0, 2), (1, 0), (0, 3))) == ("zero-exponent", "run 2")
+
+
+def _brute_run_fault(runs):
+    for i, (sym, exp) in enumerate(runs):
+        if exp < 1:
+            return "zero-exponent", f"run {i + 1}"
+        if i and runs[i - 1][0] == sym:
+            return "adjacent-equal-runs", f"run {i + 1}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 6)), max_size=8))
+def test_rle_string_rejects_exactly_the_runs_that_are_not_maximal(runs):
+    runs = tuple(runs)
+    fault = _brute_run_fault(runs)
+    if fault is not None:
+        assert _raised_location(RleString, runs) == fault
+    else:
+        assert len(expand_rle(RleString(runs))) == sum(exp for _, exp in runs)
+
+
+def _brute_lz77_decode(factors, self_referential):
+    """The decoded symbols, or the (code, location) of the first factor
+    that cannot be copied one symbol at a time from what precedes it."""
+    out = []
+    for i, f in enumerate(factors, start=1):
+        if isinstance(f, Literal):
+            out.append(f.symbol)
+            continue
+        if f.src < 1 or f.length < 1:
+            return "bad-reference", f"factor {i}"
+        start = len(out)
+        for t in range(f.length):
+            read = f.src - 1 + t
+            if read >= (len(out) if self_referential else start):
+                return "dangling-reference", f"factor {i}"
+            out.append(out[read])
+    return out
+
+
+lz77_factor_lists = st.lists(st.one_of(
+    st.builds(Literal, st.integers(0, 3)),
+    st.builds(Reference, st.integers(-1, 8), st.integers(-1, 8))), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lz77_factor_lists, st.booleans())
+def test_lz77_factorization_rejects_exactly_what_cannot_decode(factors, self_referential):
+    factors = tuple(factors)
+    decoded = _brute_lz77_decode(factors, self_referential)
+    if isinstance(decoded, tuple):
+        with pytest.raises(InvalidInputError) as ei:
+            Lz77Factorization(factors, self_referential)
+        assert (ei.value.code, ei.value.location) == decoded
+    else:
+        f = Lz77Factorization(factors, self_referential)
+        assert list(expand_lz77(f).symbols) == decoded
 
 
 def test_expand_rle_budget():

@@ -11,6 +11,7 @@ import crx.slp_ops
 from crx import (
     BudgetExceededError,
     EdgeRuns,
+    EmptyInputError,
     RleString,
     Slp,
     Term,
@@ -268,6 +269,16 @@ def test_occurrences_absent_pattern():
 def test_occurrences_pattern_longer_than_text():
     occ = occurrences(slp_of_str("ab"), slp_of_str("ababab"))
     assert occ.count() == 0
+
+
+def test_occurrences_refuses_empty_run_pattern():
+    with pytest.raises(EmptyInputError):
+        occurrences(sample_slp(), RleString(()))
+
+
+def test_occurrences_refuses_empty_program_pattern():
+    with pytest.raises(EmptyInputError):
+        occurrences(sample_slp(), Slp.build(()))
 
 
 def test_occurrences_random_vs_brute():

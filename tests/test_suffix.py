@@ -229,6 +229,29 @@ def test_char_lce_rejects_position_before_start():
     assert m.char_lce(2, 7) == 0  # past the end still extends by nothing
 
 
+def test_span_key_rejects_span_before_start():
+    m = MetaText(((0, 2), (1, 3), (0, 1)))
+    with pytest.raises(IndexError, match=r"span \[0, 3\] out of range 1\.\.6"):
+        m.span_key(0, 3)  # run index -1 would wrap to the last run
+    assert m.span_key(1, 3) == (3, 1, 0, 2, 1, 1)
+
+
+def test_span_equals_rejects_span_before_start():
+    m = MetaText(((0, 2), (1, 3), (0, 1)))
+    with pytest.raises(IndexError, match=r"spans \[0, 2\] and \[4, 6\] out of range 1\.\.6"):
+        m.span_equals(0, 2, 4)
+    with pytest.raises(IndexError, match=r"spans \[4, 6\] and \[5, 7\] out of range 1\.\.6"):
+        m.span_equals(4, 6, 5)
+    assert m.span_equals(3, 4, 4)
+
+
+def test_span_key_rejects_span_past_end():
+    m = MetaText(((0, 2), (1, 3), (0, 1)))
+    with pytest.raises(IndexError, match=r"span \[7, 7\] out of range 1\.\.6"):
+        m.span_key(7, 7)
+    assert m.span_key(6, 6) == (1, 0)
+
+
 def test_lce_index_rejects_position_zero():
     idx = LceIndex([1, 2, 1, 2, 3])
     with pytest.raises(IndexError, match=r"positions 0, 3 out of range 1\.\.5"):
