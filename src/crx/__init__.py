@@ -8,7 +8,6 @@ from the compressed form alone.
 """
 
 from .codecs import (
-    RepairTrace,
     compressed_size,
     grammar_to_slp,
     naive_bisection,
@@ -17,12 +16,10 @@ from .codecs import (
     naive_repair,
     ncd,
     ncd_bytes,
-    repair_trace,
     rle_encode,
 )
 from .container import (
     CompressedContainer,
-    ValidationReport,
     make_grammar_container,
     make_lz77_container,
     make_lz78_container,

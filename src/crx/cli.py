@@ -71,6 +71,7 @@ from .model import (
     expand_lz77,
     expand_lz78,
     expand_rle,
+    slp_from_grammar_rules,
 )
 from .slp_ops import first_mismatch
 
@@ -101,9 +102,7 @@ def _read_container(path: str) -> CompressedContainer:
             c = parse(fh.read())
         except UnicodeDecodeError as exc:
             raise ContainerFormatError(f"{path}: not UTF-8 text ({exc})") from None
-    report = validate(c)
-    if not report.ok:
-        raise InvalidInputError(report.error, report.location or path)
+    validate(c)
     return c
 
 
@@ -163,7 +162,7 @@ def _as_slp(c: CompressedContainer) -> Slp:
     if c.format == "rle":
         return rle_as_slp(c.payload)
     if c.format == "slp":
-        return c.to_slp()
+        return slp_from_grammar_rules(c.payload)
     return grammar_to_slp(c.payload)
 
 

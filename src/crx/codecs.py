@@ -7,8 +7,6 @@ everything here favors clarity over speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import EmptyInputError, InvalidInputError
 from .model import (
     AdmissibleGrammar,
@@ -182,28 +180,6 @@ def naive_repair(text: Text) -> AdmissibleGrammar:
         nxt += 1
     rules[nxt] = tuple(seq)
     return AdmissibleGrammar(rules, nxt)
-
-
-@dataclass(frozen=True)
-class RepairTrace:
-    """Replayable record of a pairwise-compression run.
-
-    rules lists the replaced pairs in creation order, final_string is the
-    sequence left when no pair occurs twice anymore. Replaying the rounds
-    on the original text must reproduce final_string exactly.
-    """
-
-    rules: tuple[tuple[GrammarItem, GrammarItem], ...]
-    final_string: tuple[GrammarItem, ...]
-
-
-def repair_trace(g: AdmissibleGrammar) -> RepairTrace:
-    """Read the round-by-round history back out of a finished grammar."""
-    pairs = []
-    for v in range(1, g.start):
-        left, right = g.rules[v]
-        pairs.append((left, right))
-    return RepairTrace(tuple(pairs), g.rules[g.start])
 
 
 def naive_bisection(text: Text) -> AdmissibleGrammar:

@@ -12,14 +12,14 @@ Payload lines by format:
 * ``grammar``  -- ``<var> -> <item>+`` with items ``t<code>`` / ``v<index>``
 * ``slp``      -- same as grammar, restricted to ``X -> a`` / ``X -> Y Z``
 
-Errors come from two places. `parse` raises ContainerFormatError on a
-file it cannot read as this layout, and InvalidInputError where the rle
-or lz77 payload breaks its type's rule (see RleString and
-Lz77Factorization), with the type's code and location. `validate`
-reports what needs the header: symbols outside the alphabet and a
-declared length the payload does not derive, plus the faults that the
-LZ78 and grammar walks and the SLP shape (`slp_from_grammar_rules`)
-find on the way.
+Errors come from two places, both as exceptions. `parse` raises
+ContainerFormatError on a file it cannot read as this layout, and
+InvalidInputError where the rle or lz77 payload breaks its type's rule
+(see RleString and Lz77Factorization), with the type's code and
+location. `validate` raises InvalidInputError on what needs the header:
+symbols outside the alphabet and a declared length the payload does not
+derive, plus the faults that the LZ78 and grammar walks and the SLP
+shape (`slp_from_grammar_rules`) find on the way.
 """
 
 from __future__ import annotations
@@ -73,12 +73,6 @@ class CompressedContainer:
         if isinstance(p, Lz78Factorization):
             return len(p.factor_ids)
         return p.size
-
-    def to_slp(self) -> Slp:
-        if self.format != "slp":
-            raise InvalidInputError("wrong-format", "header",
-                                    f"expected slp container, got {self.format}")
-        return slp_from_grammar_rules(self.payload)
 
 
 def make_rle_container(r: RleString, alphabet_size: int) -> CompressedContainer:
@@ -219,36 +213,27 @@ def parse(data: str) -> CompressedContainer:
     return CompressedContainer(fmt, alphabet_size, length, payload)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    error: str | None = None
-    location: str | None = None
-    length: int | None = None
+def validate(c: CompressedContainer) -> int:
+    """Check the payload against the header and return the derived length.
 
-
-def _fail(code: str, location: str) -> ValidationReport:
-    return ValidationReport(False, code, location)
-
-
-def validate(c: CompressedContainer) -> ValidationReport:
-    """Check the payload against the header: every symbol inside the
-    alphabet and the derived length equal to the declared one. LZ78 ids,
-    grammar references and the SLP shape are checked on the way by the
-    walks that own them. Reports the first violation found; an rle or
-    lz77 payload has checked its own rule when it was built."""
+    Every symbol must lie inside the alphabet and the derived length must
+    equal the declared one. LZ78 ids, grammar references and the SLP
+    shape are checked on the way by the walks that own them. Raises
+    InvalidInputError(code, location) on the first violation found; an
+    rle or lz77 payload has checked its own rule when it was built.
+    """
     sigma = c.alphabet_size
     p = c.payload
     try:
         if c.format == "rle":
             for i, (sym, _) in enumerate(p.runs, start=1):
                 if not 0 <= sym < sigma:
-                    return _fail("symbol-out-of-range", f"run {i}")
+                    raise InvalidInputError("symbol-out-of-range", f"run {i}")
             length = p.length
         elif c.format == "lz77":
             for i, f in enumerate(p.factors, start=1):
                 if isinstance(f, Literal) and not 0 <= f.symbol < sigma:
-                    return _fail("symbol-out-of-range", f"factor {i}")
+                    raise InvalidInputError("symbol-out-of-range", f"factor {i}")
             length = p.length
         elif c.format == "lz78":
             length = sum(lz78_factor_lengths(p))
@@ -256,23 +241,24 @@ def validate(c: CompressedContainer) -> ValidationReport:
             for var in sorted(p.rules):
                 rhs = p.rules[var]
                 if not rhs:
-                    return _fail("empty-rule", f"rule {var}")
+                    raise InvalidInputError("empty-rule", f"rule {var}")
                 for it in rhs:
                     if isinstance(it, Term):
                         if not 0 <= it.code < sigma:
-                            return _fail("symbol-out-of-range", f"rule {var}")
+                            raise InvalidInputError("symbol-out-of-range", f"rule {var}")
                     elif it.index not in p.rules:
-                        return _fail("undefined-variable", f"rule {var}")
+                        raise InvalidInputError("undefined-variable", f"rule {var}")
             if c.format == "slp":
                 slp_from_grammar_rules(p)
             if p.start != max(p.rules):
-                return _fail("bad-start", "header")
+                raise InvalidInputError("bad-start", "header")
             lengths = grammar_lengths(p)
             if len(lengths) != len(p.rules):
-                return _fail("unreachable-variable", "rules")
+                raise InvalidInputError("unreachable-variable", "rules")
             length = lengths[p.start]
     except InvalidInputError as e:
-        return _fail(e.code, e.location)
+        # the walks' errors carry a detail message; report code and location
+        raise InvalidInputError(e.code, e.location) from None
     if length != c.length:
-        return _fail("length-mismatch", "payload")
-    return ValidationReport(True, length=length)
+        raise InvalidInputError("length-mismatch", "payload")
+    return length

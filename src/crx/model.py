@@ -222,10 +222,7 @@ class Slp:
 
     lengths[i-1] is |val(X_i)|; annotations holds the run annotations once
     crx.slp_ops.annotate_runs has computed them. Neither takes part in
-    equality or hashing. build checks the rules and derives the lengths,
-    skipping a prefix whose lengths are given as known_lengths: a substring
-    program (crx.slp_ops.substring_slp) inherits both for the rules it
-    shares with its source, so only its O(height) stitched rules are new.
+    equality or hashing.
     """
 
     rules: tuple[Term | tuple[int, int], ...]
@@ -233,10 +230,12 @@ class Slp:
     annotations: RunLinkAnnotations | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def build(cls, rules: list[Term | tuple[int, int]] | tuple, known_lengths=()) -> "Slp":
+    def build(cls, rules: list[Term | tuple[int, int]] | tuple) -> "Slp":
+        """Check that every pair rule refers to earlier rules
+        ("forward-reference-in-slp" otherwise) and derive the lengths."""
         rules = tuple(rules)
-        lengths = list(known_lengths)
-        for i, rule in enumerate(rules[len(lengths):], start=len(lengths) + 1):
+        lengths: list[int] = []
+        for i, rule in enumerate(rules, start=1):
             if isinstance(rule, Term):
                 lengths.append(1)
             else:

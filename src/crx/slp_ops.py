@@ -68,15 +68,15 @@ def reachable_vars(s: Slp) -> list[int]:
     return [v for v in range(1, s.n + 1) if seen[v]]
 
 
-def _annotate(rules: tuple, lengths: tuple[int, ...], base: RunLinkAnnotations,
-              keep: int) -> RunLinkAnnotations:
-    """The first `keep` entries of base, extended by those of rules[keep:]."""
-    pad = [0] * (len(rules) - keep)
-    plen, slen, first, last, llink, rlink = (
-        list(col[:keep]) + pad for col in (base.plen, base.slen, base.first,
-                                           base.last, base.llink, base.rlink))
-    for idx in range(keep, len(rules)):
-        rule = rules[idx]
+def annotate_runs(s: Slp) -> RunLinkAnnotations:
+    """The run annotations of s, computed bottom-up in one pass over the
+    rules on the first call and kept on s.annotations for every later
+    one."""
+    if s.annotations is not None:
+        return s.annotations
+    rules, lengths = s.rules, s.lengths
+    plen, slen, first, last, llink, rlink = ([0] * len(rules) for _ in range(6))
+    for idx, rule in enumerate(rules):
         if isinstance(rule, Term):
             plen[idx] = slen[idx] = 1
             first[idx] = last[idx] = rule.code
@@ -97,17 +97,9 @@ def _annotate(rules: tuple, lengths: tuple[int, ...], base: RunLinkAnnotations,
         slen[idx] = q
         llink[idx] = idx + 1 if q <= len_r else llink[li]
         rlink[idx] = idx + 1 if p <= len_l else rlink[ri]
-    return RunLinkAnnotations(tuple(plen), tuple(slen), tuple(first),
-                              tuple(last), tuple(llink), tuple(rlink))
-
-
-def annotate_runs(s: Slp) -> RunLinkAnnotations:
-    """The run annotations of s, computed on the first call and kept on
-    s.annotations for every later one."""
-    ann = s.annotations
-    if ann is None:
-        ann = _annotate(s.rules, s.lengths, RunLinkAnnotations(*[()] * 6), 0)
-        object.__setattr__(s, "annotations", ann)
+    ann = RunLinkAnnotations(tuple(plen), tuple(slen), tuple(first),
+                             tuple(last), tuple(llink), tuple(rlink))
+    object.__setattr__(s, "annotations", ann)
     return ann
 
 
@@ -271,8 +263,8 @@ def substring_slp(s: Slp, i: int, j: int) -> Slp:
     The result is the rules up to the window's deepest variable v if the
     range is all of val(v); otherwise the rules below v plus a
     left-associative chain of fresh rules stitching the window's cover
-    pieces. Only the stitched rules get fresh lengths and run
-    annotations; the rest are inherited from s, annotated on first use.
+    pieces. It is a plain program: lengths are derived by Slp.build, and
+    run annotations are computed on first use like any other program's.
     """
     v, lo, hi = _cut(s, i, j)
     pieces = list(_pieces(s, v, lo, hi))
@@ -282,9 +274,7 @@ def substring_slp(s: Slp, i: int, j: int) -> Slp:
     for nxt in pieces[1:]:
         stitched.append((cur, nxt))
         cur = keep + len(stitched)
-    out = Slp.build(s.rules[:keep] + tuple(stitched), s.lengths[:keep])
-    object.__setattr__(out, "annotations", _annotate(out.rules, out.lengths, annotate_runs(s), keep))
-    return out
+    return Slp.build(s.rules[:keep] + tuple(stitched))
 
 
 def slp_lce(s: Slp, i: int, j: int, limit: int) -> int:

@@ -119,15 +119,17 @@ class LceIndex:
 class MetaText:
     """A run-length encoded string viewed as a sequence of run ranks.
 
-    ranks holds one 1-based rank per run, equal pairs sharing a rank in
-    the lexicographic order of distinct (symbol, exponent) pairs.
+    It takes an RleString, so its runs are maximal, which the extension
+    arithmetic of char_lce relies on. ranks holds one 1-based rank per
+    run, equal pairs sharing a rank in the lexicographic order of
+    distinct (symbol, exponent) pairs.
     prefix_len[i] is the character length of the first i runs. meta_lce
     counts whole equal runs; char_lce answers character-level extension
     queries with one partial run on each end around a meta_lce core.
     """
 
-    def __init__(self, runs: Sequence[tuple[int, int]]):
-        self.runs = list(runs)
+    def __init__(self, r: RleString):
+        self.runs = list(r.runs)
         self.m = len(self.runs)
         order = {pair: rk for rk, pair in enumerate(sorted(set(self.runs)), start=1)}
         self.ranks = [order[pair] for pair in self.runs]
@@ -204,4 +206,4 @@ class MetaText:
 
 def rank_runs(r: RleString) -> MetaText:
     """Rank the runs of an RLE string into a meta text."""
-    return MetaText(r.runs)
+    return MetaText(r)

@@ -28,6 +28,27 @@ def slp_of(text: Text) -> Slp:
     return grammar_to_slp(naive_bisection(text))
 
 
+# one single-fault container per code that only validate finds, with the
+# (code, location) it raises
+VALIDATE_FAULTS = [
+    ("CRX1 rle 2 3\n5 3\n", "symbol-out-of-range", "run 1"),
+    ("CRX1 rle 2 9\n0 2\n1 2\n", "length-mismatch", "payload"),
+    ("CRX1 lz77 2 1\nL 7\n", "symbol-out-of-range", "factor 1"),
+    ("CRX1 lz77 2 9\nL 0\nR 1 1\n", "length-mismatch", "payload"),
+    ("CRX1 lz78 2 3\n9\n", "dangling-reference", "factor 1"),
+    ("CRX1 lz78 2 9\n1\n2\n", "length-mismatch", "payload"),
+    ("CRX1 grammar 2 1\n1 -> t9\n", "symbol-out-of-range", "rule 1"),
+    ("CRX1 grammar 2 1\n1 -> v5\n", "undefined-variable", "rule 1"),
+    ("CRX1 slp 2 3\n1 -> t0\n2 -> v1 t1\n", "malformed-slp-rule", "rule 2"),
+    ("CRX1 slp 2 2\n1 -> t0\n2 -> v2 v1\n", "forward-reference-in-slp", "rule 2"),
+    ("CRX1 slp 2 4\n1 -> t0\n3 -> v1 v1\n", "missing-variable", "rules"),
+    ("CRX1 grammar 2 2\n1 -> v2\n2 -> v1 t0\n", "cyclic-grammar", "variable 2"),
+    ("CRX1 grammar 2 3\n1 -> t0\n2 -> t1\n", "unreachable-variable", "rules"),
+    ("CRX1 grammar 2 9\n1 -> t0 t1\n", "length-mismatch", "payload"),
+    ("CRX1 slp 2 9\n1 -> t0\n", "length-mismatch", "payload"),
+]
+
+
 def random_slp(rng: random.Random, max_extra: int = 9, sigma: int = 2,
                max_len: int = 4096) -> Slp:
     """Random program with terminals first, then pair rules biased small."""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from crx import parse
 from crx.cli import TARGETS, main
+from helpers import VALIDATE_FAULTS
 
 
 def run(capsys, *argv):
@@ -246,6 +247,14 @@ def test_invalid_container_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "decode", str(a), str(tmp_path / "o"))
     assert code == 1
     assert "adjacent-equal-runs" in err
+
+
+@pytest.mark.parametrize("wire,code,location", VALIDATE_FAULTS)
+def test_info_reports_validation_code_and_location(tmp_path, capsys, wire, code, location):
+    # the line names the fault's own location, never the file path, and
+    # main returns instead of raising, so no traceback reaches the user
+    status, out, err = run(capsys, "info", write(tmp_path / "a.crx", wire.encode()))
+    assert (status, out, err) == (1, "", f"error: {code} at {location}\n")
 
 
 @pytest.mark.parametrize("data", [

@@ -24,7 +24,6 @@ from crx import (
     naive_repair,
     ncd,
     ncd_bytes,
-    repair_trace,
     rle_encode,
 )
 from helpers import T, random_text
@@ -98,10 +97,12 @@ def test_repair_trace_replay():
     for _ in range(40):
         t = random_text(rng, max_len=30, sigma=2)
         g = naive_repair(t)
-        tr = repair_trace(g)
-        # replaying the recorded pair substitutions must reproduce the text
+        # rules 1..start-1 are the replaced pairs in creation order and the
+        # start rule is the sequence left at the end; replaying the pair
+        # substitutions on the text must reproduce that sequence
         seq: list = [Term(c) for c in t.symbols]
-        for v, (a, b) in enumerate(tr.rules, start=1):
+        for v in range(1, g.start):
+            a, b = g.rules[v]
             out = []
             i = 0
             while i < len(seq):
@@ -112,7 +113,7 @@ def test_repair_trace_replay():
                     out.append(seq[i])
                     i += 1
             seq = out
-        assert tuple(seq) == tr.final_string
+        assert tuple(seq) == g.rules[g.start]
         # the final string contains no pair twice (left-greedy, non-overlapping)
         counts: dict = {}
         i = 0

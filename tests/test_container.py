@@ -21,9 +21,10 @@ from crx import (
     make_slp_container,
     parse,
     serialize,
+    slp_from_grammar_rules,
     validate,
 )
-from helpers import sample_slp
+from helpers import VALIDATE_FAULTS, sample_slp
 
 
 def round_trip(c: CompressedContainer) -> CompressedContainer:
@@ -40,7 +41,7 @@ def test_rle_wire():
     assert wire == "CRX1 rle 256 6\n0 1\n1 2\n0 3\n"
     back = round_trip(c)
     assert back == c
-    assert validate(back).ok
+    assert validate(back) == 6
 
 
 def test_lz77_wire_selfref_flag():
@@ -51,7 +52,7 @@ def test_lz77_wire_selfref_flag():
     assert wire.splitlines()[1:] == ["L 0", "R 1 7"]
     back = round_trip(c)
     assert back.self_referential
-    assert validate(back).ok
+    assert validate(back) == 8
 
 
 def test_lz77_wire_non_selfref():
@@ -69,7 +70,7 @@ def test_lz78_wire():
     wire = serialize(c)
     assert wire.splitlines()[0] == "CRX1 lz78 2 13"
     assert wire.splitlines()[1:] == ["1", "1", "2", "4", "3", "5", "5", "4"]
-    assert validate(round_trip(c)).ok
+    assert validate(round_trip(c)) == 13
 
 
 def test_grammar_wire_sorted_rules():
@@ -77,14 +78,14 @@ def test_grammar_wire_sorted_rules():
     c = make_grammar_container(g, 2)
     wire = serialize(c)
     assert wire == "CRX1 grammar 2 3\n1 -> t0\n2 -> v1 t1 v1\n"
-    assert validate(round_trip(c)).ok
+    assert validate(round_trip(c)) == 3
 
 
 def test_grammar_container_canonicalizes_start():
     g = AdmissibleGrammar({3: (Term(0),), 1: (Var(3), Term(1))}, start=1)
     c = make_grammar_container(g, 2)
     assert c.payload.start == max(c.payload.rules)
-    assert validate(c).ok
+    assert validate(c) == 2
 
 
 def test_slp_wire_and_to_slp():
@@ -92,17 +93,10 @@ def test_slp_wire_and_to_slp():
     assert c.format == "slp"
     assert c.length == 13
     back = round_trip(c)
-    assert validate(back).ok
-    s = back.to_slp()
+    assert validate(back) == 13
+    s = slp_from_grammar_rules(back.payload)
     assert s.n == 7
     assert s.length == 13
-
-
-def test_to_slp_wrong_format():
-    c = make_rle_container(RleString(((0, 1),)), 2)
-    with pytest.raises(Exception) as ei:
-        c.to_slp()
-    assert getattr(ei.value, "code", None) == "wrong-format"
 
 
 def test_payload_size():
@@ -139,31 +133,16 @@ def test_parse_rejects(bad):
         parse(bad)
 
 
-def V(wire: str):
-    return validate(parse(wire))
+def _raised(c: CompressedContainer) -> tuple[str, str]:
+    with pytest.raises(InvalidInputError) as ei:
+        validate(c)
+    return ei.value.code, ei.value.location
 
 
-@pytest.mark.parametrize("wire,code", [
-    ("CRX1 rle 2 3\n5 3\n", "symbol-out-of-range"),
-    ("CRX1 rle 2 9\n0 2\n1 2\n", "length-mismatch"),
-    ("CRX1 lz77 2 1\nL 7\n", "symbol-out-of-range"),
-    ("CRX1 lz77 2 9\nL 0\nR 1 1\n", "length-mismatch"),
-    ("CRX1 lz78 2 3\n9\n", "dangling-reference"),
-    ("CRX1 lz78 2 9\n1\n2\n", "length-mismatch"),
-    ("CRX1 grammar 2 1\n1 -> t9\n", "symbol-out-of-range"),
-    ("CRX1 grammar 2 1\n1 -> v5\n", "undefined-variable"),
-    ("CRX1 slp 2 3\n1 -> t0\n2 -> v1 t1\n", "malformed-slp-rule"),
-    ("CRX1 slp 2 2\n1 -> t0\n2 -> v2 v1\n", "forward-reference-in-slp"),
-    ("CRX1 slp 2 4\n1 -> t0\n3 -> v1 v1\n", "missing-variable"),
-    ("CRX1 grammar 2 2\n1 -> v2\n2 -> v1 t0\n", "cyclic-grammar"),
-    ("CRX1 grammar 2 3\n1 -> t0\n2 -> t1\n", "unreachable-variable"),
-    ("CRX1 grammar 2 9\n1 -> t0 t1\n", "length-mismatch"),
-    ("CRX1 slp 2 9\n1 -> t0\n", "length-mismatch"),
-])
-def test_validate_codes(wire, code):
-    rep = V(wire)
-    assert not rep.ok
-    assert rep.error == code
+@pytest.mark.parametrize("wire,code,location", [
+    pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in VALIDATE_FAULTS])
+def test_validate_codes(wire, code, location):
+    assert _raised(parse(wire)) == (code, location)
 
 
 @pytest.mark.parametrize("wire,code,location", [
@@ -181,18 +160,15 @@ def test_parse_rejects_payload_its_type_refuses(wire, code, location):
 
 
 def test_validate_ok_reports_length():
-    rep = V("CRX1 rle 2 5\n0 2\n1 3\n")
-    assert rep.ok and rep.length == 5
+    assert validate(parse("CRX1 rle 2 5\n0 2\n1 3\n")) == 5
 
 
 def test_validate_empty_rule_direct():
     # the parser cannot produce an empty right-hand side, so build one by hand
     g = AdmissibleGrammar({1: ()}, start=1)
-    rep = validate(CompressedContainer("grammar", 2, 0, g))
-    assert not rep.ok and rep.error == "empty-rule"
+    assert _raised(CompressedContainer("grammar", 2, 0, g)) == ("empty-rule", "rule 1")
 
 
 def test_validate_bad_start_direct():
     g = AdmissibleGrammar({1: (Term(0),), 2: (Var(1), Var(1))}, start=1)
-    rep = validate(CompressedContainer("grammar", 2, 1, g))
-    assert not rep.ok and rep.error == "bad-start"
+    assert _raised(CompressedContainer("grammar", 2, 1, g)) == ("bad-start", "header")

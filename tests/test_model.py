@@ -242,14 +242,12 @@ def test_slp_forward_reference_rejected():
     assert ei.value.code == "forward-reference-in-slp"
 
 
-def test_slp_build_skips_known_prefix():
+def test_slp_build_rejects_self_reference():
     s = sample_slp()
-    for k in range(s.n + 1):
-        t = Slp.build(s.rules, s.lengths[:k])
-        assert t == s and t.lengths == s.lengths
     with pytest.raises(InvalidInputError) as ei:
-        Slp.build(s.rules + ((1, s.n + 1),), s.lengths)  # refers to itself
-    assert ei.value.code == "forward-reference-in-slp"
+        Slp.build(s.rules + ((1, s.n + 1),))  # refers to itself
+    assert (ei.value.code, ei.value.location) == ("forward-reference-in-slp",
+                                                  f"rule {s.n + 1}")
 
 
 def test_slp_empty_rejected():

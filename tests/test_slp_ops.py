@@ -141,17 +141,16 @@ def test_substring_random():
 def _assert_window_as_if_built(s: Slp, i: int, j: int, text: str) -> None:
     e = substring_slp(s, i, j)
     fresh = Slp.build(e.rules)
-    assert e.rules == fresh.rules
+    assert e == fresh
     assert e.lengths == fresh.lengths
-    assert e.annotations == annotate_runs(fresh)
-    assert annotate_runs(e) is e.annotations
+    assert annotate_runs(e) == annotate_runs(fresh)
     assert expand_slp(e).to_str() == text[i - 1:j]
 
 
-def test_substring_inherits_lengths_and_annotations():
+def test_substring_windows_match_a_fresh_build():
     # every window of small programs (whole variables, prefixes and
-    # single symbols among them) carries the lengths and annotations that
-    # building and annotating its rules from scratch would give
+    # single symbols among them) has the lengths and annotations that
+    # building and annotating its rules from scratch gives
     rng = random.Random(67)
     for k in range(60):
         if k % 3 == 0:
@@ -182,7 +181,7 @@ def test_substring_inherits_lengths_and_annotations():
             spans += [(i, rng.randint(i, len(text))), (i, i)]
         for i, j in spans:
             _assert_window_as_if_built(s, i, j, text)
-    # a window of a window inherits from an annotated window
+    # a window of a window
     s = random_slp(random.Random(71), max_extra=12, sigma=2, max_len=3000)
     text = expand_slp(s).to_str()
     w = substring_slp(s, 2, len(text) - 1)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crx import (
+    InvalidInputError,
     LceIndex,
     MetaText,
     RleString,
@@ -105,13 +106,13 @@ def test_rank_runs_distinct_exponents_get_distinct_ranks():
 
 
 def test_symbol_at_run_edges():
-    m = MetaText(((0, 3), (1, 2), (2, 3)))
+    m = MetaText(RleString(((0, 3), (1, 2), (2, 3))))
     assert [m.symbol(p) for p in (1, 3, 4, 5, 6, 8)] == [0, 0, 1, 1, 2, 2]
 
 
 def test_char_lce_within_and_across_runs():
     # aaabbaaa vs suffixes of itself
-    m = MetaText(((0, 3), (1, 2), (0, 3)))
+    m = MetaText(RleString(((0, 3), (1, 2), (0, 3))))
     expand = "aaabbaaa"
 
     def brute(s, t):
@@ -128,11 +129,20 @@ def test_char_lce_within_and_across_runs():
     assert m.char_lce(1, 1) == 8
 
 
+def test_meta_text_takes_maximal_runs():
+    # equal neighbours are refused where the runs become an RleString;
+    # char_lce's arithmetic assumes maximal runs and answered 1 on these
+    with pytest.raises(InvalidInputError) as ei:
+        MetaText(RleString(((0, 1), (0, 2), (1, 1))))
+    assert (ei.value.code, ei.value.location) == ("adjacent-equal-runs", "run 2")
+    assert MetaText(RleString(((0, 3), (1, 1)))).char_lce(1, 2) == 2
+
+
 def test_char_lce_random_vs_brute():
     rng = random.Random(23)
     for _ in range(150):
         runs = random_runs(rng, max_runs=7, sigma=3, max_exp=5)
-        m = MetaText(runs)
+        m = MetaText(RleString(runs))
         expand = "".join(chr(ord("a") + s) * e for s, e in runs)
         n = len(expand)
         for _ in range(25):
@@ -212,16 +222,16 @@ def test_lce_index_matches_brute_force(seq):
 
 def test_symbol_rejects_position_zero():
     with pytest.raises(IndexError, match=r"position 0 out of range 1\.\.6"):
-        MetaText(((0, 2), (1, 3), (0, 1))).symbol(0)
+        MetaText(RleString(((0, 2), (1, 3), (0, 1)))).symbol(0)
 
 
 def test_symbol_rejects_position_past_end():
     with pytest.raises(IndexError, match=r"position 7 out of range 1\.\.6"):
-        MetaText(((0, 2), (1, 3), (0, 1))).symbol(7)
+        MetaText(RleString(((0, 2), (1, 3), (0, 1)))).symbol(7)
 
 
 def test_char_lce_rejects_position_before_start():
-    m = MetaText(((0, 2), (1, 3), (0, 1)))
+    m = MetaText(RleString(((0, 2), (1, 3), (0, 1))))
     with pytest.raises(IndexError, match=r"position -1 out of range 1\.\.6"):
         m.char_lce(-1, 2)
     with pytest.raises(IndexError, match=r"position 0 out of range 1\.\.6"):
@@ -230,14 +240,14 @@ def test_char_lce_rejects_position_before_start():
 
 
 def test_span_key_rejects_span_before_start():
-    m = MetaText(((0, 2), (1, 3), (0, 1)))
+    m = MetaText(RleString(((0, 2), (1, 3), (0, 1))))
     with pytest.raises(IndexError, match=r"span \[0, 3\] out of range 1\.\.6"):
         m.span_key(0, 3)  # run index -1 would wrap to the last run
     assert m.span_key(1, 3) == (3, 1, 0, 2, 1, 1)
 
 
 def test_span_equals_rejects_span_before_start():
-    m = MetaText(((0, 2), (1, 3), (0, 1)))
+    m = MetaText(RleString(((0, 2), (1, 3), (0, 1))))
     with pytest.raises(IndexError, match=r"spans \[0, 2\] and \[4, 6\] out of range 1\.\.6"):
         m.span_equals(0, 2, 4)
     with pytest.raises(IndexError, match=r"spans \[4, 6\] and \[5, 7\] out of range 1\.\.6"):
@@ -246,7 +256,7 @@ def test_span_equals_rejects_span_before_start():
 
 
 def test_span_key_rejects_span_past_end():
-    m = MetaText(((0, 2), (1, 3), (0, 1)))
+    m = MetaText(RleString(((0, 2), (1, 3), (0, 1))))
     with pytest.raises(IndexError, match=r"span \[7, 7\] out of range 1\.\.6"):
         m.span_key(7, 7)
     assert m.span_key(6, 6) == (1, 0)
