@@ -70,6 +70,7 @@ from .model import (
 )
 from .slp_ops import (
     EdgeRuns,
+    Fingerprints,
     OccRepr,
     RunLinkAnnotations,
     annotate_runs,

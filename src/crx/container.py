@@ -43,6 +43,7 @@ from .model import (
     lz78_factor_lengths,
     slp_from_grammar_rules,
 )
+from .slp_ops import reachable_vars
 
 MAGIC = "CRX1"
 FORMATS = ("rle", "lz77", "lz78", "grammar", "slp")
@@ -218,7 +219,9 @@ def validate(c: CompressedContainer) -> int:
 
     Every symbol must lie inside the alphabet and the derived length must
     equal the declared one. LZ78 ids, grammar references and the SLP
-    shape are checked on the way by the walks that own them. Raises
+    shape are checked on the way by the walks that own them; an slp
+    payload's length and reachable rules come from the program that
+    checks its shape, not from a second walk of the grammar. Raises
     InvalidInputError(code, location) on the first violation found; an
     rle or lz77 payload has checked its own rule when it was built.
     """
@@ -249,13 +252,17 @@ def validate(c: CompressedContainer) -> int:
                     elif it.index not in p.rules:
                         raise InvalidInputError("undefined-variable", f"rule {var}")
             if c.format == "slp":
-                slp_from_grammar_rules(p)
-            if p.start != max(p.rules):
-                raise InvalidInputError("bad-start", "header")
-            lengths = grammar_lengths(p)
-            if len(lengths) != len(p.rules):
+                s = slp_from_grammar_rules(p)
+                reachable = len(reachable_vars(s))
+                length = s.length
+            else:
+                if p.start != max(p.rules):
+                    raise InvalidInputError("bad-start", "header")
+                lengths = grammar_lengths(p)
+                reachable = len(lengths)
+                length = lengths[p.start]
+            if reachable != len(p.rules):
                 raise InvalidInputError("unreachable-variable", "rules")
-            length = lengths[p.start]
     except InvalidInputError as e:
         # the walks' errors carry a detail message; report code and location
         raise InvalidInputError(e.code, e.location) from None

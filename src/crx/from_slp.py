@@ -3,11 +3,13 @@
 Every function here reads only the program and builds no other: runs
 come from the program's run annotations, and LZ77, LZ78 and bisection
 read run streams of the program, never the derived string. LZ77's
-driver grows factors with `slp_lce`; the leftmost starts it asks for,
-and bisection's confirmations of equal span keys, are occurrence queries
-on the runs of a text window. LZ78's driver walks its dictionary trie
-along the runs from the cursor on. Outputs match the reference codecs
-on the expansion, which the tests check against the naive codecs.
+driver grows factors with `slp_lce`; the leftmost starts it asks for
+are occurrence queries on the runs of a text window. Bisection keys its
+spans by Karp-Rabin fingerprints and confirms every equal key with the
+same kind of query, so a collision costs time, never output. LZ78's
+driver walks its dictionary trie along the runs from the cursor on.
+Outputs match the reference codecs on the expansion, which the tests
+check against the naive codecs.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .model import (
 )
 from .slp_ops import (
     EdgeRuns,
+    Fingerprints,
     _window_runs,
     char_at,
     occurrences,
@@ -83,16 +86,19 @@ def slp_to_lz78(s: Slp) -> Lz78Factorization:
 def slp_to_bisection(s: Slp) -> AdmissibleGrammar:
     """Rebuild the balanced splitting grammar without expanding.
 
-    The shared driver keys a span by its length plus five sampled
-    symbols. Equal keys are confirmed on the text itself: the occurrence
-    set of the new span's runs is asked whether it starts at the earlier
-    span, which walks the earlier span's runs up to the first pair that
-    differ. No span gets a program.
+    The shared driver keys a span by its length and its Karp-Rabin
+    fingerprint, O(height) from the variables' fingerprint table. Equal
+    strings always get equal keys, and every equal key is confirmed on
+    the text itself: the occurrence set of the new span's runs is asked
+    whether it starts at the earlier span, which walks the earlier span's
+    runs up to the first pair that differ. A collision is rejected there,
+    so the output never depends on the fingerprints. No span gets a
+    program.
     """
-    def key(i: int, j: int) -> tuple:
-        span = j - i + 1
-        offs = sorted({0, span - 1, span // 2, span // 4, (3 * span) // 4})
-        return (span,) + tuple(char_at(s, i + o) for o in offs)
+    fingerprints = Fingerprints(s)
+
+    def key(i: int, j: int) -> tuple[int, int]:
+        return j - i + 1, fingerprints.span(i, j)
 
     def same(i: int, j: int, k: int) -> bool:
         return occurrences(s, slp_runs(s, i, j)).membership(k)

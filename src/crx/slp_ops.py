@@ -18,7 +18,9 @@ Every test of whether two stretches of the derived string agree
 (`slp_lce`, `membership`, `prefix_match`, `first_mismatch`,
 `slp_equals`) walks run streams: a window's runs come from its
 O(height) cover pieces, found as the runs are read, and the walk stops
-at the first pair of runs that differ.
+at the first pair of runs that differ. `Fingerprints` only suggest
+equality: a window's Karp-Rabin fingerprint folds those of its cover
+pieces in O(height), and a caller confirms equal ones on the runs.
 
 All positions are 1-based. Traversals use explicit stacks throughout;
 derivation heights can exceed Python's recursion limit.
@@ -33,6 +35,8 @@ from .errors import BudgetExceededError, EmptyInputError, InternalError
 from .model import RleString, RunLinkAnnotations, Slp, Term
 
 _MAX_TREE_NODES = 1 << 21  # derivation tree nodes `OccRepr.positions` may visit
+_FP_MOD = (1 << 61) - 1  # a Mersenne prime
+_FP_BASE = 0x1D872B41C6F4A5  # fixed, so that traced counts repeat per seed
 
 
 def char_at(s: Slp, i: int) -> int:
@@ -277,6 +281,43 @@ def substring_slp(s: Slp, i: int, j: int) -> Slp:
     return Slp.build(s.rules[:keep] + tuple(stitched))
 
 
+class Fingerprints:
+    """Karp-Rabin fingerprints of the windows of one program's string.
+
+    The fingerprint of c_1..c_m is the sum of (c_k + 1) * B^(m-k) modulo
+    the prime P = 2^61 - 1, for a fixed base B. One bottom-up pass over
+    the rules gives every variable its fingerprint and B^len; a window's
+    fingerprint folds those of its O(height) cover pieces. Equal strings
+    get equal fingerprints whichever programs and covers derive them, so
+    equal fingerprints only suggest equality, and callers confirm them on
+    the text (Karp & Rabin, IBM J. Res. Dev. 1987).
+    """
+
+    def __init__(self, s: Slp):
+        mod = _FP_MOD
+        base = _FP_BASE % mod
+        fp: list[int] = []
+        power: list[int] = []
+        for rule in s.rules:
+            if isinstance(rule, Term):
+                fp.append((rule.code + 1) % mod)
+                power.append(base)
+            else:
+                l, r = rule
+                fp.append((fp[l - 1] * power[r - 1] + fp[r - 1]) % mod)
+                power.append(power[l - 1] * power[r - 1] % mod)
+        self.text = s
+        self._mod, self._fp, self._power = mod, fp, power
+
+    def span(self, i: int, j: int) -> int:
+        """The fingerprint of s[i..j], in O(height) steps."""
+        fp, power, mod = self._fp, self._power, self._mod
+        h = 0
+        for v in _pieces(self.text, *_cut(self.text, i, j)):
+            h = (h * power[v - 1] + fp[v - 1]) % mod
+        return h
+
+
 def slp_lce(s: Slp, i: int, j: int, limit: int) -> int:
     """How many leading symbols of s[i..i+limit-1] and s[j..j+limit-1]
     agree; 0 when limit is 0.
@@ -284,8 +325,9 @@ def slp_lce(s: Slp, i: int, j: int, limit: int) -> int:
     Walks the two windows' run streams up to the first pair of runs that
     differ: O(height) to cover each window, then one step per run up to
     the first difference. LZ77's driver asks it through the program
-    lane's lce, so a faster oracle (say, Karp-Rabin fingerprints of the
-    variables) would plug in here; LZ78 reads the runs from the cursor.
+    lane's lce; LZ78 reads the runs from the cursor. A binary search over
+    `Fingerprints` spans, closed by a check of the output, would answer
+    in O(height * log limit) whatever the run count.
     """
     if limit < 0 or min(i, j) < 1 or max(i, j) + limit - 1 > s.length:
         raise IndexError(f"windows at {i} and {j} of length {limit} "

@@ -23,6 +23,12 @@ def power_slp(k: int, code: int = 0) -> Slp:
     return Slp.build(tuple([Term(code)] + [(i, i) for i in range(1, k + 1)]))
 
 
+def fibonacci_slp(k: int) -> Slp:
+    """k rules deriving the k-th Fibonacci word: X_1 = b, X_2 = a and
+    X_i = X_{i-1} X_{i-2}, so the run count grows as phi**k in k rules."""
+    return Slp.build(tuple([Term(1), Term(0)] + [(i - 1, i - 2) for i in range(3, k + 1)]))
+
+
 def slp_of(text: Text) -> Slp:
     """Some program deriving the given text."""
     return grammar_to_slp(naive_bisection(text))
@@ -46,6 +52,7 @@ VALIDATE_FAULTS = [
     ("CRX1 grammar 2 3\n1 -> t0\n2 -> t1\n", "unreachable-variable", "rules"),
     ("CRX1 grammar 2 9\n1 -> t0 t1\n", "length-mismatch", "payload"),
     ("CRX1 slp 2 9\n1 -> t0\n", "length-mismatch", "payload"),
+    ("CRX1 slp 2 1\n1 -> t0\n2 -> t1\n", "unreachable-variable", "rules"),
 ]
 
 

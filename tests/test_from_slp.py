@@ -32,8 +32,10 @@ from crx import (
 )
 from helpers import (
     T,
+    fibonacci_slp,
     long_run_lists,
     power_slp,
+    random_runs,
     random_slp,
     record_calls,
     sample_slp,
@@ -213,6 +215,43 @@ def test_bisection_and_rle_build_no_program(monkeypatch):
     for s, t in zip(programs, texts):
         assert slp_to_bisection(s) == naive_bisection(t)
         assert slp_to_rle(s) == rle_encode(t)
+    assert built == []
+
+
+def test_bisection_of_fibonacci_words():
+    # n = k rules derive a word of about phi**k runs
+    for k in range(5, 21):
+        s = fibonacci_slp(k)
+        assert slp_to_bisection(s) == naive_bisection(expand_slp(s)), k
+
+
+def record_memberships(monkeypatch) -> list:
+    """Record the answer of every later OccRepr.membership call."""
+    answers = []
+    real = crx.slp_ops.OccRepr.membership
+    monkeypatch.setattr(crx.slp_ops.OccRepr, "membership", lambda occ, k:
+                        answers.append(real(occ, k)) or answers[-1])
+    return answers
+
+
+def test_bisection_rejects_fingerprint_collisions(monkeypatch):
+    # spans of equal length and unequal text collide often modulo 3; the
+    # confirmation on the text must reject each such key
+    rng = random.Random(113)
+    programs = [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
+    programs += [rle_as_slp(RleString(random_runs(rng, max_runs=30))) for _ in range(10)]
+    programs += [fibonacci_slp(k) for k in range(5, 15)]
+    texts = [expand_slp(s) for s in programs]
+    built = record_builds(monkeypatch)
+    answers = record_memberships(monkeypatch)
+    for s, t in zip(programs, texts):
+        assert slp_to_bisection(s) == naive_bisection(t)
+    assert answers and all(answers)  # no collision modulo 2**61 - 1
+    monkeypatch.setattr(crx.slp_ops, "_FP_MOD", 3)
+    answers.clear()
+    for s, t in zip(programs, texts):
+        assert slp_to_bisection(s) == naive_bisection(t)
+    assert False in answers
     assert built == []
 
 

@@ -12,6 +12,7 @@ from crx import (
     BudgetExceededError,
     EdgeRuns,
     EmptyInputError,
+    Fingerprints,
     RleString,
     Slp,
     Term,
@@ -630,6 +631,41 @@ def test_edge_lists_are_first_runs_from_each_edge(s):
                 assert EdgeRuns(s).edge(v, outer, cap) == want, (v, outer, cap)
                 assert larger.edge(v, outer, cap) == want, (v, outer, cap)
     assert larger.runs == 13
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_programs(), st.data())
+def test_equal_windows_get_equal_fingerprints(s, data):
+    # the fingerprint is a function of the string alone: every window and
+    # variable of s deriving it, and other programs of other shapes
+    # deriving it, all get the polynomial value of its symbols
+    text = expand_slp(s).symbols
+    i = data.draw(st.integers(1, s.length))
+    j = data.draw(st.integers(i, min(s.length, i + 40)))
+    window = text[i - 1:j]
+    want = 0
+    for c in window:
+        want = (want * crx.slp_ops._FP_BASE + c + 1) % crx.slp_ops._FP_MOD
+    fps = Fingerprints(s)
+    assert fps.span(i, j) == want
+    m = j - i + 1
+    for k in range(1, s.length - m + 2):
+        if text[k - 1:k - 1 + m] == window:
+            assert fps.span(k, k + m - 1) == want, k
+    for v in range(1, s.n + 1):
+        if s.lengths[v - 1] == m:
+            prefix = Slp.build(s.rules[:v])
+            if expand_slp(prefix).symbols == window:
+                assert Fingerprints(prefix).span(1, m) == want, v
+    for other in (slp_of(Text(window)), rle_as_slp(rle_encode(Text(window)))):
+        assert Fingerprints(other).span(1, m) == want
+
+
+def test_fingerprints_bad_span():
+    fps = Fingerprints(sample_slp())
+    for i, j in ((0, 3), (4, 3), (1, len(SAMPLE) + 1)):
+        with pytest.raises(IndexError):
+            fps.span(i, j)
 
 
 def test_positions_walk_is_bounded(monkeypatch):
