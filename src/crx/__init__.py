@@ -64,7 +64,6 @@ from .model import (
     expand_lz78,
     expand_rle,
     expand_slp,
-    grammar_derived_length,
     lz78_factor_lengths,
     slp_from_grammar_rules,
 )

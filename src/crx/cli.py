@@ -2,12 +2,13 @@
 
 `convert` picks its route from the source's format alone. rle takes the
 run lane (`rle_to_*`, or `rle_as_slp` for slp), and rle to rle writes
-the runs back. slp and grammar take the program lane: they become an
-slp, which converts to rle, lz77, lz78 or bisection, or is written out
-for --to slp. lz77 and lz78 convert only with --via-expand, which
-decodes and re-encodes; it reaches slp through the bisection grammar.
-Exit 2 for an lz source without --via-expand and for --to repair from
-slp or grammar.
+the runs back. slp and grammar take the program lane on a program that
+converts to rle, lz77, lz78 or bisection, or is written out for --to
+slp: an slp file's program is its payload, built once when the file is
+parsed, and a grammar becomes one through `grammar_to_slp`. lz77 and
+lz78 convert only with --via-expand, which decodes and re-encodes; it
+reaches slp through the bisection grammar. Exit 2 for an lz source
+without --via-expand and for --to repair from slp or grammar.
 
 Exit codes: 0 success, 1 invalid input or a failed verification, 2 no
 conversion path between the requested formats, 3 expansion budget
@@ -71,7 +72,7 @@ from .model import (
     expand_lz77,
     expand_lz78,
     expand_rle,
-    slp_from_grammar_rules,
+    expand_slp,
 )
 from .slp_ops import first_mismatch
 
@@ -118,11 +119,13 @@ def _expand_container(c: CompressedContainer, limit: int) -> Text:
         return expand_lz77(c.payload, limit)
     if c.format == "lz78":
         return expand_lz78(c.payload, limit)
+    if c.format == "slp":
+        return expand_slp(c.payload, limit)
     return expand_grammar(c.payload, limit)
 
 
 def _encode_text(text: Text, codec: str, self_ref: bool,
-                 alphabet_size: int) -> Payload | Slp:
+                 alphabet_size: int) -> Payload:
     if codec == "slp":
         return grammar_to_slp(naive_bisection(text))
     if codec == "rle":
@@ -145,7 +148,7 @@ def _relabel_lz78(f: Lz78Factorization, sigma: int) -> Lz78Factorization:
     return Lz78Factorization(ids, sigma)
 
 
-def _container(target: str, payload: Payload | Slp,
+def _container(target: str, payload: Payload,
                alphabet_size: int) -> CompressedContainer:
     if target == "rle":
         return make_rle_container(payload, alphabet_size)
@@ -162,7 +165,7 @@ def _as_slp(c: CompressedContainer) -> Slp:
     if c.format == "rle":
         return rle_as_slp(c.payload)
     if c.format == "slp":
-        return slp_from_grammar_rules(c.payload)
+        return c.payload
     return grammar_to_slp(c.payload)
 
 
@@ -187,7 +190,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _convert_direct(c: CompressedContainer, target: str,
-                    self_ref: bool) -> Payload | Slp:
+                    self_ref: bool) -> Payload:
     """The target's payload by the source's lane, without expansion."""
     lane = {}
     if c.format == "rle":

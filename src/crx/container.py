@@ -10,16 +10,17 @@ Payload lines by format:
 * ``lz77``     -- ``L <sym>`` or ``R <src> <len>``
 * ``lz78``     -- ``<id>``
 * ``grammar``  -- ``<var> -> <item>+`` with items ``t<code>`` / ``v<index>``
-* ``slp``      -- same as grammar, restricted to ``X -> a`` / ``X -> Y Z``
+* ``slp``      -- same as grammar, restricted to ``X -> a`` / ``X -> Y Z``;
+  the payload is the program itself, an Slp
 
 Errors come from two places, both as exceptions. `parse` raises
 ContainerFormatError on a file it cannot read as this layout, and
-InvalidInputError where the rle or lz77 payload breaks its type's rule
-(see RleString and Lz77Factorization), with the type's code and
-location. `validate` raises InvalidInputError on what needs the header:
-symbols outside the alphabet and a declared length the payload does not
-derive, plus the faults that the LZ78 and grammar walks and the SLP
-shape (`slp_from_grammar_rules`) find on the way.
+InvalidInputError where the rle, lz77 or slp payload breaks its type's
+rule (see RleString, Lz77Factorization and `slp_from_grammar_rules`),
+with the type's code and location. `validate` raises InvalidInputError
+on what needs the header: symbols outside the alphabet and a declared
+length the payload does not derive, plus the faults that the LZ78 and
+grammar walks and the program's reachable rules show.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .model import (
     Term,
     Var,
     canonical_grammar,
-    grammar_derived_length,
     grammar_lengths,
     lz78_factor_lengths,
     slp_from_grammar_rules,
@@ -48,7 +48,7 @@ from .slp_ops import reachable_vars
 MAGIC = "CRX1"
 FORMATS = ("rle", "lz77", "lz78", "grammar", "slp")
 
-Payload = RleString | Lz77Factorization | Lz78Factorization | AdmissibleGrammar
+Payload = RleString | Lz77Factorization | Lz78Factorization | AdmissibleGrammar | Slp
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,9 @@ class CompressedContainer:
     length: int
     payload: Payload
 
-    @property
-    def self_referential(self) -> bool:
-        return (isinstance(self.payload, Lz77Factorization)
-                and self.payload.self_referential)
-
     def payload_size(self) -> int:
         """Item count used as the compressed size: runs, factors, or total
-        right-hand-side length for grammars."""
+        right-hand-side length for grammars and programs."""
         p = self.payload
         if isinstance(p, RleString):
             return len(p.runs)
@@ -92,11 +87,11 @@ def make_lz78_container(f: Lz78Factorization) -> CompressedContainer:
 def make_grammar_container(g: AdmissibleGrammar, alphabet_size: int) -> CompressedContainer:
     if g.start != max(g.rules):
         g = canonical_grammar(g)
-    return CompressedContainer("grammar", alphabet_size, grammar_derived_length(g), g)
+    return CompressedContainer("grammar", alphabet_size, grammar_lengths(g)[g.start], g)
 
 
 def make_slp_container(s: Slp, alphabet_size: int) -> CompressedContainer:
-    return CompressedContainer("slp", alphabet_size, s.length, s.to_grammar())
+    return CompressedContainer("slp", alphabet_size, s.length, s)
 
 
 def _item_str(item: Term | Var) -> str:
@@ -119,7 +114,13 @@ def serialize(c: CompressedContainer) -> str:
                 lines.append(f"R {f.src} {f.length}")
     elif c.format == "lz78":
         lines.extend(str(fid) for fid in p.factor_ids)
-    elif c.format in ("grammar", "slp"):
+    elif c.format == "slp":
+        for i, rule in enumerate(p.rules, start=1):
+            if isinstance(rule, Term):
+                lines.append(f"{i} -> t{rule.code}")
+            else:
+                lines.append(f"{i} -> v{rule[0]} v{rule[1]}")
+    elif c.format == "grammar":
         for var in sorted(p.rules):
             rhs = " ".join(_item_str(it) for it in p.rules[var])
             lines.append(f"{var} -> {rhs}")
@@ -141,9 +142,13 @@ def _int(tok: str, where: str) -> int:
 
 def parse(data: str) -> CompressedContainer:
     """Read a container. Raises ContainerFormatError on a malformed file
-    and InvalidInputError on an rle or lz77 payload that its type
-    rejects; the rest of the checking is left to validate."""
+    and InvalidInputError on an rle, lz77 or slp payload that its type
+    rejects; the rest of the checking is left to validate. An slp body
+    becomes its program here, through `slp_from_grammar_rules`, so a
+    rule of the wrong shape, a missing variable and a forward reference
+    raise from parse."""
     lines = data.split("\n")
+    del data  # from here on the lines hold the text
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -211,61 +216,62 @@ def parse(data: str) -> CompressedContainer:
         if not rules:
             raise ContainerFormatError("grammar container has no rules")
         payload = AdmissibleGrammar(rules, max(rules))
+        if fmt == "slp":
+            del lines, body  # the text goes before the program is built
+            payload = slp_from_grammar_rules(payload)
     return CompressedContainer(fmt, alphabet_size, length, payload)
 
 
 def validate(c: CompressedContainer) -> int:
     """Check the payload against the header and return the derived length.
 
-    Every symbol must lie inside the alphabet and the derived length must
-    equal the declared one. LZ78 ids, grammar references and the SLP
-    shape are checked on the way by the walks that own them; an slp
-    payload's length and reachable rules come from the program that
-    checks its shape, not from a second walk of the grammar. Raises
-    InvalidInputError(code, location) on the first violation found; an
-    rle or lz77 payload has checked its own rule when it was built.
+    Every symbol must lie inside the alphabet, every rule must be
+    reachable from the start and the derived length must equal the
+    declared one. LZ78 ids and grammar references are checked on the way
+    by the walks that own them; an slp payload is a program whose shape
+    parse has checked, so its length and reachable rules are read off it.
+    Raises InvalidInputError(code, location) on the first violation
+    found; an rle, lz77 or slp payload has checked its own rule when it
+    was built.
     """
     sigma = c.alphabet_size
     p = c.payload
-    try:
-        if c.format == "rle":
-            for i, (sym, _) in enumerate(p.runs, start=1):
-                if not 0 <= sym < sigma:
-                    raise InvalidInputError("symbol-out-of-range", f"run {i}")
-            length = p.length
-        elif c.format == "lz77":
-            for i, f in enumerate(p.factors, start=1):
-                if isinstance(f, Literal) and not 0 <= f.symbol < sigma:
-                    raise InvalidInputError("symbol-out-of-range", f"factor {i}")
-            length = p.length
-        elif c.format == "lz78":
-            length = sum(lz78_factor_lengths(p))
-        else:
-            for var in sorted(p.rules):
-                rhs = p.rules[var]
-                if not rhs:
-                    raise InvalidInputError("empty-rule", f"rule {var}")
-                for it in rhs:
-                    if isinstance(it, Term):
-                        if not 0 <= it.code < sigma:
-                            raise InvalidInputError("symbol-out-of-range", f"rule {var}")
-                    elif it.index not in p.rules:
-                        raise InvalidInputError("undefined-variable", f"rule {var}")
-            if c.format == "slp":
-                s = slp_from_grammar_rules(p)
-                reachable = len(reachable_vars(s))
-                length = s.length
-            else:
-                if p.start != max(p.rules):
-                    raise InvalidInputError("bad-start", "header")
-                lengths = grammar_lengths(p)
-                reachable = len(lengths)
-                length = lengths[p.start]
-            if reachable != len(p.rules):
-                raise InvalidInputError("unreachable-variable", "rules")
-    except InvalidInputError as e:
-        # the walks' errors carry a detail message; report code and location
-        raise InvalidInputError(e.code, e.location) from None
+    if c.format == "rle":
+        for i, (sym, _) in enumerate(p.runs, start=1):
+            if not 0 <= sym < sigma:
+                raise InvalidInputError("symbol-out-of-range", f"run {i}")
+        length = p.length
+    elif c.format == "lz77":
+        for i, f in enumerate(p.factors, start=1):
+            if isinstance(f, Literal) and not 0 <= f.symbol < sigma:
+                raise InvalidInputError("symbol-out-of-range", f"factor {i}")
+        length = p.length
+    elif c.format == "lz78":
+        length = sum(lz78_factor_lengths(p))
+    elif c.format == "slp":
+        for i, rule in enumerate(p.rules, start=1):
+            if isinstance(rule, Term) and not 0 <= rule.code < sigma:
+                raise InvalidInputError("symbol-out-of-range", f"rule {i}")
+        if len(reachable_vars(p)) != p.n:
+            raise InvalidInputError("unreachable-variable", "rules")
+        length = p.length
+    else:
+        for var in sorted(p.rules):
+            rhs = p.rules[var]
+            if not rhs:
+                raise InvalidInputError("empty-rule", f"rule {var}")
+            for it in rhs:
+                if isinstance(it, Term):
+                    if not 0 <= it.code < sigma:
+                        raise InvalidInputError("symbol-out-of-range", f"rule {var}")
+                elif it.index not in p.rules:
+                    raise InvalidInputError("undefined-variable", f"rule {var}")
+        if p.start != max(p.rules):
+            raise InvalidInputError("bad-start", "header")
+        lengths = grammar_lengths(p)
+        if len(lengths) != len(p.rules):
+            raise InvalidInputError("unreachable-variable", "rules")
+        length = lengths[p.start]
     if length != c.length:
         raise InvalidInputError("length-mismatch", "payload")
     return length

@@ -241,10 +241,7 @@ class Slp:
             else:
                 l, r = rule
                 if not (1 <= l < i and 1 <= r < i):
-                    raise InvalidInputError(
-                        "forward-reference-in-slp", f"rule {i}",
-                        f"rule {i} refers to {l},{r}",
-                    )
+                    raise InvalidInputError("forward-reference-in-slp", f"rule {i}")
                 lengths.append(lengths[l - 1] + lengths[r - 1])
         return cls(rules, tuple(lengths))
 
@@ -256,26 +253,22 @@ class Slp:
     def length(self) -> int:
         return self.lengths[-1] if self.rules else 0
 
-    def to_grammar(self) -> AdmissibleGrammar:
-        rules: dict[int, tuple[GrammarItem, ...]] = {}
-        for i, rule in enumerate(self.rules, start=1):
-            if isinstance(rule, Term):
-                rules[i] = (rule,)
-            else:
-                rules[i] = (Var(rule[0]), Var(rule[1]))
-        return AdmissibleGrammar(rules, self.n)
+    @property
+    def size(self) -> int:
+        """Right-hand-side total: 1 per terminal rule, 2 per pair rule."""
+        return 2 * len(self.rules) - sum(isinstance(r, Term) for r in self.rules)
 
 
 def slp_from_grammar_rules(g: AdmissibleGrammar) -> Slp:
     """Reinterpret a grammar already in SLP shape (X->a or X->YZ, refs
-    strictly decreasing, variables 1..n) as an Slp."""
+    strictly decreasing, variables 1..n) as an Slp. Raises with a code and
+    a location only: "missing-variable", "bad-start", "malformed-slp-rule"
+    ("rule 2") and Slp.build's "forward-reference-in-slp"."""
     n = len(g.rules)
     if set(g.rules) != set(range(1, n + 1)):
-        raise InvalidInputError("missing-variable", "rules",
-                                "variables must be exactly 1..n")
+        raise InvalidInputError("missing-variable", "rules")
     if g.start != n:
-        raise InvalidInputError("bad-start", "header",
-                                "SLP start must be the highest variable")
+        raise InvalidInputError("bad-start", "header")
     out: list[Term | tuple[int, int]] = []
     for i in range(1, n + 1):
         rhs = g.rules[i]
@@ -325,14 +318,6 @@ def grammar_lengths(g: AdmissibleGrammar) -> dict[int, int]:
         state[v] = DONE
         stack.pop()
     return lengths
-
-
-def grammar_derived_length(g: AdmissibleGrammar) -> int:
-    """Length of the derived string, computed without expansion.
-
-    Raises on cycles or undefined variables.
-    """
-    return grammar_lengths(g)[g.start]
 
 
 def canonical_grammar(g: AdmissibleGrammar) -> AdmissibleGrammar:
@@ -395,8 +380,7 @@ def lz78_factor_lengths(f: Lz78Factorization) -> list[int]:
     lens: list[int] = []
     for i, fid in enumerate(f.factor_ids, start=1):
         if fid < 1 or fid > sigma + i - 1:
-            raise InvalidInputError("dangling-reference", f"factor {i}",
-                                    f"id {fid} not yet defined")
+            raise InvalidInputError("dangling-reference", f"factor {i}")
         if fid <= sigma:
             lens.append(1)
         else:
@@ -428,7 +412,7 @@ def expand_lz78(f: Lz78Factorization, limit: int = DEFAULT_LIMIT) -> Text:
 
 
 def expand_grammar(g: AdmissibleGrammar, limit: int = DEFAULT_LIMIT) -> Text:
-    n = grammar_derived_length(g)
+    n = grammar_lengths(g)[g.start]
     if n > limit:
         raise BudgetExceededError(n, limit)
     out: list[int] = []

@@ -34,8 +34,8 @@ def slp_of(text: Text) -> Slp:
     return grammar_to_slp(naive_bisection(text))
 
 
-# one single-fault container per code that only validate finds, with the
-# (code, location) it raises
+# one single-fault container per code that validate finds, or for an slp
+# body of the wrong shape parse, with the (code, location) it raises
 VALIDATE_FAULTS = [
     ("CRX1 rle 2 3\n5 3\n", "symbol-out-of-range", "run 1"),
     ("CRX1 rle 2 9\n0 2\n1 2\n", "length-mismatch", "payload"),
@@ -48,6 +48,10 @@ VALIDATE_FAULTS = [
     ("CRX1 slp 2 3\n1 -> t0\n2 -> v1 t1\n", "malformed-slp-rule", "rule 2"),
     ("CRX1 slp 2 2\n1 -> t0\n2 -> v2 v1\n", "forward-reference-in-slp", "rule 2"),
     ("CRX1 slp 2 4\n1 -> t0\n3 -> v1 v1\n", "missing-variable", "rules"),
+    ("CRX1 slp 2 1\n1 -> t9\n", "symbol-out-of-range", "rule 1"),
+    # a variable with no rule is a shape fault in an slp file
+    ("CRX1 slp 2 1\n1 -> v5\n", "malformed-slp-rule", "rule 1"),
+    ("CRX1 slp 2 2\n1 -> t0\n2 -> v1 v9\n", "forward-reference-in-slp", "rule 2"),
     ("CRX1 grammar 2 2\n1 -> v2\n2 -> v1 t0\n", "cyclic-grammar", "variable 2"),
     ("CRX1 grammar 2 3\n1 -> t0\n2 -> t1\n", "unreachable-variable", "rules"),
     ("CRX1 grammar 2 9\n1 -> t0 t1\n", "length-mismatch", "payload"),

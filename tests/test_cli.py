@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crx import parse
+from crx import Slp, Term, make_slp_container, parse, serialize
 from crx.cli import TARGETS, main
-from helpers import VALIDATE_FAULTS
+from helpers import VALIDATE_FAULTS, record_calls, sample_slp
 
 
 def run(capsys, *argv):
@@ -62,7 +62,7 @@ def test_encode_self_ref_flag(tmp_path, capsys):
                      raw, str(out))
     assert code == 0
     c = parse(out.read_text())
-    assert c.self_referential
+    assert c.payload.self_referential
     assert len(c.payload.factors) == 2
 
 
@@ -311,7 +311,28 @@ def test_info_slp(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "format slp"
     assert "N 13" in lines
-    assert any(ln.startswith("rhs-total ") for ln in lines)
+    # a terminal rule counts 1 and a pair rule 2
+    p = parse(s.read_text()).payload
+    terms = sum(isinstance(rule, Term) for rule in p.rules)
+    assert f"n {p.n}" in lines
+    assert f"rhs-total {terms + 2 * (p.n - terms)}" in lines
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (("convert", "--to", "rle", "a.slp", "out"), 1),
+    (("info", "a.slp"), 1),
+    (("decode", "a.slp", "out"), 1),
+    (("verify", "a.slp", "b.slp"), 2),
+])
+def test_slp_file_builds_its_program_once(tmp_path, capsys, monkeypatch, argv, builds):
+    # the program parse builds is the one every later step uses
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.slp", "b.slp"):
+        (tmp_path / name).write_text(serialize(make_slp_container(sample_slp(), 2)))
+    calls = record_calls(monkeypatch, "build", Slp)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert len(calls) == builds
 
 
 def test_ncd_output(tmp_path, capsys):

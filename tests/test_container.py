@@ -1,6 +1,10 @@
 """Wire format: serialize/parse round trips and validation codes."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crx import (
     AdmissibleGrammar,
@@ -20,11 +24,17 @@ from crx import (
     make_rle_container,
     make_slp_container,
     parse,
+    rle_as_slp,
     serialize,
-    slp_from_grammar_rules,
     validate,
 )
-from helpers import VALIDATE_FAULTS, sample_slp
+from helpers import (
+    VALIDATE_FAULTS,
+    fibonacci_slp,
+    random_runs,
+    random_slp,
+    sample_slp,
+)
 
 
 def round_trip(c: CompressedContainer) -> CompressedContainer:
@@ -51,7 +61,7 @@ def test_lz77_wire_selfref_flag():
     assert wire.splitlines()[0] == "CRX1 lz77 2 8 selfref"
     assert wire.splitlines()[1:] == ["L 0", "R 1 7"]
     back = round_trip(c)
-    assert back.self_referential
+    assert back.payload.self_referential
     assert validate(back) == 8
 
 
@@ -60,7 +70,7 @@ def test_lz77_wire_non_selfref():
                           self_referential=False)
     c = make_lz77_container(f, 2)
     assert serialize(c).splitlines()[0] == "CRX1 lz77 2 4"
-    assert not round_trip(c).self_referential
+    assert not round_trip(c).payload.self_referential
 
 
 def test_lz78_wire():
@@ -94,9 +104,32 @@ def test_slp_wire_and_to_slp():
     assert c.length == 13
     back = round_trip(c)
     assert validate(back) == 13
-    s = slp_from_grammar_rules(back.payload)
-    assert s.n == 7
-    assert s.length == 13
+    assert back.payload == sample_slp()
+    assert back.payload.n == 7
+    assert back.payload.length == 13
+
+
+@st.composite
+def programs(draw):
+    """A random program, a Fibonacci program or an rle_as_slp program."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    family = draw(st.sampled_from(("random", "fibonacci", "runs")))
+    if family == "random":
+        return random_slp(rng, max_extra=30, sigma=3)
+    if family == "fibonacci":
+        return fibonacci_slp(rng.randint(3, 25))
+    return rle_as_slp(RleString(random_runs(rng, max_runs=20, max_exp=1000)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(programs(), st.integers(3, 300))
+def test_slp_container_round_trip(s, sigma):
+    # the program comes back as it went out, and the wire as it was read
+    wire = serialize(make_slp_container(s, sigma))
+    back = parse(wire)
+    assert back.payload == s
+    assert back.payload.lengths == s.lengths
+    assert serialize(back) == wire
 
 
 def test_payload_size():
@@ -133,16 +166,17 @@ def test_parse_rejects(bad):
         parse(bad)
 
 
-def _raised(c: CompressedContainer) -> tuple[str, str]:
+def _raised(c: str | CompressedContainer) -> tuple[str, str]:
+    # a wire is parsed inside the check: parse raises on slp shape faults
     with pytest.raises(InvalidInputError) as ei:
-        validate(c)
+        validate(parse(c) if isinstance(c, str) else c)
     return ei.value.code, ei.value.location
 
 
 @pytest.mark.parametrize("wire,code,location", [
     pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in VALIDATE_FAULTS])
 def test_validate_codes(wire, code, location):
-    assert _raised(parse(wire)) == (code, location)
+    assert _raised(wire) == (code, location)
 
 
 @pytest.mark.parametrize("wire,code,location", [

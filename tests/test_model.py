@@ -24,12 +24,10 @@ from crx import (
     expand_lz78,
     expand_rle,
     expand_slp,
-    grammar_derived_length,
     lz78_factor_lengths,
     parse,
     rle_encode,
     rle_to_lz77,
-    slp_from_grammar_rules,
     validate,
 )
 from crx.model import grammar_lengths
@@ -194,20 +192,19 @@ def test_grammar_lengths_children_first():
     lengths = grammar_lengths(g)
     assert lengths == {1: 2, 2: 5, 3: 1, 4: 13}
     assert list(lengths) == [1, 2, 3, 4]
-    assert grammar_derived_length(g) == 13
 
 
-def test_grammar_derived_length_cycle():
+def test_grammar_lengths_cycle():
     g = AdmissibleGrammar({1: (Var(2),), 2: (Var(1),)}, start=1)
     with pytest.raises(InvalidInputError) as ei:
-        grammar_derived_length(g)
+        grammar_lengths(g)
     assert ei.value.code == "cyclic-grammar"
 
 
-def test_grammar_derived_length_undefined_var():
+def test_grammar_lengths_undefined_var():
     g = AdmissibleGrammar({1: (Var(7),)}, start=1)
     with pytest.raises(InvalidInputError) as ei:
-        grammar_derived_length(g)
+        grammar_lengths(g)
     assert ei.value.code == "undefined-variable"
 
 
@@ -253,14 +250,6 @@ def test_slp_build_rejects_self_reference():
 def test_slp_empty_rejected():
     with pytest.raises(EmptyInputError):
         expand_slp(Slp.build(()))
-
-
-def test_slp_to_grammar_round_trip():
-    s = sample_slp()
-    g = s.to_grammar()
-    assert expand_grammar(g).to_str() == "aababaababaab"
-    again = slp_from_grammar_rules(g)
-    assert expand_slp(again).to_str() == "aababaababaab"
 
 
 def test_expand_slp_budget():
