@@ -58,21 +58,13 @@ from .model import (
     Term,
     Text,
     Var,
-    canonical_grammar,
     expand_grammar,
     expand_lz77,
     expand_lz78,
     expand_rle,
     expand_slp,
-    lz78_factor_lengths,
-    slp_from_grammar_rules,
 )
 from .slp_ops import (
-    EdgeRuns,
-    Fingerprints,
-    OccRepr,
-    RunLinkAnnotations,
-    annotate_runs,
     char_at,
     first_mismatch,
     occurrences,
@@ -84,7 +76,6 @@ from .slp_ops import (
 )
 from .suffix import (
     LceIndex,
-    MetaText,
     lcp_array,
     rank_runs,
     suffix_array,

@@ -190,11 +190,6 @@ class AdmissibleGrammar:
     def size(self) -> int:
         return sum(len(rhs) for rhs in self.rules.values())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AdmissibleGrammar):
-            return NotImplemented
-        return self.start == other.start and self.rules == other.rules
-
 
 @dataclass(frozen=True)
 class RunLinkAnnotations:
@@ -219,6 +214,8 @@ class RunLinkAnnotations:
 class Slp:
     """Straight-line program: rules[i-1] defines X_i as either a terminal
     (Term) or a pair (l, r) of smaller variable indices. Start is X_n.
+    Slp.build refuses an empty rule list, so every program derives a
+    nonempty string.
 
     lengths[i-1] is |val(X_i)|; annotations holds the run annotations once
     crx.slp_ops.annotate_runs has computed them. Neither takes part in
@@ -232,8 +229,12 @@ class Slp:
     @classmethod
     def build(cls, rules: list[Term | tuple[int, int]] | tuple) -> "Slp":
         """Check that every pair rule refers to earlier rules
-        ("forward-reference-in-slp" otherwise) and derive the lengths."""
+        ("forward-reference-in-slp" otherwise) and derive the lengths.
+        Raises EmptyInputError on an empty rule list: no program derives
+        the empty string."""
         rules = tuple(rules)
+        if not rules:
+            raise EmptyInputError("cannot build a program for the empty string")
         lengths: list[int] = []
         for i, rule in enumerate(rules, start=1):
             if isinstance(rule, Term):
@@ -251,7 +252,7 @@ class Slp:
 
     @property
     def length(self) -> int:
-        return self.lengths[-1] if self.rules else 0
+        return self.lengths[-1]
 
     @property
     def size(self) -> int:
@@ -432,8 +433,6 @@ def expand_grammar(g: AdmissibleGrammar, limit: int = DEFAULT_LIMIT) -> Text:
 
 
 def expand_slp(s: Slp, limit: int = DEFAULT_LIMIT) -> Text:
-    if not s.rules:
-        raise EmptyInputError("SLP has no rules")
     n = s.length
     if n > limit:
         raise BudgetExceededError(n, limit)

@@ -677,23 +677,18 @@ def occurrences(text: Slp, pattern: Slp | RleString,
     left to the queries, which compute them on first use from the edge
     runs in `edges`. Pass one store to every query on the same text to
     compute each variable's edge runs once; without one, the set gets a
-    store of its own. An empty pattern raises EmptyInputError.
+    store of its own. An empty run list raises EmptyInputError.
     """
-    if not (pattern.runs if isinstance(pattern, RleString) else pattern.rules):
-        raise EmptyInputError("cannot search for the empty pattern")
     runs = pattern if isinstance(pattern, RleString) else slp_runs(pattern)
+    if not runs.runs:
+        raise EmptyInputError("cannot search for the empty pattern")
     return OccRepr(text, list(runs.runs), edges)
 
 
 def slp_equals(a: Slp, b: Slp) -> bool:
-    """Do two programs derive the same string? Walks the two run streams
-    side by side up to the first pair of runs that differ."""
-    if a is b:
-        return True
-    if a.length != b.length:
-        return False
-    return _first_difference(_window_runs(a, 1, a.length),
-                             _window_runs(b, 1, b.length)) is None
+    """Do two programs derive the same string? Equal lengths and no first
+    mismatch."""
+    return a is b or a.length == b.length and first_mismatch(a, b) is None
 
 
 def prefix_match(text: Slp, pos: int, pattern: Slp) -> bool:

@@ -76,11 +76,11 @@ def lcp_array(seq: Sequence[int], sa: list[int]) -> list[int]:
 class LceIndex:
     """Longest common extension queries between suffixes of one sequence.
 
-    sa, lcp and rank (rank[pos] = index of the suffix at 1-based pos in
-    sa; rank[0] = 0 is a placeholder) come from one doubling pass, the
-    LCP lifted over its rounds. table[k][r] is the minimum of
-    lcp[r .. r + 2^k - 1]. Every array is a Python list, so a query is
-    two list lookups and a min.
+    rank[pos] is the index, in the suffix array, of the suffix at 1-based
+    pos (rank[0] = 0 is a placeholder). table[0] is the LCP array, lifted
+    over the rounds of the one doubling pass that also gives the order,
+    and table[k][r] is the minimum of table[0][r .. r + 2^k - 1]. Every
+    array is a Python list, so a query is two list lookups and a min.
     """
 
     def __init__(self, seq: Sequence[int]):
@@ -91,7 +91,6 @@ class LceIndex:
         del rounds  # free the round arrays before the table's lists exist
         rank = np.zeros(n + 1, dtype=np.int64)
         rank[order + 1] = np.arange(n)
-        self.sa = (order + 1).tolist()
         self.rank = rank.tolist()
         self.table = [row.tolist()]
         width = 1
@@ -99,7 +98,6 @@ class LceIndex:
             row = np.minimum(row[:-width], row[width:])
             self.table.append(row.tolist())
             width *= 2
-        self.lcp = self.table[0]
 
     def lce(self, i: int, j: int) -> int:
         """Common prefix length of the suffixes at 1-based positions i, j."""

@@ -18,19 +18,17 @@ from crx import (
     Term,
     Text,
     Var,
-    canonical_grammar,
     expand_grammar,
     expand_lz77,
     expand_lz78,
     expand_rle,
     expand_slp,
-    lz78_factor_lengths,
     parse,
     rle_encode,
     rle_to_lz77,
     validate,
 )
-from crx.model import grammar_lengths
+from crx.model import canonical_grammar, grammar_lengths, lz78_factor_lengths
 from helpers import T, sample_slp, power_slp
 
 
@@ -248,8 +246,8 @@ def test_slp_build_rejects_self_reference():
 
 
 def test_slp_empty_rejected():
-    with pytest.raises(EmptyInputError):
-        expand_slp(Slp.build(()))
+    with pytest.raises(EmptyInputError, match="cannot build a program"):
+        Slp.build(())
 
 
 def test_expand_slp_budget():

@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 import crx.slp_ops
 from crx import (
     BudgetExceededError,
-    EdgeRuns,
     EmptyInputError,
-    Fingerprints,
     RleString,
     Slp,
     Term,
     Text,
-    annotate_runs,
     char_at,
     expand_slp,
     first_mismatch,
@@ -32,7 +29,7 @@ from crx import (
     slp_runs,
     substring_slp,
 )
-from crx.slp_ops import _cut, _pieces
+from crx.slp_ops import EdgeRuns, Fingerprints, _cut, _pieces, annotate_runs
 from helpers import (
     brute_occurrences,
     long_run_lists,
@@ -274,11 +271,6 @@ def test_occurrences_pattern_longer_than_text():
 def test_occurrences_refuses_empty_run_pattern():
     with pytest.raises(EmptyInputError):
         occurrences(sample_slp(), RleString(()))
-
-
-def test_occurrences_refuses_empty_program_pattern():
-    with pytest.raises(EmptyInputError):
-        occurrences(sample_slp(), Slp.build(()))
 
 
 def test_occurrences_random_vs_brute():

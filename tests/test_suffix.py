@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from crx import (
     InvalidInputError,
     LceIndex,
-    MetaText,
     RleString,
     lcp_array,
     rank_runs,
@@ -20,6 +19,7 @@ from crx import (
     rle_to_lz77,
     suffix_array,
 )
+from crx.suffix import MetaText
 from helpers import random_runs
 
 
@@ -209,14 +209,14 @@ def test_lce_index_matches_brute_force(seq):
     rank = [0] * (n + 1)
     for r, p in enumerate(sa):
         rank[p] = r
-    assert idx.sa == sa
-    assert idx.lcp == [0, *(table[a - 1, b - 1] for a, b in zip(sa, sa[1:]))][:n]
+    assert suffix_array(seq) == sa
+    assert idx.table[0] == [0, *(table[a - 1, b - 1] for a, b in zip(sa, sa[1:]))][:n]
     assert idx.rank == rank
     # lce is symmetric in its code; both rank orders occur among i <= j
     got = [list(map(idx.lce, repeat(i), range(i, n + 1))) for i in range(1, n + 1)]
     assert got == [table[i, i:n].tolist() for i in range(n)]
     # a numpy scalar would compare equal above but repr as np.int64(3)
-    stored = [idx.sa, idx.lcp, idx.rank, *idx.table, *got]
+    stored = [idx.rank, *idx.table, *got]
     assert all(type(x) is int for row in stored for x in row)
 
 
