@@ -20,14 +20,16 @@ rule (see RleString, Lz77Factorization and `slp_from_grammar_rules`),
 with the type's code and location. `validate` raises InvalidInputError
 on what needs the header: symbols outside the alphabet and a declared
 length the payload does not derive, plus the faults that the LZ78 and
-grammar walks and the program's reachable rules show.
+grammar walks and the program's reachable rules show. A grammar with no
+rules, which only a library caller can build, raises EmptyInputError in
+`make_grammar_container` and `validate`, as an empty Slp does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ContainerFormatError, InvalidInputError
+from .errors import ContainerFormatError, EmptyInputError, InvalidInputError
 from .model import (
     AdmissibleGrammar,
     Literal,
@@ -47,6 +49,7 @@ from .slp_ops import reachable_vars
 
 MAGIC = "CRX1"
 FORMATS = ("rle", "lz77", "lz78", "grammar", "slp")
+_EMPTY_GRAMMAR = "a grammar with no rules derives the empty string"
 
 Payload = RleString | Lz77Factorization | Lz78Factorization | AdmissibleGrammar | Slp
 
@@ -85,6 +88,8 @@ def make_lz78_container(f: Lz78Factorization) -> CompressedContainer:
 
 
 def make_grammar_container(g: AdmissibleGrammar, alphabet_size: int) -> CompressedContainer:
+    if not g.rules:
+        raise EmptyInputError(_EMPTY_GRAMMAR)
     if g.start != max(g.rules):
         g = canonical_grammar(g)
     return CompressedContainer("grammar", alphabet_size, grammar_lengths(g)[g.start], g)
@@ -232,7 +237,7 @@ def validate(c: CompressedContainer) -> int:
     parse has checked, so its length and reachable rules are read off it.
     Raises InvalidInputError(code, location) on the first violation
     found; an rle, lz77 or slp payload has checked its own rule when it
-    was built.
+    was built. A grammar payload with no rules raises EmptyInputError.
     """
     sigma = c.alphabet_size
     p = c.payload
@@ -256,6 +261,8 @@ def validate(c: CompressedContainer) -> int:
             raise InvalidInputError("unreachable-variable", "rules")
         length = p.length
     else:
+        if not p.rules:
+            raise EmptyInputError(_EMPTY_GRAMMAR)
         for var in sorted(p.rules):
             rhs = p.rules[var]
             if not rhs:

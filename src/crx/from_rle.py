@@ -3,16 +3,20 @@
 Only the run structure is ever touched. LZ77's driver and bisection's
 run on the meta text's symbol lookup and character-level LCE queries,
 LZ77's also on leftmost window starts found from the runs; LZ78's
-driver reads the runs from the cursor on, and Re-Pair walks them.
-Outputs match the reference codecs on the decoded string. The run
-walks rely on maximal runs, which every RleString has: its construction
-rejects a run of exponent 0 and two adjacent runs of one symbol.
+driver reads the runs from the cursor on. Re-Pair keeps them in a
+linked list and updates the pair counts around each replacement, so no
+round walks the runs. Outputs match the reference codecs on the decoded
+string. The run walks rely on maximal runs, which every RleString has:
+its construction rejects a run of exponent 0 and two adjacent runs of
+one symbol.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterator
+from heapq import heappop, heappush
 from itertools import accumulate
 
 from .drivers import bisection_driver, lz77_driver, lz78_driver
@@ -26,7 +30,6 @@ from .model import (
     Slp,
     Term,
     Var,
-    item_key,
 )
 from .suffix import rank_runs
 
@@ -111,85 +114,202 @@ def rle_to_lz78(r: RleString) -> Lz78Factorization:
     return lz78_driver(pl[-1], sigma, runs_from)
 
 
-def _pair_counts(seq: list[tuple[GrammarItem, int]]):
-    # left-greedy counts on the expansion: a run of q gives q // 2 for (x, x)
-    counts: dict[tuple[GrammarItem, GrammarItem], int] = {}
-    for idx, (tok, exp) in enumerate(seq):
-        if exp >= 2:
-            pair = (tok, tok)
-            counts[pair] = counts.get(pair, 0) + exp // 2
-        if idx + 1 < len(seq):
-            pair = (tok, seq[idx + 1][0])
-            counts[pair] = counts.get(pair, 0) + 1
-    return counts
-
-
 def rle_to_repair(r: RleString) -> AdmissibleGrammar:
     """Pairwise grammar compression replayed on run-compressed strings.
 
     Rounds mirror the reference codec exactly: same counts, same smallest
     pair tie-break, same left-greedy replacement, so the grammars come out
-    identical. The working string just never leaves run form.
+    identical. The working string never leaves run form, and no round
+    walks it (Larsson & Moffat's scheme on runs):
+
+    - The runs are a doubly linked list. A pair (x, y), x != y, counts its
+      run boundaries; (x, x) counts q // 2 per run x^q.
+    - Each pair keeps the nodes where it was seen, in run order and
+      checked when used, so a round touches only the occurrences of the
+      pair it replaces, left to right, and updates the counts around each
+      one. (x, e)(y, f) becomes (x, e-1)(z, 1)(y, f-1), x^q becomes
+      z^(q//2) x^(q%2); only adjacent runs of z merge, so a new z joins
+      at most the z run on its left. A node is reused only where it
+      died, which keeps every list in run order.
+    - Only pairs holding z gain count in z's round, so one heap entry
+      per pair, pushed at the end of its round, bounds its count; a stale
+      top is pushed back with its count, which keeps the tie-break exact.
+
+    Tokens, pairs and heap entries are packed ints ordered like
+    item_key: terminals by rank of their code, then variables by index.
     """
     if not r.runs:
         raise EmptyInputError("cannot build a grammar for the empty string")
-    seq: list[tuple[GrammarItem, int]] = [(Term(sym), exp) for sym, exp in r.runs]
-    rules: dict[int, tuple[GrammarItem, ...]] = {}
-    nxt = 1
-    while True:
-        counts = _pair_counts(seq)
-        best_count = 0
-        best_pair = None
-        for pair, cnt in counts.items():
-            if cnt < 2 or cnt < best_count:
-                continue
-            key = (item_key(pair[0]), item_key(pair[1]))
-            if cnt > best_count or key < (item_key(best_pair[0]),
-                                          item_key(best_pair[1])):
-                best_count, best_pair = cnt, pair
-        if best_pair is None:
-            break
-        rules[nxt] = best_pair
-        z = Var(nxt)
-        left, right = best_pair
-        out: list[tuple[GrammarItem, int]] = []
-        if left == right:
-            for tok, exp in seq:
-                if tok == left:
-                    if exp // 2:
-                        out.append((z, exp // 2))
-                    if exp % 2:
-                        out.append((tok, 1))
-                else:
-                    out.append((tok, exp))
+    codes = sorted({sym for sym, _ in r.runs})
+    d = len(codes)
+    rank = {c: i for i, c in enumerate(codes)}
+    K = d + r.length  # above every token: each round shortens the text by >= 2
+    KK = K * K
+    m = len(r.runs)
+    # nodes 0 and 1 are the head and tail sentinels; dead nodes have token -1
+    tok = array("q", [-1, -1])
+    tok.extend(rank[sym] for sym, _ in r.runs)
+    exp = [0, 0] + [e for _, e in r.runs]  # a list: exponents may pass 2^63
+    prv = array("q", [-1, m + 1, 0])
+    prv.extend(range(2, m + 1))
+    nxt = array("q", [2, -1])
+    nxt.extend(range(3, m + 2))
+    nxt.append(1)
+    cnt: dict[int, int] = {}
+    occ: dict[int, list[int]] = {}
+    fresh: list[int] = []  # pairs first counted since the last heap push
+
+    def add(pk: int, node: int, k: int = 1) -> None:
+        c = cnt.get(pk)
+        if c is None:
+            cnt[pk] = k
+            occ[pk] = [node]
+            fresh.append(pk)
         else:
-            i = 0
-            while i < len(seq):
-                tok, exp = seq[i]
-                if tok == left and i + 1 < len(seq) and seq[i + 1][0] == right:
-                    rexp = seq[i + 1][1]
-                    if exp > 1:
-                        out.append((tok, exp - 1))
-                    out.append((z, 1))
-                    if rexp > 1:
-                        out.append((right, rexp - 1))
-                    i += 2
-                else:
-                    out.append((tok, exp))
-                    i += 1
-        merged: list[tuple[GrammarItem, int]] = []
-        for tok, exp in out:
-            if merged and merged[-1][0] == tok:
-                merged[-1] = (tok, merged[-1][1] + exp)
-            else:
-                merged.append((tok, exp))
-        seq = merged
-        nxt += 1
+            cnt[pk] = c + k
+            occ[pk].append(node)
+
+    def drop(pk: int, k: int = 1) -> None:
+        c = cnt[pk] - k
+        if c:
+            cnt[pk] = c
+        else:
+            del cnt[pk], occ[pk]
+
+    def link(a: int, b: int) -> None:
+        nxt[a] = b
+        prv[b] = a
+
+    def new_node() -> int:
+        tok.append(-1)
+        exp.append(0)
+        prv.append(-1)
+        nxt.append(-1)
+        return len(tok) - 1
+
+    def insert_z(z: int, left: int, right: int, node: int) -> None:
+        # one z between left and right, in the dead node given or a new
+        # one; no z run lies to the right yet
+        if tok[left] == z:
+            node = left
+            exp[node] += 1
+            if exp[node] == 2:
+                add(z * K + z, node)
+            elif exp[node] % 2 == 0:
+                cnt[z * K + z] += 1
+        else:
+            if node < 0:
+                node = new_node()
+            tok[node] = z
+            exp[node] = 1
+            if tok[left] >= 0:
+                add(tok[left] * K + z, left)
+            link(left, node)
+        link(node, right)
+        if tok[right] >= 0:
+            add(z * K + tok[right], node)
+
+    def replace_pair(z: int, a: int, x: int, y: int) -> None:
+        # (x, e)(y, f) -> (x, e-1)(z, 1)(y, f-1)
+        b = nxt[a]
+        e, f = exp[a], exp[b]
+        if e % 2 == 0:
+            drop(x * K + x)
+        if f % 2 == 0:
+            drop(y * K + y)
+        dead = -1
+        if e > 1:
+            exp[a] = e - 1
+            left = a
+        else:
+            left = prv[a]
+            if tok[left] >= 0:
+                drop(tok[left] * K + x)
+            tok[a] = -1
+            dead = a
+        if f > 1:
+            exp[b] = f - 1
+            right = b
+        else:
+            right = nxt[b]
+            if tok[right] >= 0:
+                drop(y * K + tok[right])
+            tok[b] = -1
+            dead = b
+        insert_z(z, left, right, dead)
+
+    def replace_self(z: int, i: int, x: int) -> None:
+        # x^q -> z^(q//2) x^(q%2); no run beside it is x or z
+        h, odd = divmod(exp[i], 2)
+        p = prv[i]
+        if odd:
+            node = new_node()
+            tok[node] = z
+            link(p, node)
+            link(node, i)
+            exp[i] = 1
+            add(z * K + x, node)
+        else:
+            node = i
+            tok[i] = z
+            n = tok[nxt[i]]
+            if n >= 0:
+                drop(x * K + n)
+                add(z * K + n, i)
+        exp[node] = h
+        if tok[p] >= 0:
+            drop(tok[p] * K + x)
+            add(tok[p] * K + z, p)
+        if h >= 2:
+            add(z * K + z, node, h // 2)
+
+    def item(t: int) -> GrammarItem:
+        return Term(codes[t]) if t < d else Var(t - d + 1)
+
+    for i in range(2, m + 2):
+        if exp[i] >= 2:
+            add(tok[i] * K + tok[i], i, exp[i] // 2)
+        if i < m + 1:
+            add(tok[i] * K + tok[i + 1], i)
+    heap: list[int] = []  # -count * KK + pair: most frequent, then smallest, first
+    rules: dict[int, tuple[GrammarItem, ...]] = {}
+    z = d
+    while True:
+        for pk in fresh:
+            c = cnt.get(pk, 0)
+            if c >= 2:
+                heappush(heap, pk - c * KK)
+        fresh.clear()
+        while heap:
+            top = heappop(heap)
+            pk = top % KK
+            c = cnt.get(pk, 0)
+            if c * KK == pk - top:
+                break
+            if c >= 2:  # stale: its count fell since the push
+                heappush(heap, pk - c * KK)
+        else:
+            break
+        x, y = divmod(pk, K)
+        rules[z - d + 1] = (item(x), item(y))
+        del cnt[pk]
+        if x == y:
+            for i in occ.pop(pk):
+                if tok[i] == x and exp[i] >= 2:
+                    replace_self(z, i, x)
+        else:
+            for a in occ.pop(pk):
+                if tok[a] == x and tok[nxt[a]] == y:
+                    replace_pair(z, a, x, y)
+        z += 1
     rhs: list[GrammarItem] = []
-    for tok, exp in seq:
-        rhs.extend([tok] * exp)
-    rules[nxt] = tuple(rhs)
-    return AdmissibleGrammar(rules, nxt)
+    i = nxt[0]
+    while i != 1:
+        rhs.extend([item(tok[i])] * exp[i])
+        i = nxt[i]
+    start = z - d + 1
+    rules[start] = tuple(rhs)
+    return AdmissibleGrammar(rules, start)
 
 
 def rle_to_bisection(r: RleString) -> AdmissibleGrammar:

@@ -214,8 +214,8 @@ class RunLinkAnnotations:
 class Slp:
     """Straight-line program: rules[i-1] defines X_i as either a terminal
     (Term) or a pair (l, r) of smaller variable indices. Start is X_n.
-    Slp.build refuses an empty rule list, so every program derives a
-    nonempty string.
+    Construction refuses an empty rule list with EmptyInputError, so
+    every program derives a nonempty string.
 
     lengths[i-1] is |val(X_i)|; annotations holds the run annotations once
     crx.slp_ops.annotate_runs has computed them. Neither takes part in
@@ -226,15 +226,16 @@ class Slp:
     lengths: tuple[int, ...] = field(compare=False)
     annotations: RunLinkAnnotations | None = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        if not self.rules:
+            raise EmptyInputError("cannot build a program for the empty string")
+
     @classmethod
     def build(cls, rules: list[Term | tuple[int, int]] | tuple) -> "Slp":
         """Check that every pair rule refers to earlier rules
         ("forward-reference-in-slp" otherwise) and derive the lengths.
-        Raises EmptyInputError on an empty rule list: no program derives
-        the empty string."""
+        The constructor refuses an empty rule list."""
         rules = tuple(rules)
-        if not rules:
-            raise EmptyInputError("cannot build a program for the empty string")
         lengths: list[int] = []
         for i, rule in enumerate(rules, start=1):
             if isinstance(rule, Term):

@@ -10,6 +10,7 @@ from crx import (
     AdmissibleGrammar,
     CompressedContainer,
     ContainerFormatError,
+    EmptyInputError,
     InvalidInputError,
     Literal,
     Lz77Factorization,
@@ -201,6 +202,15 @@ def test_validate_empty_rule_direct():
     # the parser cannot produce an empty right-hand side, so build one by hand
     g = AdmissibleGrammar({1: ()}, start=1)
     assert _raised(CompressedContainer("grammar", 2, 0, g)) == ("empty-rule", "rule 1")
+
+
+def test_grammar_with_no_rules_refused():
+    # only a library caller can build it: parse refuses a file with no rules
+    g = AdmissibleGrammar({}, 0)
+    with pytest.raises(EmptyInputError, match="no rules"):
+        make_grammar_container(g, 2)
+    with pytest.raises(EmptyInputError, match="no rules"):
+        validate(CompressedContainer("grammar", 2, 0, g))
 
 
 def test_validate_bad_start_direct():

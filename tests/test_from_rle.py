@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crx.from_rle
 import crx.suffix
@@ -27,7 +29,7 @@ from crx import (
     rle_to_lz78,
     rle_to_repair,
 )
-from helpers import random_runs, record_calls
+from helpers import long_run_lists, random_runs, record_calls
 
 AB3 = RleString(((0, 3), (1, 2), (0, 3)))  # aaabbaaa
 
@@ -110,9 +112,34 @@ def test_conversions_reject_runs_that_are_not_maximal(runs, code, location):
 
 
 def test_repair_matches_naive_rule_for_rule():
-    for s in ("aabaab", "aaaa", "abababab", "aaabbbaaabbb"):
+    for s in ("aabaab", "aaaa", "abababab", "aaabbbaaabbb", "aabbaabbaabb",
+              "abcabcabcab"):
         t = Text.from_str(s)
         assert rle_to_repair(rle_encode(t)) == naive_repair(t)
+
+
+@st.composite
+def periodic_run_lists(draw):
+    """The runs of a short block repeated, (ab)^k and its kin, with a
+    ragged end: runs of a new variable meet and merge, and pairs tie on
+    count."""
+    block = draw(st.lists(st.integers(0, 3), min_size=2, max_size=6))
+    tail = draw(st.lists(st.integers(0, 3), max_size=3))
+    return rle_encode(Text(tuple(block * draw(st.integers(2, 12)) + tail)))
+
+
+REPAIR_INPUTS = st.one_of(
+    long_run_lists(sigma=1, max_exp=300),  # one symbol: a single long run
+    long_run_lists(sigma=2, max_exp=40, max_runs=12),  # long runs: self pairs
+    long_run_lists(sigma=4, max_exp=2, max_runs=30),  # short runs: many ties
+    periodic_run_lists(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPAIR_INPUTS)
+def test_repair_matches_naive_on_run_lists(r):
+    assert rle_to_repair(r) == naive_repair(expand_rle(r))
 
 
 def test_bisection_matches_naive_rule_for_rule():

@@ -250,6 +250,12 @@ def test_slp_empty_rejected():
         Slp.build(())
 
 
+def test_slp_constructor_refuses_empty_program():
+    # the check lives in the constructor, so Slp.build cannot be bypassed
+    with pytest.raises(EmptyInputError, match="cannot build a program"):
+        Slp((), ())
+
+
 def test_expand_slp_budget():
     s = power_slp(30)
     assert s.length == 2**30
