@@ -2,10 +2,11 @@
 
 Only the run structure is ever touched. LZ77's driver and bisection's
 run on the meta text's symbol lookup and character-level LCE queries,
-LZ77's also on leftmost window starts found from the runs; LZ78's
-driver reads the runs from the cursor on. Re-Pair keeps them in a
-linked list and updates the pair counts around each replacement, so no
-round walks the runs. Outputs match the reference codecs on the decoded
+LZ77's also on leftmost window starts found from two indexes of the
+run boundaries, built once, that hold only the boundaries able to give
+a record; LZ78's driver reads the runs from the cursor on. Re-Pair
+keeps them in a linked list and updates the pair counts around each
+replacement, so no round walks the runs. Outputs match the reference codecs on the decoded
 string. The run walks rely on maximal runs, which every RleString has:
 its construction rejects a run of exponent 0 and two adjacent runs of
 one symbol.
@@ -39,25 +40,54 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
 
     The shared driver reads symbols off the meta text and asks this lane
     for LCEs and leftmost window starts. Let c^head be the rest of the
-    cursor's run. A window c^length (length <= head) starts first at the
-    first run of c with exponent >= length, one of the runs beating
-    every earlier run of c. A longer window starts head symbols before a
-    run boundary j whose run j-1 is c^(>=head) and whose run j has the
-    next symbol. Such boundaries are scored once per cursor position by
-    their reach, one meta LCE each; the prefix maxima of the reach,
-    closed by the cursor itself, answer each length with a bisection.
-    An answer's reach is known, so the LCE the driver asks next along it
-    costs no query; other LCEs go to the meta text.
+    cursor's run u and (nxt, E) the next run. A window c^length (length
+    <= head) starts first at the first run of c with exponent >= length,
+    one of the runs beating every earlier run of c. A longer window
+    starts head symbols before a run boundary j <= u whose run j-1 is
+    c^(>=head) and whose run j has symbol nxt. If run j differs from run
+    u+1, it reaches head + min(exps[j], E) from there; if it equals run
+    u+1, at least head + E, by one meta LCE. The prefix maxima of the
+    reach, scored once per cursor position, come from two indexes of the
+    boundaries built once:
+
+    - up to the first boundary whose run equals run u+1, a staircase per
+      (c, nxt): the boundaries that no earlier boundary of the pair beats
+      in both exps[j-1] and exps[j], the only ones that can hold a record
+      there;
+    - from it on, a list per (c, rank of run j): only a boundary whose
+      run equals run u+1 can reach past head + E.
+
+    Closed by the cursor itself, the maxima answer each length with a
+    bisection. An answer's reach is known, so the LCE the driver asks
+    next along it costs no query; other LCEs go to the meta text.
     """
     runs = r.runs
     meta = rank_runs(r)
     pl = meta.prefix_len
     m = meta.m
-    syms, exps = [sym for sym, _ in runs], [exp for _, exp in runs]
+    syms, exps, ranks = [sym for sym, _ in runs], [exp for _, exp in runs], meta.ranks
     records: dict[int, list[tuple[int, int]]] = {}  # (exponent, start), after a (0, 0) floor
     for j, (c, e) in enumerate(runs):
         if e > records.setdefault(c, [(0, 0)])[-1][0]:
             records[c].append((e, pl[j] + 1))
+    stairs: dict[tuple[int, int], list[int]] = {}  # boundaries j of (c, nxt), in order
+    equal: dict[tuple[int, int], list[int]] = {}  # boundaries j of (c, rank of run j)
+    # the boundaries of (c, nxt) beaten by none so far, as (exps[j-1], exps[j])
+    # points: the first coordinates ascending, the negated second ones too
+    fronts: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    for j in range(1, m):
+        pair = syms[j - 1], syms[j]
+        equal.setdefault((pair[0], ranks[j]), []).append(j)
+        xs, nys = fronts.setdefault(pair, ([], []))
+        x, y = exps[j - 1], exps[j]
+        k = bisect_left(xs, x)
+        if k < len(xs) and -nys[k] >= y:
+            continue  # an earlier boundary reaches as far wherever j does
+        hi = k + (k < len(xs) and xs[k] == x)
+        lo = bisect_left(nys, -y, 0, hi)  # j beats the points lo..hi-1
+        xs[lo:hi], nys[lo:hi] = [x], [-y]
+        stairs.setdefault(pair, []).append(j)
+    del fronts
     scored: list = [0, []]  # cursor, prefix maxima (reach, start) of its boundaries
     known: list = [0, 0, 0]  # the last answer: cursor, start, their common extension
 
@@ -76,11 +106,20 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
                 known[:] = pos, start, min(e, head)
             return start
         if scored[0] != pos:
-            c, nxt, base = syms[u], syms[u + 1], pl[u + 1]
+            c, nxt, big = syms[u], syms[u + 1], exps[u + 1]
+            base, rest = pl[u + 1], meta.length - pos + 1
             best = [(0, 0)]  # a floor; the cursor itself closes the list
-            for j in range(1, u + 1):
-                if syms[j - 1] != c or exps[j - 1] < head or syms[j] != nxt:
-                    continue
+            same = equal.get((c, ranks[u + 1]), [])
+            same = [j for j in same[:bisect_left(same, u + 1)] if exps[j - 1] >= head]
+            first = same[0] if same else u + 1
+            for j in stairs.get((c, nxt), ()):
+                if j >= first or best[-1][0] == head + big:
+                    break
+                if exps[j - 1] >= head and head + min(exps[j], big) > best[-1][0]:
+                    best.append((head + min(exps[j], big), pl[j] + 1 - head))
+            for j in same:
+                if best[-1][0] == rest:  # nothing reaches past the end
+                    break
                 full = meta.meta_lce(j + 1, u + 2)
                 cand = head + (pl[u + 1 + full] - base)
                 a, b = j + full, u + 1 + full
@@ -88,7 +127,7 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
                     cand += min(exps[a], exps[b])
                 if cand > best[-1][0]:
                     best.append((cand, pl[j] + 1 - head))
-            best.append((meta.length - pos + 1, pos))
+            best.append((rest, pos))
             scored[:] = pos, best
         best = scored[1]
         reach, start = best[bisect_left(best, (length,))]

@@ -214,8 +214,10 @@ class RunLinkAnnotations:
 class Slp:
     """Straight-line program: rules[i-1] defines X_i as either a terminal
     (Term) or a pair (l, r) of smaller variable indices. Start is X_n.
-    Construction refuses an empty rule list with EmptyInputError, so
-    every program derives a nonempty string.
+    Construction refuses an empty rule list with EmptyInputError and a
+    pair rule that refers to no earlier rule with InvalidInputError
+    ("forward-reference-in-slp"), and derives lengths in the same pass,
+    so every program derives a nonempty string and knows its lengths.
 
     lengths[i-1] is |val(X_i)|; annotations holds the run annotations once
     crx.slp_ops.annotate_runs has computed them. Neither takes part in
@@ -223,21 +225,15 @@ class Slp:
     """
 
     rules: tuple[Term | tuple[int, int], ...]
-    lengths: tuple[int, ...] = field(compare=False)
-    annotations: RunLinkAnnotations | None = field(default=None, compare=False, repr=False)
+    lengths: tuple[int, ...] = field(init=False, compare=False)
+    annotations: RunLinkAnnotations | None = field(default=None, init=False, compare=False,
+                                                   repr=False)
 
     def __post_init__(self) -> None:
         if not self.rules:
             raise EmptyInputError("cannot build a program for the empty string")
-
-    @classmethod
-    def build(cls, rules: list[Term | tuple[int, int]] | tuple) -> "Slp":
-        """Check that every pair rule refers to earlier rules
-        ("forward-reference-in-slp" otherwise) and derive the lengths.
-        The constructor refuses an empty rule list."""
-        rules = tuple(rules)
         lengths: list[int] = []
-        for i, rule in enumerate(rules, start=1):
+        for i, rule in enumerate(self.rules, start=1):
             if isinstance(rule, Term):
                 lengths.append(1)
             else:
@@ -245,7 +241,13 @@ class Slp:
                 if not (1 <= l < i and 1 <= r < i):
                     raise InvalidInputError("forward-reference-in-slp", f"rule {i}")
                 lengths.append(lengths[l - 1] + lengths[r - 1])
-        return cls(rules, tuple(lengths))
+        object.__setattr__(self, "lengths", tuple(lengths))
+
+    @classmethod
+    def build(cls, rules: list[Term | tuple[int, int]] | tuple) -> "Slp":
+        """The program of the rules, given as any sequence; the
+        constructor checks them and derives the lengths."""
+        return cls(tuple(rules))
 
     @property
     def n(self) -> int:
@@ -265,7 +267,7 @@ def slp_from_grammar_rules(g: AdmissibleGrammar) -> Slp:
     """Reinterpret a grammar already in SLP shape (X->a or X->YZ, refs
     strictly decreasing, variables 1..n) as an Slp. Raises with a code and
     a location only: "missing-variable", "bad-start", "malformed-slp-rule"
-    ("rule 2") and Slp.build's "forward-reference-in-slp"."""
+    ("rule 2") and the Slp constructor's "forward-reference-in-slp"."""
     n = len(g.rules)
     if set(g.rules) != set(range(1, n + 1)):
         raise InvalidInputError("missing-variable", "rules")

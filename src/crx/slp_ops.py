@@ -267,7 +267,7 @@ def substring_slp(s: Slp, i: int, j: int) -> Slp:
     The result is the rules up to the window's deepest variable v if the
     range is all of val(v); otherwise the rules below v plus a
     left-associative chain of fresh rules stitching the window's cover
-    pieces. It is a plain program: lengths are derived by Slp.build, and
+    pieces. It is a plain program: lengths are derived on construction, and
     run annotations are computed on first use like any other program's.
     """
     v, lo, hi = _cut(s, i, j)

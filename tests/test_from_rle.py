@@ -142,6 +142,79 @@ def test_repair_matches_naive_on_run_lists(r):
     assert rle_to_repair(r) == naive_repair(expand_rle(r))
 
 
+@st.composite
+def nudged_block_run_lists(draw):
+    """A block of runs repeated with one exponent nudged by one per copy:
+    boundaries of one symbol pair that beat each other in only one of
+    their two exponents, and copies of the cursor's next run, whose
+    reach takes a meta LCE."""
+    block = draw(long_run_lists(sigma=3, max_exp=4, min_runs=2, max_runs=5)).runs
+    text: list[int] = []
+    for _ in range(draw(st.integers(2, 8))):
+        k = draw(st.integers(0, len(block) - 1))
+        nudge = draw(st.sampled_from((-1, 1))) if block[k][1] > 1 else 1
+        for i, (sym, exp) in enumerate(block):
+            text += [sym] * (exp + nudge * (i == k))
+    return rle_encode(Text(tuple(text)))
+
+
+LZ77_INPUTS = st.one_of(
+    long_run_lists(sigma=2, max_exp=40, max_runs=12),  # long runs
+    long_run_lists(sigma=4, max_exp=2, max_runs=30),  # short runs: many equal runs
+    periodic_run_lists(),
+    nudged_block_run_lists(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LZ77_INPUTS)
+def test_lz77_matches_naive_on_run_lists(r):
+    t = expand_rle(r)
+    for self_ref in (False, True):
+        assert rle_to_lz77(r, self_ref) == naive_lz77(t, self_ref)
+
+
+def test_lz77_scores_few_boundaries_per_factor(monkeypatch):
+    # a window crossing the cursor's run is answered from the staircase
+    # of its symbol pair and the boundaries whose run equals the next
+    # run; only the latter take a meta LCE, where scoring every earlier
+    # run boundary takes some 40 per factor on this input
+    rng = random.Random(2011)
+    runs, prev = [], -1
+    for _ in range(2000):
+        sym = rng.choice([c for c in range(4) if c != prev])
+        runs.append((sym, rng.randint(1, 50)))
+        prev = sym
+    calls = []
+    real = crx.suffix.MetaText.meta_lce
+    monkeypatch.setattr(crx.suffix.MetaText, "meta_lce",
+                        lambda self, i, j: calls.append(i) or real(self, i, j))
+    f = rle_to_lz77(RleString(tuple(runs)))
+    assert len(calls) <= 3 * len(f.factors)
+
+
+def test_lz77_answers_each_source_once(monkeypatch):
+    # a leftmost start comes with its whole common extension with the
+    # cursor, so with self-references the driver grows a factor along it
+    # in one step and never gets the same start twice at one cursor
+    answers = []
+    real = crx.from_rle.lz77_driver
+
+    def driver(n, self_ref, char, lce, leftmost):
+        def recorded(pos, length):
+            answers.append((pos, leftmost(pos, length)))
+            return answers[-1][1]
+        return real(n, self_ref, char, lce, recorded)
+
+    monkeypatch.setattr(crx.from_rle, "lz77_driver", driver)
+    rng = random.Random(23)
+    for _ in range(200):
+        block = [rng.randrange(3) for _ in range(rng.randint(2, 8))]
+        answers.clear()
+        rle_to_lz77(rle_encode(Text(tuple(block * rng.randint(2, 6)))), True)
+        assert len(answers) == len(set(answers))
+
+
 def test_bisection_matches_naive_rule_for_rule():
     for s in ("aaaaaa", "abobab", "aababaababaab", "ab"):
         t = Text.from_str(s)

@@ -26,6 +26,7 @@ from crx import (
     parse,
     rle_encode,
     rle_to_lz77,
+    slp_to_rle,
     validate,
 )
 from crx.model import canonical_grammar, grammar_lengths, lz78_factor_lengths
@@ -253,7 +254,24 @@ def test_slp_empty_rejected():
 def test_slp_constructor_refuses_empty_program():
     # the check lives in the constructor, so Slp.build cannot be bypassed
     with pytest.raises(EmptyInputError, match="cannot build a program"):
-        Slp((), ())
+        Slp(())
+
+
+def test_slp_constructor_refuses_forward_reference():
+    # the constructor checks the references, so no program reaches a
+    # conversion with one
+    with pytest.raises(InvalidInputError) as ei:
+        Slp((Term(0), (1, 5)))
+    assert (ei.value.code, ei.value.location) == ("forward-reference-in-slp", "rule 2")
+
+
+def test_slp_constructor_derives_lengths():
+    # lengths are derived, never given, so none can be wrong
+    with pytest.raises(TypeError):
+        Slp((Term(0), (1, 1)), (1, 7))
+    s = Slp((Term(0), (1, 1)))
+    assert s.lengths == (1, 2)
+    assert slp_to_rle(s).runs == ((0, 2),)
 
 
 def test_expand_slp_budget():
