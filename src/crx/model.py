@@ -214,10 +214,12 @@ class RunLinkAnnotations:
 class Slp:
     """Straight-line program: rules[i-1] defines X_i as either a terminal
     (Term) or a pair (l, r) of smaller variable indices. Start is X_n.
-    Construction refuses an empty rule list with EmptyInputError and a
-    pair rule that refers to no earlier rule with InvalidInputError
-    ("forward-reference-in-slp"), and derives lengths in the same pass,
-    so every program derives a nonempty string and knows its lengths.
+    Construction keeps the rules as a tuple, whatever sequence holds
+    them, so equal rules make equal, hashable programs. It refuses an
+    empty rule list with EmptyInputError and a pair rule that refers to
+    no earlier rule with InvalidInputError ("forward-reference-in-slp"),
+    and derives lengths in the same pass, so every program derives a
+    nonempty string and knows its lengths.
 
     lengths[i-1] is |val(X_i)|; annotations holds the run annotations once
     crx.slp_ops.annotate_runs has computed them. Neither takes part in
@@ -230,6 +232,7 @@ class Slp:
                                                    repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rules", tuple(self.rules))
         if not self.rules:
             raise EmptyInputError("cannot build a program for the empty string")
         lengths: list[int] = []
@@ -246,8 +249,9 @@ class Slp:
     @classmethod
     def build(cls, rules: list[Term | tuple[int, int]] | tuple) -> "Slp":
         """The program of the rules, given as any sequence; the
-        constructor checks them and derives the lengths."""
-        return cls(tuple(rules))
+        constructor keeps them as a tuple, checks them and derives the
+        lengths."""
+        return cls(rules)
 
     @property
     def n(self) -> int:

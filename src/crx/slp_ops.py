@@ -11,8 +11,10 @@ variables it finds empty, and only counting and listing visit every
 variable. The ranges are built from the runs at the inner edges of the
 variable's children, which do not depend on the pattern: an `EdgeRuns`
 store keeps them per text variable, so a caller that asks many queries
-of one text (`slp_to_lz77` does, one per probe) computes each
-variable's edge runs once, not once per query.
+of one text computes each variable's edge runs once, not once per
+query. `slp_to_lz77` asks no occurrence query: it reads three edge runs
+per child from one store to index the splits of the rules' leftmost
+nodes, once per call.
 
 Every test of whether two stretches of the derived string agree
 (`slp_lce`, `membership`, `prefix_match`, `first_mismatch`,
@@ -464,17 +466,6 @@ class OccRepr:
 
     def _term_matches(self, code: int) -> bool:
         return self.pattern_length == 1 and code == self._pruns[0][0]
-
-    def inherit_misses(self, shorter: OccRepr) -> None:
-        """Take over the miss set of shorter's pattern, which must be a
-        prefix of this one's on the same text: a variable holding no
-        occurrence of it holds none of this pattern either."""
-        a, b = shorter._pruns, self._pruns
-        k = len(a) - 1
-        if (shorter.text is not self.text or k >= len(b) or a[:k] != b[:k]
-                or a[k][0] != b[k][0] or a[k][1] > b[k][1]):
-            raise ValueError("pattern does not extend the shorter one")
-        self._misses |= shorter._misses
 
     def _cross(self, v: int) -> tuple[tuple[int, int], ...]:
         """Sorted ranges (lo, hi) of the starts in v that cross its child

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import crx.from_slp
 import crx.slp_ops
 from crx import (
-    InternalError,
     Literal,
     Reference,
     RleString,
@@ -150,16 +149,84 @@ def test_lz77_builds_no_substring_program(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("fake_min_start", [
-    lambda self: None,                    # no occurrence of the window at all
-    lambda self: self.text.length + 1,    # a start after the window's own
-    lambda self: 1,                       # aab... holds no ab at 1
+def record_walks(monkeypatch) -> list:
+    """Record the answer of every later run walk that confirms a
+    candidate LZ77 source: None when the texts agree."""
+    answers = []
+    real = crx.from_slp._first_difference
+    monkeypatch.setattr(crx.from_slp, "_first_difference", lambda xs, ys:
+                        answers.append(real(xs, ys)) or answers[-1])
+    return answers
+
+
+@pytest.mark.parametrize("programs", [
+    # binary texts, where three runs at each side of a split often fit
+    # a window that does not occur there
+    lambda rng: [random_slp(rng, max_extra=30, sigma=2, max_len=3000) for _ in range(20)],
+    lambda rng: [rle_as_slp(RleString(random_runs(rng, max_runs=80, sigma=2, max_exp=2)))
+                 for _ in range(10)],
+    lambda rng: [fibonacci_slp(k) for k in range(5, 16)],
 ])
-def test_lz77_source_search_checks_itself(monkeypatch, fake_min_start):
-    monkeypatch.setattr(crx.slp_ops.OccRepr, "min_start", fake_min_start)
-    for self_ref in (False, True):
-        with pytest.raises(InternalError):
-            slp_to_lz77(sample_slp(), self_ref)
+def test_lz77_source_search_checks_itself(monkeypatch, programs):
+    # a candidate start is taken only once a run walk confirms its text:
+    # with every fingerprint equal, the walk alone must turn down each
+    # wrong candidate, and the factors must not change
+    programs = programs(random.Random(127))
+    texts = [expand_slp(s) for s in programs]
+    answers = record_walks(monkeypatch)
+    for s, t in zip(programs, texts):
+        for self_ref in (False, True):
+            assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
+    assert answers and all(d is None for d in answers)  # no collision modulo 2**61 - 1
+    monkeypatch.setattr(crx.slp_ops, "_FP_MOD", 1)
+    answers.clear()
+    for s, t in zip(programs, texts):
+        for self_ref in (False, True):
+            assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
+    assert any(d is not None for d in answers)
+
+
+@st.composite
+def lz77_programs(draw):
+    """Random, bisection, `rle_as_slp` and Fibonacci programs."""
+    kind = draw(st.sampled_from(["random", "bisection", "runs", "fibonacci"]))
+    if kind == "random":
+        rules: list = [Term(c) for c in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 10))):
+            n = len(rules)  # a left child among the last rules, so lengths grow
+            rules.append((draw(st.integers(max(1, n - 4), n)),
+                          draw(st.integers(1, n))))
+        return Slp(rules)
+    if kind == "bisection":
+        symbols = draw(st.lists(st.integers(0, 2), min_size=1, max_size=300))
+        return grammar_to_slp(naive_bisection(Text(tuple(symbols))))
+    if kind == "runs":
+        return rle_as_slp(draw(st.one_of(long_run_lists(),
+                                         long_run_lists(max_exp=2, min_runs=20, max_runs=50))))
+    return fibonacci_slp(draw(st.integers(3, 16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lz77_programs(), st.booleans())
+def test_lz77_matches_reference_on_programs(s, self_ref):
+    assert slp_to_lz77(s, self_ref) == naive_lz77(expand_slp(s), self_ref)
+
+
+def test_lz77_asks_no_occurrence_set(monkeypatch):
+    # leftmost sources come from the split index and a run walk; no
+    # occurrence set of a window is built
+    rng = random.Random(131)
+    programs = [sample_slp(), power_slp(12), slp_of(T("abxabyaby")), fibonacci_slp(12)]
+    programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
+    programs += [rle_as_slp(RleString(random_runs(rng, max_runs=30))) for _ in range(5)]
+    texts = [expand_slp(s) for s in programs]
+    calls = record_calls(monkeypatch, "occurrences", crx.slp_ops, crx.from_slp)
+    built = []
+    monkeypatch.setattr(crx.slp_ops.OccRepr, "__init__", lambda *args: built.append(args))
+    for s, t in zip(programs, texts):
+        for self_ref in (False, True):
+            assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
+    assert calls == [] and built == []
 
 
 def test_lz78_of_sample_frozen():

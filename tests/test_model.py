@@ -265,6 +265,17 @@ def test_slp_constructor_refuses_forward_reference():
     assert (ei.value.code, ei.value.location) == ("forward-reference-in-slp", "rule 2")
 
 
+def test_slp_constructor_keeps_rules_as_a_tuple():
+    # a list of rules makes the same program as the tuple, and a hashable one
+    s = Slp([Term(0), (1, 1)])
+    assert isinstance(s.rules, tuple)
+    assert s == Slp((Term(0), (1, 1))) == Slp.build([Term(0), (1, 1)])
+    assert hash(s) == hash(Slp((Term(0), (1, 1))))
+    assert len({s, Slp((Term(0), (1, 1))), Slp(iter([Term(0)]))}) == 2
+    with pytest.raises(EmptyInputError):
+        Slp(iter(()))
+
+
 def test_slp_constructor_derives_lengths():
     # lengths are derived, never given, so none can be wrong
     with pytest.raises(TypeError):

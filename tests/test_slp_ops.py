@@ -670,9 +670,10 @@ def test_positions_walk_is_bounded(monkeypatch):
         occ.positions()
 
 
-def test_longer_pattern_inherits_misses():
-    # windows growing at one start: each set takes over the variables the
-    # previous one found empty, and still answers like a fresh set
+def test_growing_windows_share_one_edge_store():
+    # windows growing at one start, all asked through one edge store:
+    # each set still answers like brute force while the store's run bound
+    # grows with the patterns
     rng = random.Random(103)
     for k in range(60):
         if k % 2:
@@ -683,25 +684,14 @@ def test_longer_pattern_inherits_misses():
         n = len(text)
         pos = rng.randint(1, n)
         edges = EdgeRuns(s)
-        shorter = None
         for length in range(1, n - pos + 2):
             occ = occurrences(s, slp_runs(s, pos, pos + length - 1), edges)
-            if shorter is not None:
-                occ.inherit_misses(shorter)
             want = brute_occurrences(text, text[pos - 1:pos - 1 + length])
             assert occ.min_start() == want[0]
             assert occ.exists_start_in(1, pos - 1) == (want[0] < pos)
-            shorter = occ
-    # not an extension: another pattern, a longer one, another text
-    s = sample_slp()
-    ab, aa = occurrences(s, slp_of_str("ab")), occurrences(s, slp_of_str("aa"))
-    for longer, short in ((ab, aa), (aa, ab), (ab, occurrences(s, slp_of_str("aab"))),
-                          (ab, occurrences(sample_slp(), slp_of_str("a")))):
-        with pytest.raises(ValueError):
-            longer.inherit_misses(short)
-    occurrences(s, slp_of_str("aab")).inherit_misses(occurrences(s, slp_of_str("aa")))
+    # a store of another text is refused
     with pytest.raises(ValueError):
-        occurrences(s, slp_of_str("ab"), EdgeRuns(sample_slp()))
+        occurrences(sample_slp(), slp_of_str("ab"), EdgeRuns(sample_slp()))
 
 
 def test_equality_and_mismatch_deep_in_right_half():
