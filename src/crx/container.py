@@ -16,8 +16,8 @@ Payload lines by format:
 Errors come from two places, both as exceptions. `parse` raises
 ContainerFormatError on a file it cannot read as this layout, and
 InvalidInputError where the rle, lz77 or slp payload breaks its type's
-rule (see RleString, Lz77Factorization and `slp_from_grammar_rules`),
-with the type's code and location. `validate` raises InvalidInputError
+rule (see RleString, Lz77Factorization, `slp_from_grammar_rules` and
+Slp), with the type's code and location. `validate` raises InvalidInputError
 on what needs the header: symbols outside the alphabet and a declared
 length the payload does not derive, plus the faults that the LZ78 and
 grammar walks and the program's reachable rules show. A grammar with no

@@ -32,6 +32,7 @@ from .slp_ops import (
     EdgeRuns,
     Fingerprints,
     _first_difference,
+    _fits,
     _window_runs,
     char_at,
     occurrences,
@@ -54,9 +55,9 @@ def _primary_splits(s: Slp) -> tuple[dict[int, int], dict, dict]:
     leftmost node in the derivation tree. A pair rule X -> Y Z adds one
     entry (q, left, right): its split q = fo(X) + |Y|, the first
     position of Z in that node; Y's runs from its last symbol backwards
-    and Z's runs from its first symbol on, at most three each, as lists
-    of one `EdgeRuns` store. A list of fewer than three runs covers its
-    child; one of three that does gets the closing run (-1, 0).
+    and Z's runs from its first symbol on, the lists of one `EdgeRuns`
+    store of cap 3, shared with every other entry of the same child. A
+    list that covers its child ends with the closing run (-1, 0).
 
     crossing[(c, d)] holds the entries of the splits between a Y that
     ends in c and a Z that starts with d, so c == d for a split inside a
@@ -66,14 +67,7 @@ def _primary_splits(s: Slp) -> tuple[dict[int, int], dict, dict]:
     two nodes share a split.
     """
     rules, lengths = s.rules, s.lengths
-    edges = EdgeRuns(s)
-
-    def near(v: int, outer: int) -> list | tuple:
-        runs = edges.edge(v, outer, 3)
-        if len(runs) < 3 or sum(e for _, e in runs) < lengths[v - 1]:
-            return runs
-        return (*runs, (-1, 0))
-
+    edges = EdgeRuns(s, 3)
     fo = [0] * (s.n + 1)
     fo[s.n] = 1
     first: dict[int, int] = {}
@@ -91,12 +85,12 @@ def _primary_splits(s: Slp) -> tuple[dict[int, int], dict, dict]:
         q = at + lengths[y - 1]
         fo[y] = min(fo[y] or at, at)
         fo[z] = min(fo[z] or q, q)
-        left, right = near(y, 1), near(z, 0)
+        left, right = edges.edge(y, 1), edges.edge(z, 0)
         entry = q, left, right
         c, d = left[0][0], right[0][0]
         crossing.setdefault((c, d), []).append(entry)
         if c == d:
-            ahead.setdefault((c, right[1][0] if len(right) > 1 else -1), []).append(entry)
+            ahead.setdefault((c, right[1][0]), []).append(entry)
 
     def sort(index: dict) -> dict:
         for got in index.values():
@@ -104,23 +98,6 @@ def _primary_splits(s: Slp) -> tuple[dict[int, int], dict, dict]:
         return {key: ([q for q, _, _ in got], got) for key, got in index.items()}
 
     return first, sort(crossing), sort(ahead)
-
-
-def _fits(edge: list | tuple, i: int, runs: tuple, j: int, step: int) -> bool:
-    """Can the window's runs from runs[j] outwards (step -1 to the left,
-    1 to the right) lie in a child whose runs from the split are edge[i:]?
-    Each window run must equal its edge run, except that the outermost
-    one may be shorter. The closing run (-1, 0) matches none, and past
-    an edge list of three runs nothing is known."""
-    end = -1 if step < 0 else len(runs)
-    while i < len(edge) and j != end:
-        c, e = edge[i]
-        d, f = runs[j]
-        i += 1
-        j += step
-        if c != d or (e < f if j == end else e != f):
-            return False
-    return j == end or len(edge) > 2
 
 
 def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:

@@ -89,9 +89,10 @@ class RleString:
     """Run-length factorization: maximal runs (symbol, exponent).
 
     Construction raises InvalidInputError on a run of exponent below 1
-    ("zero-exponent") and on a run with the symbol of the run before it
-    ("adjacent-equal-runs"), naming the first such run by its 1-based
-    index ("run 2"). Every RleString therefore has maximal runs.
+    ("zero-exponent"), on a negative symbol ("symbol-out-of-range") and
+    on a run with the symbol of the run before it ("adjacent-equal-runs"),
+    naming the first such run by its 1-based index ("run 2"). Every
+    RleString therefore has maximal runs of symbols 0 and up.
     """
 
     runs: tuple[tuple[int, int], ...]
@@ -101,6 +102,8 @@ class RleString:
         for i, (sym, exp) in enumerate(self.runs, start=1):
             if exp < 1:
                 raise InvalidInputError("zero-exponent", f"run {i}")
+            if sym < 0:
+                raise InvalidInputError("symbol-out-of-range", f"run {i}")
             if sym == prev:
                 raise InvalidInputError("adjacent-equal-runs", f"run {i}")
             prev = sym
@@ -216,10 +219,11 @@ class Slp:
     (Term) or a pair (l, r) of smaller variable indices. Start is X_n.
     Construction keeps the rules as a tuple, whatever sequence holds
     them, so equal rules make equal, hashable programs. It refuses an
-    empty rule list with EmptyInputError and a pair rule that refers to
-    no earlier rule with InvalidInputError ("forward-reference-in-slp"),
-    and derives lengths in the same pass, so every program derives a
-    nonempty string and knows its lengths.
+    empty rule list with EmptyInputError, and with InvalidInputError a
+    terminal of negative code ("symbol-out-of-range") and a pair rule
+    that refers to no earlier rule ("forward-reference-in-slp"), naming
+    the first such rule ("rule 2"). It derives lengths in the same pass,
+    so every program derives a nonempty string and knows its lengths.
 
     lengths[i-1] is |val(X_i)|; annotations holds the run annotations once
     crx.slp_ops.annotate_runs has computed them. Neither takes part in
@@ -238,6 +242,8 @@ class Slp:
         lengths: list[int] = []
         for i, rule in enumerate(self.rules, start=1):
             if isinstance(rule, Term):
+                if rule.code < 0:
+                    raise InvalidInputError("symbol-out-of-range", f"rule {i}")
                 lengths.append(1)
             else:
                 l, r = rule

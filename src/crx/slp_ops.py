@@ -9,12 +9,12 @@ are computed the first time a query needs them. Every leftmost-start
 and range query is one walk that stops at its first hit and records the
 variables it finds empty, and only counting and listing visit every
 variable. The ranges are built from the runs at the inner edges of the
-variable's children, which do not depend on the pattern: an `EdgeRuns`
-store keeps them per text variable, so a caller that asks many queries
-of one text computes each variable's edge runs once, not once per
-query. `slp_to_lz77` asks no occurrence query: it reads three edge runs
-per child from one store to index the splits of the rules' leftmost
-nodes, once per call.
+variable's children, which an `EdgeRuns` store keeps per text variable,
+as many from each edge as its fixed cap: each occurrence set builds one
+of its own, capped at the pattern's run count plus two. `slp_to_lz77`
+asks no occurrence query: it builds a store of cap 3, once per call, to
+index the splits of the rules' leftmost nodes, and tests a window
+against those lists with `_fits`.
 
 Every test of whether two stretches of the derived string agree
 (`slp_lce`, `membership`, `prefix_match`, `first_mismatch`,
@@ -342,72 +342,83 @@ def slp_lce(s: Slp, i: int, j: int, limit: int) -> int:
 
 
 class EdgeRuns:
-    """The runs nearest each edge of the variables of one text, shared by
-    every occurrence query on it.
+    """The runs nearest each edge of the variables of one text, up to a
+    fixed cap.
 
-    A variable's head runs (from its first symbol on) and tail runs (from
-    its last symbol backwards) do not depend on the pattern, so one store
-    serves any number of queries. Each list is the first `runs` runs of
-    the variable from that edge, with true exponents, and a flag for a
-    list that covers the whole variable. A query asking for more runs at
-    least doubles the bound and starts the lists afresh; a query asking
-    for fewer gets the first runs of a stored list. Lists are computed
-    along the variables' spines on first use.
+    A list holds the first `cap` runs of a variable from one edge, in
+    order away from it, with true exponents. It ends with the closing
+    run (-1, 0) exactly when its runs cover the variable, so a list
+    that runs out without it was cut off. The closing run has exponent
+    0 and a symbol no text holds, so it matches no run of a window or a
+    pattern. Each list is computed once, along the variable's spine, on
+    first use, and every caller gets that same list: none may change it.
     """
 
-    def __init__(self, text: Slp):
+    def __init__(self, text: Slp, cap: int):
         self.text = text
-        self.runs = 0
+        self.cap = cap
         self._lists: tuple[dict, dict] = ({}, {})
 
-    def edge(self, v: int, outer: int, cap: int) -> list[tuple[int, int]]:
-        """The first cap runs of val(v) from its first (outer=0) or last
-        (outer=1) symbol, in order away from that edge, with true
-        exponents; all of them if val(v) has fewer."""
-        if cap > self.runs:
-            self.runs = max(cap, 2 * self.runs)
-            self._lists = ({}, {})
+    def edge(self, v: int, outer: int) -> list[tuple[int, int]]:
+        """The list of val(v) from its first (outer=0) or last (outer=1)
+        symbol."""
         memo = self._lists[outer]
         got = memo.get(v)
-        if got is None:
-            got = self._fill(v, memo, outer)
-        return got[0] if cap == self.runs else got[0][:cap]
+        return self._fill(v, memo, outer) if got is None else got
 
-    def _fill(self, v: int, memo: dict, outer: int) -> tuple[list[tuple[int, int]], bool]:
-        """The stored list of v, computing those of the spine below it
-        first. The inner child is consulted only when the outer child is
-        complete."""
-        rules = self.text.rules
-        runs = self.runs
+    def _fill(self, v: int, memo: dict, outer: int) -> list[tuple[int, int]]:
+        """The list of v, computing those of the spine below it first.
+        The inner child is consulted only when the outer child's list is
+        closed."""
+        rules, cap = self.text.rules, self.cap
         stack = [v]
         while stack:
             u = stack[-1]
             rule = rules[u - 1]
             if isinstance(rule, Term):
-                memo[u] = ([(rule.code, 1)], True)
+                memo[u] = [(rule.code, 1), (-1, 0)]
                 stack.pop()
                 continue
-            o = memo.get(rule[outer])
-            if o is None:
+            a = memo.get(rule[outer])
+            if a is None:
                 stack.append(rule[outer])
                 continue
-            if not o[1]:
-                memo[u] = o
+            if a[-1][1]:  # cut off: the inner child lies past the cap
+                memo[u] = a
                 stack.pop()
                 continue
-            i = memo.get(rule[1 - outer])
-            if i is None:
+            b = memo.get(rule[1 - outer])
+            if b is None:
                 stack.append(rule[1 - outer])
                 continue
-            a, b = o[0], i[0]
-            if a[-1][0] == b[0][0]:
-                merged = a[:-1] + [(a[-1][0], a[-1][1] + b[0][1])] + b[1:]
+            (c, e), (d, f) = a[-2], b[0]
+            if c == d:
+                merged = a[:-2] + [(c, e + f)] + b[1:]
             else:
-                merged = a + b
-            kept = merged[:runs]
-            memo[u] = (kept, i[1] and len(kept) == len(merged))
+                merged = a[:-1] + b
+            if len(merged) > cap and merged[cap][1]:  # more than cap runs
+                del merged[cap:]
+            memo[u] = merged
             stack.pop()
         return memo[v]
+
+
+def _fits(edge: list[tuple[int, int]], i: int, runs: tuple, j: int, step: int) -> bool:
+    """Can the window's runs from runs[j] outwards (step -1 to the left,
+    1 to the right) lie in a variable whose `EdgeRuns` list from that
+    edge, from edge[i] on, is edge[i:]? Each window run must equal its
+    edge run, except that the outermost one may be shorter. The closing
+    run matches none, and past a list that was cut off nothing is
+    known."""
+    end = -1 if step < 0 else len(runs)
+    while i < len(edge) and j != end:
+        c, e = edge[i]
+        d, f = runs[j]
+        i += 1
+        j += step
+        if c != d or (e < f if j == end else e != f):
+            return False
+    return True
 
 
 def _kmp_find_all(needle: list, hay: list) -> list[int]:
@@ -441,26 +452,20 @@ class OccRepr:
     relative to the variable's own origin, of occurrences that cross its
     child boundary. They are computed the first time a query needs them,
     from the runs at the inner edges of the two children, which come from
-    an `EdgeRuns` store of the text: the caller's, shared with its other
-    queries on the same text, or a fresh one. A one-symbol pattern has no
-    crossings and matches the terminal variables deriving its symbol.
+    the set's own `EdgeRuns` store, capped at the pattern's run count
+    plus two. A one-symbol pattern has no crossings and matches the
+    terminal variables deriving its symbol.
     `min_start`, `exists_start_in` and `exists_fully_within` are one
     left-to-right walk for the first start in a range, which keeps the
     set of variables found to hold no occurrence (the miss set) for every
     later query; nothing here ever expands the text.
     """
 
-    def __init__(self, text: Slp, pattern_runs: list[tuple[int, int]],
-                 edges: EdgeRuns | None = None):
-        if edges is None:
-            edges = EdgeRuns(text)
-        elif edges.text is not text:
-            raise ValueError("edge store belongs to another text")
+    def __init__(self, text: Slp, pattern_runs: list[tuple[int, int]]):
         self.text = text
         self.pattern_length = sum(exp for _, exp in pattern_runs)
         self._pruns = pattern_runs
-        self._cap = len(pattern_runs) + 2
-        self._edges = edges
+        self._edges = EdgeRuns(text, len(pattern_runs) + 2)
         self._crossing: dict[int, tuple[tuple[int, int], ...]] = {}
         self._misses: set[int] = set()
 
@@ -474,7 +479,8 @@ class OccRepr:
         Candidate starts are anchored at run boundaries of a window of runs
         around the cut: a crossing occurrence touches at most r_p runs per
         side (r_p = pattern run count), so windows of r_p + 2 true-exponent
-        runs per side lose nothing.
+        runs per side lose nothing. The closing run of a list that covers
+        its child stays in the window and matches no pattern run.
         A single-run pattern gets one range, by length arithmetic on the run
         at the cut. A pattern of two or more runs never starts at two
         adjacent positions, so each of its starts is a range (o, o).
@@ -491,12 +497,11 @@ class OccRepr:
         b = text.lengths[l - 1]
         window: list[tuple[int, int, int]] = []
         pos = b + 1
-        edges, cap = self._edges, self._cap
-        for sym, exp in edges.edge(l, 1, cap):
+        for sym, exp in self._edges.edge(l, 1):
             pos -= exp
             window.append((sym, exp, pos))
         window.reverse()
-        head_runs = edges.edge(r, 0, cap)
+        head_runs = self._edges.edge(r, 0)
         nxt = b + 1
         start_idx = 0
         if window and head_runs and window[-1][0] == head_runs[0][0]:
@@ -658,22 +663,20 @@ class OccRepr:
         return out
 
 
-def occurrences(text: Slp, pattern: Slp | RleString,
-                edges: EdgeRuns | None = None) -> OccRepr:
+def occurrences(text: Slp, pattern: Slp | RleString) -> OccRepr:
     """The occurrence set of a pattern inside val(text). The pattern is a
     program or its runs.
 
-    Only the pattern side is computed here: its runs, whose count fixes
-    the run cap of the edge windows. Each text variable's crossings are
-    left to the queries, which compute them on first use from the edge
-    runs in `edges`. Pass one store to every query on the same text to
-    compute each variable's edge runs once; without one, the set gets a
-    store of its own. An empty run list raises EmptyInputError.
+    Only the pattern side is computed here: its runs, whose count r
+    fixes the cap of the set's own `EdgeRuns` store at r + 2. Each text
+    variable's crossings are left to the queries, which compute them on
+    first use from that store. An empty run list raises
+    EmptyInputError.
     """
     runs = pattern if isinstance(pattern, RleString) else slp_runs(pattern)
     if not runs.runs:
         raise EmptyInputError("cannot search for the empty pattern")
-    return OccRepr(text, list(runs.runs), edges)
+    return OccRepr(text, list(runs.runs))
 
 
 def slp_equals(a: Slp, b: Slp) -> bool:

@@ -34,10 +34,12 @@ def slp_of(text: Text) -> Slp:
     return grammar_to_slp(naive_bisection(text))
 
 
-# one single-fault container per code that validate finds, or for an slp
-# body of the wrong shape parse, with the (code, location) it raises
+# one single-fault container per code that validate finds, or that parse
+# finds in an slp body of the wrong shape or a negative symbol, with the
+# (code, location) it raises
 VALIDATE_FAULTS = [
     ("CRX1 rle 2 3\n5 3\n", "symbol-out-of-range", "run 1"),
+    ("CRX1 rle 2 1\n-1 1\n", "symbol-out-of-range", "run 1"),
     ("CRX1 rle 2 9\n0 2\n1 2\n", "length-mismatch", "payload"),
     ("CRX1 lz77 2 1\nL 7\n", "symbol-out-of-range", "factor 1"),
     ("CRX1 lz77 2 9\nL 0\nR 1 1\n", "length-mismatch", "payload"),
@@ -49,6 +51,7 @@ VALIDATE_FAULTS = [
     ("CRX1 slp 2 2\n1 -> t0\n2 -> v2 v1\n", "forward-reference-in-slp", "rule 2"),
     ("CRX1 slp 2 4\n1 -> t0\n3 -> v1 v1\n", "missing-variable", "rules"),
     ("CRX1 slp 2 1\n1 -> t9\n", "symbol-out-of-range", "rule 1"),
+    ("CRX1 slp 2 1\n1 -> t-1\n", "symbol-out-of-range", "rule 1"),
     # a variable with no rule is a shape fault in an slp file
     ("CRX1 slp 2 1\n1 -> v5\n", "malformed-slp-rule", "rule 1"),
     ("CRX1 slp 2 2\n1 -> t0\n2 -> v1 v9\n", "forward-reference-in-slp", "rule 2"),

@@ -26,6 +26,7 @@ from crx import (
     parse,
     rle_encode,
     rle_to_lz77,
+    rle_to_lz78,
     slp_to_rle,
     validate,
 )
@@ -77,17 +78,31 @@ def test_zero_exponent_location_is_the_run_index(build):
     assert _raised_location(build, ((0, 2), (1, 0), (0, 3))) == ("zero-exponent", "run 2")
 
 
+def test_negative_symbol_codes_are_refused():
+    # LZ78 numbers symbol c as entry c + 1, which is no entry for c = -1:
+    # rle_to_lz78 would give ids that expand_lz78 refuses, so neither
+    # kind of program holds a negative code, and each names the first one
+    with pytest.raises(InvalidInputError) as ei:
+        rle_to_lz78(RleString(((-1, 1), (0, 1), (-1, 2))))
+    assert (ei.value.code, ei.value.location) == ("symbol-out-of-range", "run 1")
+    with pytest.raises(InvalidInputError) as ei:
+        Slp((Term(0), Term(-1), (1, 2), Term(-2)))
+    assert (ei.value.code, ei.value.location) == ("symbol-out-of-range", "rule 2")
+
+
 def _brute_run_fault(runs):
     for i, (sym, exp) in enumerate(runs):
         if exp < 1:
             return "zero-exponent", f"run {i + 1}"
+        if sym < 0:
+            return "symbol-out-of-range", f"run {i + 1}"
         if i and runs[i - 1][0] == sym:
             return "adjacent-equal-runs", f"run {i + 1}"
     return None
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 6)), max_size=8))
+@given(st.lists(st.tuples(st.integers(-1, 3), st.integers(-2, 6)), max_size=8))
 def test_rle_string_rejects_exactly_the_runs_that_are_not_maximal(runs):
     runs = tuple(runs)
     fault = _brute_run_fault(runs)

@@ -305,6 +305,24 @@ def test_occurrences_unary_pattern_in_power_text():
     assert not occ.membership(2**20 - 1)
 
 
+def test_occurrences_long_periodic_pattern():
+    # (ab)^1000 inside (ab)^20000: a pattern of 2,000 runs whose every
+    # boundary lines up with the text's, so only the anchor scan keeps
+    # the crossings cheap
+    s = slp_of(Text((0, 1) * 20000))
+    occ = occurrences(s, substring_slp(s, 5, 2004))
+    want = list(range(1, 38002, 2))
+    assert occ.count() == len(want) == 19001
+    assert occ.min_start() == 1
+    rng = random.Random(107)
+    spans = [(2, 2), (2, 3), (38001, 38001), (38002, 40000), (1, 40000)]
+    for _ in range(20):
+        lo = rng.randint(1, 40000)
+        spans.append((lo, min(40000, lo + rng.randint(0, 3))))
+    for lo, hi in spans:
+        assert occ.exists_start_in(lo, hi) == any(lo <= w <= hi for w in want), (lo, hi)
+
+
 def test_occurrence_starts_form_ap_per_anchor():
     # positions of a periodic pattern inside one crossing bucket step by
     # the period; the public check is that membership agrees with the list
@@ -536,13 +554,13 @@ def _answers(occ, lo, hi):
     return occ.min_start(), occ.exists_start_in(lo, hi), occ.count(), occ.positions()
 
 
-def test_shared_edge_store_matches_fresh_sets():
-    # one store of edge runs serves a sequence of patterns on one text:
-    # short then long (the bound grows and the lists start afresh), long
-    # then short (stored lists are cut down), many runs after one run;
-    # runs of up to 10**3 with patterns of 1-3 runs make the run-capped
-    # edge windows reach far past the pattern, so the crossing filter
-    # must drop every start that does not cross
+def test_pattern_sequences_on_one_text_match_brute_force():
+    # a sequence of patterns on one text: short then long, long then
+    # short, many runs after one run, each set with its own edge runs
+    # capped at its pattern's run count plus two; runs of up to 10**3
+    # with patterns of 1-3 runs make the run-capped edge windows reach
+    # far past the pattern, so the crossing filter must drop every start
+    # that does not cross
     rng = random.Random(101)
     for k in range(200):
         if k % 4 == 0:
@@ -578,7 +596,6 @@ def test_shared_edge_store_matches_fresh_sets():
                     "".join(rng.choice(letters) for _ in range(rng.randint(2, 6)))]
         if k % 4 == 3:
             patterns += [few_runs() for _ in range(3)]
-        edges = EdgeRuns(s)
         for pat in patterns:
             t = Text.from_str(pat)
             p = rle_encode(t) if rng.random() < 0.5 else slp_of(t)
@@ -587,10 +604,7 @@ def test_shared_edge_store_matches_fresh_sets():
             hi = rng.randint(lo, n)
             expected = (want[0] if want else None, any(lo <= w <= hi for w in want),
                         len(want), want)
-            assert _answers(occurrences(s, p, edges), lo, hi) == expected, pat
             assert _answers(occurrences(s, p), lo, hi) == expected, pat
-        if len(patterns[1]) > 1:  # count() crossed the root
-            assert edges.runs >= len(rle_encode(Text.from_str(patterns[1])).runs) + 2
 
 
 @st.composite
@@ -611,18 +625,19 @@ def edge_programs(draw):
 @given(edge_programs())
 def test_edge_lists_are_first_runs_from_each_edge(s):
     # every list is the first cap runs of the variable from that edge with
-    # true exponents, whether the store was first asked for more or not
-    larger = EdgeRuns(s)
-    for outer in (0, 1):
-        larger.edge(s.n, outer, 13)
+    # true exponents, closed by (-1, 0) exactly when they cover it, whether
+    # the store filled it on its own or along the spine of a larger one
+    stores = {cap: EdgeRuns(s, cap) for cap in range(1, 9)}
+    for store in stores.values():
+        for outer in (0, 1):
+            store.edge(s.n, outer)
     for v in range(1, s.n + 1):
         runs = rle_encode(expand_slp(Slp.build(s.rules[:v]))).runs
         for outer, from_edge in ((0, runs), (1, runs[::-1])):
-            for cap in range(1, 9):
-                want = list(from_edge[:cap])
-                assert EdgeRuns(s).edge(v, outer, cap) == want, (v, outer, cap)
-                assert larger.edge(v, outer, cap) == want, (v, outer, cap)
-    assert larger.runs == 13
+            for cap, store in stores.items():
+                want = list(from_edge[:cap]) + [(-1, 0)] * (len(runs) <= cap)
+                assert EdgeRuns(s, cap).edge(v, outer) == want, (v, outer, cap)
+                assert store.edge(v, outer) == want, (v, outer, cap)
 
 
 @settings(max_examples=150, deadline=None)
@@ -670,10 +685,9 @@ def test_positions_walk_is_bounded(monkeypatch):
         occ.positions()
 
 
-def test_growing_windows_share_one_edge_store():
-    # windows growing at one start, all asked through one edge store:
-    # each set still answers like brute force while the store's run bound
-    # grows with the patterns
+def test_growing_windows_match_brute_force():
+    # windows growing at one start, each asked through its own set: the
+    # sets' edge-run caps grow with the patterns' run counts
     rng = random.Random(103)
     for k in range(60):
         if k % 2:
@@ -683,15 +697,11 @@ def test_growing_windows_share_one_edge_store():
         text = expand_slp(s).to_str()
         n = len(text)
         pos = rng.randint(1, n)
-        edges = EdgeRuns(s)
         for length in range(1, n - pos + 2):
-            occ = occurrences(s, slp_runs(s, pos, pos + length - 1), edges)
+            occ = occurrences(s, slp_runs(s, pos, pos + length - 1))
             want = brute_occurrences(text, text[pos - 1:pos - 1 + length])
             assert occ.min_start() == want[0]
             assert occ.exists_start_in(1, pos - 1) == (want[0] < pos)
-    # a store of another text is refused
-    with pytest.raises(ValueError):
-        occurrences(sample_slp(), slp_of_str("ab"), EdgeRuns(sample_slp()))
 
 
 def test_equality_and_mismatch_deep_in_right_half():
