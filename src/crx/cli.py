@@ -2,21 +2,23 @@
 
 `convert` picks its route from the source's format alone. rle takes the
 run lane (`rle_to_*`, or `rle_as_slp` for slp), and rle to rle writes
-the runs back. slp and grammar take the program lane on a program that
-converts to rle, lz77, lz78 or bisection, or is written out for --to
-slp: an slp file's program is its payload, built once when the file is
-parsed, and a grammar becomes one through `grammar_to_slp`. lz77 and
-lz78 convert only with --via-expand, which decodes and re-encodes; it
-reaches slp through the bisection grammar. Exit 2 for an lz source
-without --via-expand and for --to repair from slp or grammar.
+the runs back. slp and grammar convert a program: to rle and lz77 through
+its runs, to lz78 and bisection on the program itself, and for --to slp
+it is written out. An slp file's program is its payload, built once when
+the file is parsed, and a grammar becomes one through `grammar_to_slp`.
+lz77 and lz78 convert only with --via-expand, which decodes and
+re-encodes; it reaches slp through the bisection grammar. Exit 2 for an
+lz source without --via-expand and for --to repair from slp or grammar.
 
 Exit codes: 0 success, 1 invalid input or a failed verification, 2 no
-conversion path between the requested formats, 3 expansion budget
-exceeded. The commands that may expand (decode, convert, verify) take
-their budget from --max-output, then the CRX_MAX_OUTPUT environment
-variable, then a 64 MiB default; the others never read the variable. A
-negative budget, or a CRX_MAX_OUTPUT that is not an integer, is invalid
-input (exit 1).
+conversion path between the requested formats, 3 a budget exceeded: the
+expansion budget, or the fixed cap of MAX_RUNS (2^20) runs that a
+program's conversion to rle or lz77 may hold, counted before any run is
+built. The commands that may expand (decode, convert, verify) take the
+expansion budget from --max-output, then the CRX_MAX_OUTPUT environment
+variable, then a 64 MiB default; the others never read the variable,
+and neither budget sets the other. A negative budget, or a
+CRX_MAX_OUTPUT that is not an integer, is invalid input (exit 1).
 """
 
 from __future__ import annotations
@@ -74,9 +76,11 @@ from .model import (
     expand_rle,
     expand_slp,
 )
-from .slp_ops import first_mismatch
+from .slp_ops import first_mismatch, run_count
 
 CODECS = ("rle", "lz77", "lz78", "repair", "bisection")
+# runs a program's conversion to rle or lz77 may hold, about 600 MB
+MAX_RUNS = 1 << 20
 TARGETS = CODECS + ("slp",)
 
 
@@ -205,6 +209,10 @@ def _convert_direct(c: CompressedContainer, target: str,
             f"no direct conversion from {c.format} to {target}; "
             "re-run with --via-expand")
     source = c.payload if c.format == "rle" else _as_slp(c)
+    if c.format != "rle" and target in ("rle", "lz77"):
+        runs = run_count(source)
+        if runs > MAX_RUNS:
+            raise BudgetExceededError(runs, MAX_RUNS, "runs")
     if target == "lz77":
         return lane[target](source, self_ref)
     return lane[target](source)

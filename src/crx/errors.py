@@ -6,10 +6,12 @@ class CrxError(Exception):
 
 
 class BudgetExceededError(CrxError):
-    """An expansion would produce more symbols than the caller allowed."""
+    """An expansion would produce more symbols, or a conversion would hold
+    more runs, than the caller allowed."""
 
-    def __init__(self, needed: int, limit: int):
-        super().__init__(f"expansion needs {needed} symbols, budget is {limit}")
+    def __init__(self, needed: int, limit: int, unit: str = "symbols"):
+        what = "expansion" if unit == "symbols" else "conversion"
+        super().__init__(f"{what} needs {needed} {unit}, budget is {limit}")
         self.needed = needed
         self.limit = limit
 

@@ -25,9 +25,18 @@ def _letter(code: int) -> str:
 
 @dataclass(frozen=True)
 class Text:
-    """An uncompressed string over an integer alphabet."""
+    """An uncompressed string over an integer alphabet.
+
+    Construction raises InvalidInputError on a negative symbol
+    ("symbol-out-of-range"), naming its 1-based position ("position 3").
+    """
 
     symbols: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.symbols and min(self.symbols) < 0:
+            i = next(i for i, c in enumerate(self.symbols, start=1) if c < 0)
+            raise InvalidInputError("symbol-out-of-range", f"position {i}")
 
     @classmethod
     def from_str(cls, s: str) -> "Text":
@@ -138,12 +147,12 @@ def factor_length(f: Lz77Factor) -> int:
 class Lz77Factorization:
     """LZ77 factor sequence; self_referential factors may overlap themselves.
 
-    Construction raises InvalidInputError on a reference of length or
-    source below 1 ("bad-reference") and on a source that does not point
-    back into the text decoded so far ("dangling-reference"): it must
-    start before the factor, and without self-reference also end before
-    it. The error names the first such factor by its 1-based index
-    ("factor 2").
+    Construction raises InvalidInputError on a negative literal
+    ("symbol-out-of-range"), on a reference of length or source below 1
+    ("bad-reference") and on a source that does not point back into the
+    text decoded so far ("dangling-reference"): it must start before the
+    factor, and without self-reference also end before it. The error
+    names the first such factor by its 1-based index ("factor 2").
     """
 
     factors: tuple[Lz77Factor, ...]
@@ -153,6 +162,8 @@ class Lz77Factorization:
         pos = 1  # where the next factor starts
         for i, f in enumerate(self.factors, start=1):
             if isinstance(f, Literal):
+                if f.symbol < 0:
+                    raise InvalidInputError("symbol-out-of-range", f"factor {i}")
                 pos += 1
                 continue
             if f.length < 1 or f.src < 1:

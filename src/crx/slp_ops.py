@@ -11,10 +11,9 @@ variables it finds empty, and only counting and listing visit every
 variable. The ranges are built from the runs at the inner edges of the
 variable's children, which an `EdgeRuns` store keeps per text variable,
 as many from each edge as its fixed cap: each occurrence set builds one
-of its own, capped at the pattern's run count plus two. `slp_to_lz77`
-asks no occurrence query: it builds a store of cap 3, once per call, to
-index the splits of the rules' leftmost nodes, and tests a window
-against those lists with `_fits`.
+of its own, capped at the pattern's run count plus two. `run_count`
+gives the run count of the derived string from the run annotations,
+without building a run.
 
 Every test of whether two stretches of the derived string agree
 (`slp_lce`, `membership`, `prefix_match`, `first_mismatch`,
@@ -107,6 +106,22 @@ def annotate_runs(s: Slp) -> RunLinkAnnotations:
                              tuple(last), tuple(llink), tuple(rlink))
     object.__setattr__(s, "annotations", ann)
     return ann
+
+
+def run_count(s: Slp) -> int:
+    """How many runs the derived string has, in one pass over the rules:
+    runs(X -> Y Z) = runs(Y) + runs(Z) - [last(Y) = first(Z)]. No run is
+    built, so a caller can bound a conversion that holds every run."""
+    ann = annotate_runs(s)
+    first, last = ann.first, ann.last
+    runs: list[int] = []
+    for rule in s.rules:
+        if isinstance(rule, Term):
+            runs.append(1)
+        else:
+            l, r = rule
+            runs.append(runs[l - 1] + runs[r - 1] - (last[l - 1] == first[r - 1]))
+    return runs[-1]
 
 
 def _cut(s: Slp, i: int, j: int) -> tuple[int, int, int]:
@@ -326,8 +341,8 @@ def slp_lce(s: Slp, i: int, j: int, limit: int) -> int:
 
     Walks the two windows' run streams up to the first pair of runs that
     differ: O(height) to cover each window, then one step per run up to
-    the first difference. LZ77's driver asks it through the program
-    lane's lce; LZ78 reads the runs from the cursor. A binary search over
+    the first difference. No conversion asks it: LZ77 takes the run
+    lane, and LZ78 reads the runs from the cursor. A binary search over
     `Fingerprints` spans, closed by a check of the output, would answer
     in O(height * log limit) whatever the run count.
     """
@@ -401,24 +416,6 @@ class EdgeRuns:
             memo[u] = merged
             stack.pop()
         return memo[v]
-
-
-def _fits(edge: list[tuple[int, int]], i: int, runs: tuple, j: int, step: int) -> bool:
-    """Can the window's runs from runs[j] outwards (step -1 to the left,
-    1 to the right) lie in a variable whose `EdgeRuns` list from that
-    edge, from edge[i] on, is edge[i:]? Each window run must equal its
-    edge run, except that the outermost one may be shorter. The closing
-    run matches none, and past a list that was cut off nothing is
-    known."""
-    end = -1 if step < 0 else len(runs)
-    while i < len(edge) and j != end:
-        c, e = edge[i]
-        d, f = runs[j]
-        i += 1
-        j += step
-        if c != d or (e < f if j == end else e != f):
-            return False
-    return True
 
 
 def _kmp_find_all(needle: list, hay: list) -> list[int]:

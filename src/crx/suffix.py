@@ -127,7 +127,7 @@ class MetaText:
     """
 
     def __init__(self, r: RleString):
-        self.runs = list(r.runs)
+        self.runs = r.runs
         self.m = len(self.runs)
         order = {pair: rk for rk, pair in enumerate(sorted(set(self.runs)), start=1)}
         self.ranks = [order[pair] for pair in self.runs]

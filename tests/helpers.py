@@ -42,6 +42,7 @@ VALIDATE_FAULTS = [
     ("CRX1 rle 2 1\n-1 1\n", "symbol-out-of-range", "run 1"),
     ("CRX1 rle 2 9\n0 2\n1 2\n", "length-mismatch", "payload"),
     ("CRX1 lz77 2 1\nL 7\n", "symbol-out-of-range", "factor 1"),
+    ("CRX1 lz77 2 1\nL -1\n", "symbol-out-of-range", "factor 1"),
     ("CRX1 lz77 2 9\nL 0\nR 1 1\n", "length-mismatch", "payload"),
     ("CRX1 lz78 2 3\n9\n", "dangling-reference", "factor 1"),
     ("CRX1 lz78 2 9\n1\n2\n", "length-mismatch", "payload"),

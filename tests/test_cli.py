@@ -4,6 +4,7 @@ import contextlib
 import io
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -239,6 +240,27 @@ def test_negative_budget_is_invalid_input(tmp_path, capsys, monkeypatch):
     # zero is a budget, not an error: it refuses any non-empty expansion
     code, _, _ = run(capsys, "decode", "--max-output", "0", str(a), out)
     assert code == 3
+
+
+def test_program_with_too_many_runs_exits_3_at_once(tmp_path, capsys):
+    # 549 bytes, 40 rules, a Fibonacci word of 78,176,339 runs: converting it
+    # through its runs would hold gigabytes, so the run count, taken from
+    # the rules alone, refuses it before any run is built
+    k = 40
+    n = [1, 1]
+    for _ in range(k - 2):
+        n.append(n[-1] + n[-2])
+    wire = f"CRX1 slp 256 {n[-1]}\n1 -> t98\n2 -> t97\n" + "".join(
+        f"{i} -> v{i - 1} v{i - 2}\n" for i in range(3, k + 1))
+    src = write(tmp_path / "fib40.slp", wire.encode())
+    out = str(tmp_path / "out")
+    for argv in (("--to", "lz77"), ("--to", "lz77", "--self-ref"), ("--to", "rle")):
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "convert", *argv, src, out)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, stdout) == (3, ""), argv
+        assert err == "error: conversion needs 78176339 runs, budget is 1048576\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_container_exit_code(tmp_path, capsys):

@@ -29,6 +29,7 @@ from crx import (
     slp_to_lz78,
     slp_to_rle,
 )
+from crx.slp_ops import run_count
 from helpers import (
     T,
     fibonacci_slp,
@@ -149,41 +150,20 @@ def test_lz77_builds_no_substring_program(monkeypatch):
     assert built == []
 
 
-def record_walks(monkeypatch) -> list:
-    """Record the answer of every later run walk that confirms a
-    candidate LZ77 source: None when the texts agree."""
-    answers = []
-    real = crx.from_slp._first_difference
-    monkeypatch.setattr(crx.from_slp, "_first_difference", lambda xs, ys:
-                        answers.append(real(xs, ys)) or answers[-1])
-    return answers
-
-
 @pytest.mark.parametrize("programs", [
-    # binary texts, where three runs at each side of a split often fit
-    # a window that does not occur there
+    # binary texts, where a window's nearest runs often recur in places
+    # where the window itself does not
     lambda rng: [random_slp(rng, max_extra=30, sigma=2, max_len=3000) for _ in range(20)],
     lambda rng: [rle_as_slp(RleString(random_runs(rng, max_runs=80, sigma=2, max_exp=2)))
                  for _ in range(10)],
     lambda rng: [fibonacci_slp(k) for k in range(5, 16)],
 ])
-def test_lz77_source_search_checks_itself(monkeypatch, programs):
-    # a candidate start is taken only once a run walk confirms its text:
-    # with every fingerprint equal, the walk alone must turn down each
-    # wrong candidate, and the factors must not change
-    programs = programs(random.Random(127))
-    texts = [expand_slp(s) for s in programs]
-    answers = record_walks(monkeypatch)
-    for s, t in zip(programs, texts):
+def test_lz77_source_search_checks_itself(programs):
+    # every source must still be the leftmost one, in both modes
+    for s in programs(random.Random(127)):
+        t = expand_slp(s)
         for self_ref in (False, True):
             assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
-    assert answers and all(d is None for d in answers)  # no collision modulo 2**61 - 1
-    monkeypatch.setattr(crx.slp_ops, "_FP_MOD", 1)
-    answers.clear()
-    for s, t in zip(programs, texts):
-        for self_ref in (False, True):
-            assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
-    assert any(d is not None for d in answers)
 
 
 @st.composite
@@ -213,20 +193,34 @@ def test_lz77_matches_reference_on_programs(s, self_ref):
 
 
 def test_lz77_asks_no_occurrence_set(monkeypatch):
-    # leftmost sources come from the split index and a run walk; no
-    # occurrence set of a window is built
+    # LZ77 takes the run lane on the program's runs: no occurrence set,
+    # fingerprint table or edge-run store is built, and no slp_lce is asked
     rng = random.Random(131)
     programs = [sample_slp(), power_slp(12), slp_of(T("abxabyaby")), fibonacci_slp(12)]
     programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
     programs += [rle_as_slp(RleString(random_runs(rng, max_runs=30))) for _ in range(5)]
     texts = [expand_slp(s) for s in programs]
     calls = record_calls(monkeypatch, "occurrences", crx.slp_ops, crx.from_slp)
+    lces = record_calls(monkeypatch, "slp_lce", crx.slp_ops)
     built = []
-    monkeypatch.setattr(crx.slp_ops.OccRepr, "__init__", lambda *args: built.append(args))
+    for cls in (crx.slp_ops.OccRepr, crx.slp_ops.Fingerprints, crx.slp_ops.EdgeRuns):
+        monkeypatch.setattr(cls, "__init__", lambda *args: built.append(args))
     for s, t in zip(programs, texts):
         for self_ref in (False, True):
             assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
-    assert calls == [] and built == []
+    assert calls == lces == built == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(lz77_programs())
+def test_run_count_counts_the_runs(s):
+    assert run_count(s) == len(slp_to_rle(s).runs)
+
+
+def test_run_count_of_large_fibonacci_words():
+    # the run counts of words far too long to hold as runs, from 40 and 90 rules
+    assert run_count(fibonacci_slp(40)) == 78_176_339
+    assert run_count(fibonacci_slp(90)) == 2_200_175_556_732_203_863
 
 
 def test_lz78_of_sample_frozen():
@@ -261,7 +255,7 @@ def test_lz78_asks_no_slp_lce(monkeypatch):
     programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
     programs += [rle_as_slp(RleString(((0, 3), (1, 2)) * 20 + ((2, 5),)))]
     texts = [expand_slp(s) for s in programs]
-    calls = record_calls(monkeypatch, "slp_lce", crx.slp_ops, crx.from_slp)
+    calls = record_calls(monkeypatch, "slp_lce", crx.slp_ops)
     for s, t in zip(programs, texts):
         assert slp_to_lz78(s) == naive_lz78(t)
     assert calls == []
@@ -327,7 +321,9 @@ def test_all_conversions_random_vs_naive():
     for _ in range(100):
         s = random_slp(rng, max_extra=9, sigma=3, max_len=800)
         t = expand_slp(s)
-        assert slp_to_rle(s) == rle_encode(t)
+        r = slp_to_rle(s)
+        assert r == rle_encode(t)
+        assert len({id(run) for run in r.runs}) == len(set(r.runs))  # equal runs share a tuple
         assert slp_to_lz77(s).factors == naive_lz77(t).factors
         assert (slp_to_lz77(s, self_referential=True).factors
                 == naive_lz77(t, self_referential=True).factors)

@@ -88,6 +88,13 @@ def test_negative_symbol_codes_are_refused():
     with pytest.raises(InvalidInputError) as ei:
         Slp((Term(0), Term(-1), (1, 2), Term(-2)))
     assert (ei.value.code, ei.value.location) == ("symbol-out-of-range", "rule 2")
+    # nor does a text or an LZ77 literal, so no naive codec gets one
+    with pytest.raises(InvalidInputError) as ei:
+        Text((0, 1, -1, 0, -1))
+    assert (ei.value.code, ei.value.location) == ("symbol-out-of-range", "position 3")
+    with pytest.raises(InvalidInputError) as ei:
+        Lz77Factorization((Literal(0), Reference(1, 1), Literal(-1), Literal(-2)), False)
+    assert (ei.value.code, ei.value.location) == ("symbol-out-of-range", "factor 3")
 
 
 def _brute_run_fault(runs):
@@ -114,10 +121,13 @@ def test_rle_string_rejects_exactly_the_runs_that_are_not_maximal(runs):
 
 def _brute_lz77_decode(factors, self_referential):
     """The decoded symbols, or the (code, location) of the first factor
-    that cannot be copied one symbol at a time from what precedes it."""
+    that is a negative literal or cannot be copied one symbol at a time
+    from what precedes it."""
     out = []
     for i, f in enumerate(factors, start=1):
         if isinstance(f, Literal):
+            if f.symbol < 0:
+                return "symbol-out-of-range", f"factor {i}"
             out.append(f.symbol)
             continue
         if f.src < 1 or f.length < 1:
@@ -132,7 +142,7 @@ def _brute_lz77_decode(factors, self_referential):
 
 
 lz77_factor_lists = st.lists(st.one_of(
-    st.builds(Literal, st.integers(0, 3)),
+    st.builds(Literal, st.integers(-1, 3)),
     st.builds(Reference, st.integers(-1, 8), st.integers(-1, 8))), max_size=8)
 
 
