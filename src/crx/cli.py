@@ -2,23 +2,25 @@
 
 `convert` picks its route from the source's format alone. rle takes the
 run lane (`rle_to_*`, or `rle_as_slp` for slp), and rle to rle writes
-the runs back. slp and grammar convert a program: to rle and lz77 through
-its runs, to lz78 and bisection on the program itself, and for --to slp
-it is written out. An slp file's program is its payload, built once when
-the file is parsed, and a grammar becomes one through `grammar_to_slp`.
-lz77 and lz78 convert only with --via-expand, which decodes and
-re-encodes; it reaches slp through the bisection grammar. Exit 2 for an
-lz source without --via-expand and for --to repair from slp or grammar.
+the runs back. slp and grammar convert a program: to rle, lz77 and
+repair through its runs, to lz78 and bisection on the program itself,
+and for --to slp it is written out. An slp file's program is its
+payload, built once when the file is parsed, and a grammar becomes one
+through `grammar_to_slp`. lz77 and lz78 convert only with --via-expand,
+which decodes and re-encodes; it reaches slp through the bisection
+grammar. Exit 2 for an lz source without --via-expand.
 
 Exit codes: 0 success, 1 invalid input or a failed verification, 2 no
 conversion path between the requested formats, 3 a budget exceeded: the
-expansion budget, or the fixed cap of MAX_RUNS (2^20) runs that a
-program's conversion to rle or lz77 may hold, counted before any run is
-built. The commands that may expand (decode, convert, verify) take the
-expansion budget from --max-output, then the CRX_MAX_OUTPUT environment
-variable, then a 64 MiB default; the others never read the variable,
-and neither budget sets the other. A negative budget, or a
-CRX_MAX_OUTPUT that is not an integer, is invalid input (exit 1).
+expansion budget, or the fixed cap of MAX_RUNS (2^20) runs, counted
+from the rules before any run is built. The cap covers every direct
+conversion of a program but --to slp, and verify of two programs,
+whose walk reads the fewer runs plus one. The commands that may expand
+(decode, convert, verify) take the expansion budget from --max-output,
+then the CRX_MAX_OUTPUT environment variable, then a 64 MiB default;
+the others never read the variable, and neither budget sets the other.
+A negative budget, or a CRX_MAX_OUTPUT that is not an integer, is
+invalid input (exit 1).
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from .model import (
 from .slp_ops import first_mismatch, run_count
 
 CODECS = ("rle", "lz77", "lz78", "repair", "bisection")
-# runs a program's conversion to rle or lz77 may hold, about 600 MB
+# runs a program's direct conversion or verify walk may take, about 600 MB
 MAX_RUNS = 1 << 20
 TARGETS = CODECS + ("slp",)
 
@@ -193,6 +195,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cap_runs(runs: int) -> None:
+    if runs > MAX_RUNS:
+        raise BudgetExceededError(runs, MAX_RUNS, "runs")
+
+
 def _convert_direct(c: CompressedContainer, target: str,
                     self_ref: bool) -> Payload:
     """The target's payload by the source's lane, without expansion."""
@@ -203,16 +210,15 @@ def _convert_direct(c: CompressedContainer, target: str,
                 "slp": rle_as_slp}
     elif c.format in ("slp", "grammar"):
         lane = {"rle": slp_to_rle, "lz77": slp_to_lz77, "lz78": slp_to_lz78,
+                "repair": lambda s: rle_to_repair(slp_to_rle(s)),
                 "bisection": slp_to_bisection, "slp": lambda s: s}
     if target not in lane:
         raise UnreachableConversionError(
             f"no direct conversion from {c.format} to {target}; "
             "re-run with --via-expand")
     source = c.payload if c.format == "rle" else _as_slp(c)
-    if c.format != "rle" and target in ("rle", "lz77"):
-        runs = run_count(source)
-        if runs > MAX_RUNS:
-            raise BudgetExceededError(runs, MAX_RUNS, "runs")
+    if c.format != "rle" and target != "slp":
+        _cap_runs(run_count(source))
     if target == "lz77":
         return lane[target](source, self_ref)
     return lane[target](source)
@@ -238,6 +244,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         equal, pos = a.length == b.length, 1
     elif a.format not in ("lz77", "lz78") and b.format not in ("lz77", "lz78"):
         sa, sb = _as_slp(a), _as_slp(b)
+        if "rle" not in (a.format, b.format):  # else that file's runs bound the walk
+            _cap_runs(min(run_count(sa), run_count(sb)))
         pos = first_mismatch(sa, sb)
         equal = pos is None
     else:

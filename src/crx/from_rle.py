@@ -1,15 +1,16 @@
 """Conversions out of run-length encoded strings.
 
-Only the run structure is ever touched. LZ77's driver and bisection's
-run on the meta text's symbol lookup and character-level LCE queries,
-LZ77's also on leftmost window starts found from two indexes of the
-run boundaries, built once, that hold only the boundaries able to give
-a record; LZ78's driver reads the runs from the cursor on. Re-Pair
-keeps them in a linked list and updates the pair counts around each
-replacement, so no round walks the runs. Outputs match the reference codecs on the decoded
-string. The run walks rely on maximal runs, which every RleString has:
-its construction rejects a run of exponent 0 and two adjacent runs of
-one symbol.
+Only the run structure is ever touched. LZ77 runs its own factor loop:
+it finds leftmost window starts from each symbol's record runs and from
+two indexes of the run boundaries, built once, that hold only the
+boundaries able to give a record, and asks the meta text for the few
+common extensions those do not fix. Bisection's shared driver runs on
+the meta text's symbol lookup and LCE queries; LZ78's reads the runs
+from the cursor on. Re-Pair keeps them in a linked list and updates the
+pair counts around each replacement, so no round walks the runs.
+Outputs match the reference codecs on the decoded string. The run walks
+rely on maximal runs, which every RleString has: its construction
+rejects a run of exponent 0 and two adjacent runs of one symbol.
 """
 
 from __future__ import annotations
@@ -20,13 +21,15 @@ from collections.abc import Iterator
 from heapq import heappop, heappush
 from itertools import accumulate
 
-from .drivers import bisection_driver, lz77_driver, lz78_driver
+from .drivers import bisection_driver, lz78_driver
 from .errors import EmptyInputError
 from .model import (
     AdmissibleGrammar,
     GrammarItem,
+    Literal,
     Lz77Factorization,
     Lz78Factorization,
+    Reference,
     RleString,
     Slp,
     Term,
@@ -38,17 +41,24 @@ from .suffix import rank_runs
 def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorization:
     """Greedy leftmost-longest factorization computed on the runs.
 
-    The shared driver reads symbols off the meta text and asks this lane
-    for LCEs and leftmost window starts. Let c^head be the rest of the
-    cursor's run u and (nxt, E) the next run. A window c^length (length
-    <= head) starts first at the first run of c with exponent >= length,
-    one of the runs beating every earlier run of c. A longer window
-    starts head symbols before a run boundary j <= u whose run j-1 is
-    c^(>=head) and whose run j has symbol nxt. If run j differs from run
-    u+1, it reaches head + min(exps[j], E) from there; if it equals run
-    u+1, at least head + E, by one meta LCE. The prefix maxima of the
-    reach, scored once per cursor position, come from two indexes of the
-    boundaries built once:
+    A factor at cursor pos takes src, the leftmost admissible start of
+    its prefix, and grows to src's common extension with pos, capped at
+    pos - src without self-references; a source of a longer prefix is
+    one of the shorter prefix too, so src stays leftmost. The window one
+    symbol longer then has an admissible source exactly when its
+    leftmost start is one, which becomes src; otherwise the factor ends.
+
+    Let c^head be the rest of the cursor's run u and (nxt, E) the next
+    run. A window c^length (length <= head) starts first at the first
+    run of c with exponent >= length, one of the runs beating every
+    earlier run of c; it reaches min(exponent, head), or one character
+    LCE on a tie. A longer window starts head symbols before a run
+    boundary j <= u whose run j-1 is c^(>=head) and whose run j has
+    symbol nxt. If run j differs from run u+1, it reaches
+    head + min(exps[j], E) from there; if it equals run u+1, at least
+    head + E, by one meta LCE. The prefix maxima of the reach, scored at
+    most once per cursor, come from two indexes of the boundaries built
+    once:
 
     - up to the first boundary whose run equals run u+1, a staircase per
       (c, nxt): the boundaries that no earlier boundary of the pair beats
@@ -58,13 +68,12 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
       run equals run u+1 can reach past head + E.
 
     Closed by the cursor itself, the maxima answer each length with a
-    bisection. An answer's reach is known, so the LCE the driver asks
-    next along it costs no query; other LCEs go to the meta text.
+    bisection.
     """
     runs = r.runs
     meta = rank_runs(r)
     pl = meta.prefix_len
-    m = meta.m
+    m, n = meta.m, meta.length
     syms, exps, ranks = [sym for sym, _ in runs], [exp for _, exp in runs], meta.ranks
     records: dict[int, list[tuple[int, int]]] = {}  # (exponent, start), after a (0, 0) floor
     for j, (c, e) in enumerate(runs):
@@ -88,53 +97,63 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
         xs[lo:hi], nys[lo:hi] = [x], [-y]
         stairs.setdefault(pair, []).append(j)
     del fronts
-    scored: list = [0, []]  # cursor, prefix maxima (reach, start) of its boundaries
-    known: list = [0, 0, 0]  # the last answer: cursor, start, their common extension
 
-    def lce(i: int, j: int, limit: int) -> int:
-        pos, start, reach = known
-        t = j - pos  # i and j lie t symbols after start and pos: reach - t more agree
-        return min(limit, reach - t if i - start == t and 0 <= t <= reach else meta.char_lce(i, j))
+    def score(pos: int, u: int, head: int) -> list[tuple[int, int]]:
+        """Prefix maxima (reach, start) of the windows longer than head."""
+        c, nxt, big = syms[u], syms[u + 1], exps[u + 1]
+        base, rest = pl[u + 1], n - pos + 1
+        best = [(0, 0)]  # a floor; the cursor itself closes the list
+        same = equal.get((c, ranks[u + 1]), [])
+        same = [j for j in same[:bisect_left(same, u + 1)] if exps[j - 1] >= head]
+        first = same[0] if same else u + 1
+        for j in stairs.get((c, nxt), ()):
+            if j >= first or best[-1][0] == head + big:
+                break
+            if exps[j - 1] >= head and head + min(exps[j], big) > best[-1][0]:
+                best.append((head + min(exps[j], big), pl[j] + 1 - head))
+        for j in same:
+            if best[-1][0] == rest:  # nothing reaches past the end
+                break
+            full = meta.meta_lce(j + 1, u + 2)
+            cand = head + (pl[u + 1 + full] - base)
+            a, b = j + full, u + 1 + full
+            if b < m and syms[a] == syms[b]:
+                cand += min(exps[a], exps[b])
+            if cand > best[-1][0]:
+                best.append((cand, pl[j] + 1 - head))
+        best.append((rest, pos))
+        return best
 
-    def leftmost(pos: int, length: int) -> int:
-        u = bisect_left(pl, pos) - 1
+    factors: list[Literal | Reference] = []
+    pos = 1
+    while pos <= n:
+        u = bisect_left(pl, pos) - 1  # the cursor's run
         head = pl[u + 1] - pos + 1
-        if length <= head:
-            rec = records[syms[u]]
-            e, start = rec[bisect_left(rec, (length,))]
-            if e != head:  # one of the two runs of c ends first
-                known[:] = pos, start, min(e, head)
-            return start
-        if scored[0] != pos:
-            c, nxt, big = syms[u], syms[u + 1], exps[u + 1]
-            base, rest = pl[u + 1], meta.length - pos + 1
-            best = [(0, 0)]  # a floor; the cursor itself closes the list
-            same = equal.get((c, ranks[u + 1]), [])
-            same = [j for j in same[:bisect_left(same, u + 1)] if exps[j - 1] >= head]
-            first = same[0] if same else u + 1
-            for j in stairs.get((c, nxt), ()):
-                if j >= first or best[-1][0] == head + big:
-                    break
-                if exps[j - 1] >= head and head + min(exps[j], big) > best[-1][0]:
-                    best.append((head + min(exps[j], big), pl[j] + 1 - head))
-            for j in same:
-                if best[-1][0] == rest:  # nothing reaches past the end
-                    break
-                full = meta.meta_lce(j + 1, u + 2)
-                cand = head + (pl[u + 1 + full] - base)
-                a, b = j + full, u + 1 + full
-                if b < m and syms[a] == syms[b]:
-                    cand += min(exps[a], exps[b])
-                if cand > best[-1][0]:
-                    best.append((cand, pl[j] + 1 - head))
-            best.append((rest, pos))
-            scored[:] = pos, best
-        best = scored[1]
-        reach, start = best[bisect_left(best, (length,))]
-        known[:] = pos, start, reach
-        return start
-
-    return lz77_driver(meta.length, self_referential, meta.symbol, lce, leftmost)
+        rem = n - pos + 1
+        cap = rem if self_referential and pos > 1 else min(rem, pos - 1)  # no source before pos 1
+        src = length = 0
+        best = None
+        while length < cap:
+            want = length + 1
+            if want <= head:
+                rec = records[syms[u]]
+                e, start = rec[bisect_left(rec, (want,))]
+            else:
+                best = best or score(pos, u, head)
+                reach, start = best[bisect_left(best, (want,))]
+            if start > (pos - 1 if self_referential else pos - want):
+                break
+            if want <= head:  # one of the two runs of c ends first, or both do
+                reach = min(e, head) if e != head else meta.char_lce(start, pos)
+            src = start
+            length = min(reach, cap if self_referential else min(cap, pos - src))
+        if length:
+            factors.append(Reference(src, length))
+            pos += length
+        else:
+            factors.append(Literal(syms[u]))
+            pos += 1
+    return Lz77Factorization(tuple(factors), self_referential)
 
 
 def rle_to_lz78(r: RleString) -> Lz78Factorization:

@@ -244,8 +244,9 @@ def test_negative_budget_is_invalid_input(tmp_path, capsys, monkeypatch):
 
 def test_program_with_too_many_runs_exits_3_at_once(tmp_path, capsys):
     # 549 bytes, 40 rules, a Fibonacci word of 78,176,339 runs: converting it
-    # through its runs would hold gigabytes, so the run count, taken from
-    # the rules alone, refuses it before any run is built
+    # through its runs would hold gigabytes and walking them takes minutes,
+    # so the run count, taken from the rules alone, refuses it before any
+    # run is built
     k = 40
     n = [1, 1]
     for _ in range(k - 2):
@@ -254,9 +255,13 @@ def test_program_with_too_many_runs_exits_3_at_once(tmp_path, capsys):
         f"{i} -> v{i - 1} v{i - 2}\n" for i in range(3, k + 1))
     src = write(tmp_path / "fib40.slp", wire.encode())
     out = str(tmp_path / "out")
-    for argv in (("--to", "lz77"), ("--to", "lz77", "--self-ref"), ("--to", "rle")):
+    argvs = [("convert", "--to", to, src, out)
+             for to in ("lz77", "rle", "lz78", "bisection", "repair")]
+    argvs += [("convert", "--to", "lz77", "--self-ref", src, out),
+              ("verify", src, src)]  # the walk would read every run of both
+    for argv in argvs:
         start = time.perf_counter()
-        code, stdout, err = run(capsys, "convert", *argv, src, out)
+        code, stdout, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1, argv
         assert (code, stdout) == (3, ""), argv
         assert err == "error: conversion needs 78176339 runs, budget is 1048576\n"
@@ -394,10 +399,9 @@ def test_convert_preserves_alphabet_size(tmp_path, capsys):
     assert c.format == "grammar"
 
 
-# the targets each source kind reaches without expansion; lz77 runs with
-# and without --self-ref
-RUN_LANE = ("rle", "lz77", "lz78", "repair", "bisection", "slp")
-PROGRAM_LANE = ("rle", "lz77", "lz78", "bisection", "slp")
+# the targets rle, program and grammar sources reach without expansion;
+# lz77 runs with and without --self-ref
+DIRECT = ("rle", "lz77", "lz78", "repair", "bisection", "slp")
 
 
 def call(*argv):
@@ -423,10 +427,8 @@ def test_convert_routes_match_via_expand(data):
         for codec in ("rle", "lz77", "lz78", "repair", "bisection"):
             assert call("encode", "--codec", codec, path("in.bin"), path(codec))[0] == 0
         assert call("convert", "--to", "slp", path("bisection"), path("slp"))[0] == 0
-        routes = {"rle": RUN_LANE, "repair": PROGRAM_LANE,
-                  "bisection": PROGRAM_LANE, "slp": PROGRAM_LANE}
-        for src, targets in routes.items():
-            for target in targets:
+        for src in ("rle", "repair", "bisection", "slp"):
+            for target in DIRECT:
                 for flags in (("--self-ref",), ()) if target == "lz77" else ((),):
                     code, _, err = call("convert", "--to", target, "--max-output", "0",
                                         *flags, path(src), path("direct"))
@@ -441,7 +443,6 @@ def test_convert_routes_match_via_expand(data):
                     if src == target:
                         assert read(src) == read("direct")
         off_route = [("lz77", t) for t in TARGETS] + [("lz78", t) for t in TARGETS]
-        off_route += [(src, "repair") for src in ("repair", "bisection", "slp")]
         for src, target in off_route:
             code, _, err = call("convert", "--to", target, path(src), path("off"))
             assert code == 2, (src, target)

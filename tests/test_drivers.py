@@ -1,5 +1,5 @@
-"""The shared drivers give the reference output from a plain-text lane and
-the same output from both lanes."""
+"""The shared drivers give the same output from both lanes, and the
+run lane's LZ77 gives the reference output on plain texts."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +14,11 @@ from crx import (
     rle_as_slp,
     rle_encode,
     rle_to_bisection,
+    rle_to_lz77,
     rle_to_lz78,
     slp_to_bisection,
     slp_to_lz78,
 )
-from crx.drivers import lz77_driver
 from helpers import T, long_run_lists, slp_of
 
 
@@ -46,21 +46,8 @@ def random_or_block_texts(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(random_or_block_texts(), st.booleans())
-def test_lz77_driver_on_plain_text(t, self_ref):
-    # the driver's contract apart from either lane: primitives on the text
-    syms = t.symbols
-
-    def lce(i, j, limit):
-        assert limit >= 0 and max(i, j) + limit - 1 <= len(syms)
-        pairs = zip(syms[i - 1:i - 1 + limit], syms[j - 1:j - 1 + limit])
-        return next((k for k, (x, y) in enumerate(pairs) if x != y), limit)
-
-    def leftmost(pos, length):
-        assert pos > 1 and pos + length - 1 <= len(syms)
-        window = syms[pos - 1:pos - 1 + length]
-        return next(k for k in range(1, pos + 1) if syms[k - 1:k - 1 + length] == window)
-
-    assert lz77_driver(len(t), self_ref, t.char, lce, leftmost) == naive_lz77(t, self_ref)
+def test_rle_to_lz77_on_plain_text(t, self_ref):
+    assert rle_to_lz77(rle_encode(t), self_ref) == naive_lz77(t, self_ref)
 
 
 @settings(max_examples=150, deadline=None)
