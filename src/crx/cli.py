@@ -15,17 +15,23 @@ conversion path between the requested formats, 3 a budget exceeded: the
 expansion budget, or the fixed cap of MAX_RUNS (2^20) runs, counted
 from the rules before any run is built. The cap covers every direct
 conversion of a program but --to slp, and verify of two programs,
-whose walk reads the fewer runs plus one. The commands that may expand
-(decode, convert, verify) take the expansion budget from --max-output,
-then the CRX_MAX_OUTPUT environment variable, then a 64 MiB default;
-the others never read the variable, and neither budget sets the other.
-A negative budget, or a CRX_MAX_OUTPUT that is not an integer, is
-invalid input (exit 1).
+whose walk reads the fewer runs plus one. Its one error line names the
+work: "conversion needs 78176339 runs, budget is 1048576" for convert,
+"verify needs ..." for verify. The commands that may expand (decode,
+convert, verify) take the expansion budget from --max-output, then the
+CRX_MAX_OUTPUT environment variable, then a 64 MiB default; the others
+never read the variable, and neither budget sets the other. A negative
+budget, or a CRX_MAX_OUTPUT that is not an integer, is invalid input
+(exit 1).
+
+`main` builds the argument parser once per process (`build_parser` is
+cached) and reuses it on every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -195,9 +201,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cap_runs(runs: int) -> None:
+def _cap_runs(runs: int, what: str) -> None:
     if runs > MAX_RUNS:
-        raise BudgetExceededError(runs, MAX_RUNS, "runs")
+        raise BudgetExceededError(runs, MAX_RUNS, "runs", what)
 
 
 def _convert_direct(c: CompressedContainer, target: str,
@@ -218,7 +224,7 @@ def _convert_direct(c: CompressedContainer, target: str,
             "re-run with --via-expand")
     source = c.payload if c.format == "rle" else _as_slp(c)
     if c.format != "rle" and target != "slp":
-        _cap_runs(run_count(source))
+        _cap_runs(run_count(source), "conversion")
     if target == "lz77":
         return lane[target](source, self_ref)
     return lane[target](source)
@@ -245,7 +251,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif a.format not in ("lz77", "lz78") and b.format not in ("lz77", "lz78"):
         sa, sb = _as_slp(a), _as_slp(b)
         if "rle" not in (a.format, b.format):  # else that file's runs bound the walk
-            _cap_runs(min(run_count(sa), run_count(sb)))
+            _cap_runs(min(run_count(sa), run_count(sb)), "verify")
         pos = first_mismatch(sa, sb)
         equal = pos is None
     else:
@@ -304,7 +310,10 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The crx argument parser, built once per process: parse_args leaves
+    it as it is, so every call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="crx",
         description="convert between compressed string representations "

@@ -13,11 +13,19 @@ Payload lines by format:
 * ``slp``      -- same as grammar, restricted to ``X -> a`` / ``X -> Y Z``;
   the payload is the program itself, an Slp
 
+`parse` reads the body in place, line by line from the end of the
+header, with one compiled pattern per format, and puts each line's
+integers straight into the payload; an slp body goes straight into the
+rules of its program. A line the pattern does not accept is described
+by the per-field checks, which name its number and its first fault.
+
 Errors come from two places, both as exceptions. `parse` raises
 ContainerFormatError on a file it cannot read as this layout, and
 InvalidInputError where the rle, lz77 or slp payload breaks its type's
-rule (see RleString, Lz77Factorization, `slp_from_grammar_rules` and
-Slp), with the type's code and location. `validate` raises InvalidInputError
+rule (see RleString, Lz77Factorization and Slp), with the type's code
+and location; an slp file also needs one rule for each of 1..n
+("missing-variable" at "rules"), each of the program's shape
+("malformed-slp-rule" at "rule 2"). `validate` raises InvalidInputError
 on what needs the header: symbols outside the alphabet and a declared
 length the payload does not derive, plus the faults that the LZ78 and
 grammar walks and the program's reachable rules show. A grammar with no
@@ -27,7 +35,9 @@ rules, which only a library caller can build, raises EmptyInputError in
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
 from .errors import ContainerFormatError, EmptyInputError, InvalidInputError
 from .model import (
@@ -43,13 +53,13 @@ from .model import (
     canonical_grammar,
     grammar_lengths,
     lz78_factor_lengths,
-    slp_from_grammar_rules,
 )
 from .slp_ops import reachable_vars
 
 MAGIC = "CRX1"
 FORMATS = ("rle", "lz77", "lz78", "grammar", "slp")
 _EMPTY_GRAMMAR = "a grammar with no rules derives the empty string"
+_NO_RULES = "grammar container has no rules"
 
 Payload = RleString | Lz77Factorization | Lz78Factorization | AdmissibleGrammar | Slp
 
@@ -145,22 +155,186 @@ def _int(tok: str, where: str) -> int:
         raise ContainerFormatError(f"{where}: integer has too many digits") from None
 
 
+# One pattern per body format, each a whole line with its newline (the
+# last line may lack it) and integers as _int accepts them. Each is
+# matched at the start of its line only, so a line that fails costs its
+# own length and the body is never searched ahead.
+_INT = "(-?[0-9]+)"
+_EOL = r"(?:\n|\Z)"
+_RUN = re.compile(f"{_INT} {_INT}{_EOL}")
+_FACTOR = re.compile(f"(?:L {_INT}|R {_INT} {_INT}){_EOL}")
+_ID = re.compile(f"{_INT}{_EOL}")
+_RULE = re.compile(f"{_INT} ->((?: [tv]-?[0-9]+)+){_EOL}")
+_ITEM = re.compile(f" ([tv]){_INT}")
+_SLP_RULE = re.compile(f"{_INT} -> (?:t{_INT}|v{_INT} v{_INT}){_EOL}")
+
+_Rule = tuple[int, tuple[Term | Var, ...]]
+
+
+def _body(data: str, pos: int, pattern: re.Pattern, item: Callable[[re.Match], Any],
+          read_line: Callable[[str, int], Any]) -> Iterator[Any]:
+    """The item of each body line from pos on, in line order: item(match)
+    for a line the pattern accepts. Any other line, and one holding an
+    integer past the interpreter's digit limit, goes to read_line(line,
+    number), the per-field checks: they raise on the line's first fault,
+    or in an slp body give a rule of the wrong shape."""
+    match = pattern.match
+    end = len(data)
+    ln, counted = 2, pos  # the body starts on line 2
+    while pos < end:
+        m = match(data, pos)
+        if m is not None:
+            try:
+                yield item(m)
+                pos = m.end()
+                continue
+            except ValueError:  # an integer past the interpreter's digit limit
+                pass
+        nl = data.find("\n", pos)
+        if nl < 0:
+            nl = end
+        ln += data.count("\n", counted, pos)
+        counted = pos
+        yield read_line(data[pos:nl], ln)
+        pos = nl + 1
+
+
+def _read_run(line: str, ln: int) -> tuple[int, int]:
+    parts = line.split(" ")
+    if len(parts) != 2:
+        raise ContainerFormatError(f"line {ln}: bad run {line!r}")
+    return _int(parts[0], f"line {ln}"), _int(parts[1], f"line {ln}")
+
+
+def _read_factor(line: str, ln: int) -> Literal | Reference:
+    parts = line.split(" ")
+    if parts[0] == "L" and len(parts) == 2:
+        return Literal(_int(parts[1], f"line {ln}"))
+    if parts[0] == "R" and len(parts) == 3:
+        return Reference(_int(parts[1], f"line {ln}"), _int(parts[2], f"line {ln}"))
+    raise ContainerFormatError(f"line {ln}: bad factor {line!r}")
+
+
+def _read_id(line: str, ln: int) -> int:
+    return _int(line, f"line {ln}")
+
+
+def _duplicate(var: int, ln: int) -> ContainerFormatError:
+    return ContainerFormatError(f"line {ln}: duplicate rule for {var}")
+
+
+def _read_rule(line: str, ln: int, defined: Callable[[int], bool]) -> _Rule:
+    parts = line.split(" ")
+    if len(parts) < 3 or parts[1] != "->":
+        raise ContainerFormatError(f"line {ln}: bad rule {line!r}")
+    var = _int(parts[0], f"line {ln}")
+    if defined(var):  # a duplicate is reported before the items
+        raise _duplicate(var, ln)
+    items: list[Term | Var] = []
+    for tok in parts[2:]:
+        if tok.startswith("t"):
+            items.append(Term(_int(tok[1:], f"line {ln}")))
+        elif tok.startswith("v"):
+            items.append(Var(_int(tok[1:], f"line {ln}")))
+        else:
+            raise ContainerFormatError(f"line {ln}: bad item {tok!r}")
+    return var, tuple(items)
+
+
+def _run(m: re.Match) -> tuple[int, int]:
+    return int(m[1]), int(m[2])
+
+
+def _factor(m: re.Match) -> Literal | Reference:
+    if m[1] is not None:
+        return Literal(int(m[1]))
+    return Reference(int(m[2]), int(m[3]))
+
+
+def _id(m: re.Match) -> int:
+    return int(m[1])
+
+
+def _rule(m: re.Match) -> _Rule:
+    return int(m[1]), tuple([Term(int(c)) if k == "t" else Var(int(c))
+                             for k, c in _ITEM.findall(m[2])])
+
+
+def _slp_rule(m: re.Match) -> tuple[int, Term | tuple[int, int]]:
+    if m[2] is not None:
+        return int(m[1]), Term(int(m[2]))
+    return int(m[1]), (int(m[3]), int(m[4]))
+
+
+def _read_grammar(data: str, pos: int) -> AdmissibleGrammar:
+    rules: dict[int, tuple[Term | Var, ...]] = {}
+
+    def read_line(line: str, ln: int) -> _Rule:
+        return _read_rule(line, ln, rules.__contains__)
+
+    for ln, (var, items) in enumerate(_body(data, pos, _RULE, _rule, read_line), start=2):
+        if var in rules:
+            raise _duplicate(var, ln)
+        rules[var] = items
+    if not rules:
+        raise ContainerFormatError(_NO_RULES)
+    return AdmissibleGrammar(rules, max(rules))
+
+
+def _read_slp(data: str, pos: int) -> Slp:
+    # the rules of X_1, X_2, ... while the lines come in that order, then
+    # the rest by variable; None marks a rule of the wrong shape
+    rules: list[Term | tuple[int, int] | None] = []
+    late: dict[int, Term | tuple[int, int] | None] = {}
+
+    def defined(var: int) -> bool:
+        return 0 < var <= len(rules) or var in late
+
+    def read_line(line: str, ln: int) -> tuple[int, None]:
+        # a line that reads as a rule but not as the pattern's is a rule
+        # of the wrong shape, reported once every line is read
+        return _read_rule(line, ln, defined)[0], None
+
+    for ln, (var, rule) in enumerate(_body(data, pos, _SLP_RULE, _slp_rule, read_line),
+                                     start=2):
+        if var == len(rules) + 1 and not late:
+            rules.append(rule)
+        elif defined(var):
+            raise _duplicate(var, ln)
+        else:
+            late[var] = rule
+    if not rules and not late:
+        raise ContainerFormatError(_NO_RULES)
+    k, n = len(rules), len(rules) + len(late)
+    if late and (min(late) <= k or max(late) > n):  # n distinct keys fill k+1..n
+        raise InvalidInputError("missing-variable", "rules")
+    rules.extend(late[var] for var in range(k + 1, n + 1))
+    if None in rules:
+        raise InvalidInputError("malformed-slp-rule", f"rule {rules.index(None) + 1}")
+    return Slp.build(rules)
+
+
 def parse(data: str) -> CompressedContainer:
     """Read a container. Raises ContainerFormatError on a malformed file
     and InvalidInputError on an rle, lz77 or slp payload that its type
-    rejects; the rest of the checking is left to validate. An slp body
-    becomes its program here, through `slp_from_grammar_rules`, so a
-    rule of the wrong shape, a missing variable and a forward reference
-    raise from parse."""
-    lines = data.split("\n")
-    del data  # from here on the lines hold the text
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    rejects; the rest of the checking is left to validate.
+
+    The body is read in place, line by line: each line is matched by its
+    format's pattern and its integers go straight into the payload, an
+    slp body's into the rules of its program, whose lines may come in
+    any order. The first line the pattern does not accept is described
+    by the per-field checks, by its number and its first fault. Faults
+    are reported in this order: the first syntax fault or duplicate rule,
+    in line order; a grammar or slp file with no rules; then in an slp
+    file "missing-variable", "malformed-slp-rule" in rule order and the
+    Slp constructor's checks, and in an rle or lz77 file its type's."""
+    if not data:
         raise ContainerFormatError("empty container")
-    head = lines[0].split(" ")
+    nl = data.find("\n")
+    header, pos = (data, len(data)) if nl < 0 else (data[:nl], nl + 1)
+    head = header.split(" ")
     if len(head) < 4 or head[0] != MAGIC:
-        raise ContainerFormatError(f"bad header {lines[0]!r}")
+        raise ContainerFormatError(f"bad header {header!r}")
     fmt = head[1]
     if fmt not in FORMATS:
         raise ContainerFormatError(f"unknown format {fmt!r}")
@@ -169,61 +343,24 @@ def parse(data: str) -> CompressedContainer:
     self_ref = False
     if len(head) == 5:
         if fmt != "lz77" or head[4] != "selfref":
-            raise ContainerFormatError(f"bad header {lines[0]!r}")
+            raise ContainerFormatError(f"bad header {header!r}")
         self_ref = True
     elif len(head) != 4:
-        raise ContainerFormatError(f"bad header {lines[0]!r}")
+        raise ContainerFormatError(f"bad header {header!r}")
 
-    body = lines[1:]
     payload: Payload
     if fmt == "rle":
-        runs = []
-        for ln, line in enumerate(body, start=2):
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise ContainerFormatError(f"line {ln}: bad run {line!r}")
-            runs.append((_int(parts[0], f"line {ln}"), _int(parts[1], f"line {ln}")))
-        payload = RleString(tuple(runs))
+        payload = RleString(tuple(_body(data, pos, _RUN, _run, _read_run)))
     elif fmt == "lz77":
-        factors = []
-        for ln, line in enumerate(body, start=2):
-            parts = line.split(" ")
-            if parts[0] == "L" and len(parts) == 2:
-                factors.append(Literal(_int(parts[1], f"line {ln}")))
-            elif parts[0] == "R" and len(parts) == 3:
-                factors.append(Reference(_int(parts[1], f"line {ln}"),
-                                         _int(parts[2], f"line {ln}")))
-            else:
-                raise ContainerFormatError(f"line {ln}: bad factor {line!r}")
-        payload = Lz77Factorization(tuple(factors), self_ref)
+        factors = tuple(_body(data, pos, _FACTOR, _factor, _read_factor))
+        payload = Lz77Factorization(factors, self_ref)
     elif fmt == "lz78":
-        ids = tuple(_int(line, f"line {ln}")
-                    for ln, line in enumerate(body, start=2))
-        payload = Lz78Factorization(ids, alphabet_size)
+        payload = Lz78Factorization(tuple(_body(data, pos, _ID, _id, _read_id)),
+                                    alphabet_size)
+    elif fmt == "grammar":
+        payload = _read_grammar(data, pos)
     else:
-        rules: dict[int, tuple[Term | Var, ...]] = {}
-        for ln, line in enumerate(body, start=2):
-            parts = line.split(" ")
-            if len(parts) < 3 or parts[1] != "->":
-                raise ContainerFormatError(f"line {ln}: bad rule {line!r}")
-            var = _int(parts[0], f"line {ln}")
-            if var in rules:
-                raise ContainerFormatError(f"line {ln}: duplicate rule for {var}")
-            items: list[Term | Var] = []
-            for tok in parts[2:]:
-                if tok.startswith("t"):
-                    items.append(Term(_int(tok[1:], f"line {ln}")))
-                elif tok.startswith("v"):
-                    items.append(Var(_int(tok[1:], f"line {ln}")))
-                else:
-                    raise ContainerFormatError(f"line {ln}: bad item {tok!r}")
-            rules[var] = tuple(items)
-        if not rules:
-            raise ContainerFormatError("grammar container has no rules")
-        payload = AdmissibleGrammar(rules, max(rules))
-        if fmt == "slp":
-            del lines, body  # the text goes before the program is built
-            payload = slp_from_grammar_rules(payload)
+        payload = _read_slp(data, pos)
     return CompressedContainer(fmt, alphabet_size, length, payload)
 
 

@@ -6,11 +6,13 @@ class CrxError(Exception):
 
 
 class BudgetExceededError(CrxError):
-    """An expansion would produce more symbols, or a conversion would hold
-    more runs, than the caller allowed."""
+    """An expansion would produce more symbols, or a conversion or a
+    verify walk would hold or read more runs, than the caller allowed.
+    The message names the work (`what`) and what it counts (`unit`):
+    "verify needs 78176339 runs, budget is 1048576"."""
 
-    def __init__(self, needed: int, limit: int, unit: str = "symbols"):
-        what = "expansion" if unit == "symbols" else "conversion"
+    def __init__(self, needed: int, limit: int, unit: str = "symbols",
+                 what: str = "expansion"):
         super().__init__(f"{what} needs {needed} {unit}, budget is {limit}")
         self.needed = needed
         self.limit = limit

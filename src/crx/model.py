@@ -284,28 +284,6 @@ class Slp:
         return 2 * len(self.rules) - sum(isinstance(r, Term) for r in self.rules)
 
 
-def slp_from_grammar_rules(g: AdmissibleGrammar) -> Slp:
-    """Reinterpret a grammar already in SLP shape (X->a or X->YZ, refs
-    strictly decreasing, variables 1..n) as an Slp. Raises with a code and
-    a location only: "missing-variable", "bad-start", "malformed-slp-rule"
-    ("rule 2") and the Slp constructor's "forward-reference-in-slp"."""
-    n = len(g.rules)
-    if set(g.rules) != set(range(1, n + 1)):
-        raise InvalidInputError("missing-variable", "rules")
-    if g.start != n:
-        raise InvalidInputError("bad-start", "header")
-    out: list[Term | tuple[int, int]] = []
-    for i in range(1, n + 1):
-        rhs = g.rules[i]
-        if len(rhs) == 1 and isinstance(rhs[0], Term):
-            out.append(rhs[0])
-        elif len(rhs) == 2 and isinstance(rhs[0], Var) and isinstance(rhs[1], Var):
-            out.append((rhs[0].index, rhs[1].index))
-        else:
-            raise InvalidInputError("malformed-slp-rule", f"rule {i}")
-    return Slp.build(out)
-
-
 def grammar_lengths(g: AdmissibleGrammar) -> dict[int, int]:
     """Derived length of every variable reachable from the start, computed
     without expansion. Each variable enters the dict after the variables on

@@ -6,7 +6,23 @@ import random
 
 from hypothesis import strategies as st
 
-from crx import RleString, Slp, Term, Text, grammar_to_slp, naive_bisection
+from crx import (
+    AdmissibleGrammar,
+    CompressedContainer,
+    ContainerFormatError,
+    InvalidInputError,
+    Literal,
+    Lz77Factorization,
+    Lz78Factorization,
+    Reference,
+    RleString,
+    Slp,
+    Term,
+    Text,
+    Var,
+    grammar_to_slp,
+    naive_bisection,
+)
 
 
 def T(s: str) -> Text:
@@ -131,3 +147,105 @@ def brute_occurrences(text: str, pattern: str) -> list[int]:
             return out
         out.append(k + 1)
         start = k + 1
+
+
+def _reference_int(tok: str, where: str) -> int:
+    digits = tok[1:] if tok.startswith("-") else tok
+    # str.isdigit alone also accepts non-ASCII digits such as "³"
+    if not (digits.isascii() and digits.isdigit()):
+        raise ContainerFormatError(f"{where}: expected integer, got {tok!r}")
+    try:
+        return int(tok)
+    except ValueError:  # beyond the interpreter's integer string limit
+        raise ContainerFormatError(f"{where}: integer has too many digits") from None
+
+
+def reference_parse(data: str) -> CompressedContainer:
+    """A line loop over the container: every line split, every token
+    checked, an slp body read as a grammar and then checked for the
+    program's shape. crx.container.parse must give the same payload, or
+    the same exception with the same message, code and location."""
+    lines = data.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ContainerFormatError("empty container")
+    head = lines[0].split(" ")
+    if len(head) < 4 or head[0] != "CRX1":
+        raise ContainerFormatError(f"bad header {lines[0]!r}")
+    fmt = head[1]
+    if fmt not in ("rle", "lz77", "lz78", "grammar", "slp"):
+        raise ContainerFormatError(f"unknown format {fmt!r}")
+    alphabet_size = _reference_int(head[2], "header")
+    length = _reference_int(head[3], "header")
+    self_ref = False
+    if len(head) == 5:
+        if fmt != "lz77" or head[4] != "selfref":
+            raise ContainerFormatError(f"bad header {lines[0]!r}")
+        self_ref = True
+    elif len(head) != 4:
+        raise ContainerFormatError(f"bad header {lines[0]!r}")
+
+    body = lines[1:]
+    if fmt == "rle":
+        runs = []
+        for ln, line in enumerate(body, start=2):
+            parts = line.split(" ")
+            if len(parts) != 2:
+                raise ContainerFormatError(f"line {ln}: bad run {line!r}")
+            runs.append((_reference_int(parts[0], f"line {ln}"),
+                         _reference_int(parts[1], f"line {ln}")))
+        return CompressedContainer(fmt, alphabet_size, length, RleString(tuple(runs)))
+    if fmt == "lz77":
+        factors = []
+        for ln, line in enumerate(body, start=2):
+            parts = line.split(" ")
+            if parts[0] == "L" and len(parts) == 2:
+                factors.append(Literal(_reference_int(parts[1], f"line {ln}")))
+            elif parts[0] == "R" and len(parts) == 3:
+                factors.append(Reference(_reference_int(parts[1], f"line {ln}"),
+                                         _reference_int(parts[2], f"line {ln}")))
+            else:
+                raise ContainerFormatError(f"line {ln}: bad factor {line!r}")
+        return CompressedContainer(fmt, alphabet_size, length,
+                                   Lz77Factorization(tuple(factors), self_ref))
+    if fmt == "lz78":
+        ids = tuple(_reference_int(line, f"line {ln}")
+                    for ln, line in enumerate(body, start=2))
+        return CompressedContainer(fmt, alphabet_size, length,
+                                   Lz78Factorization(ids, alphabet_size))
+    rules: dict[int, tuple[Term | Var, ...]] = {}
+    for ln, line in enumerate(body, start=2):
+        parts = line.split(" ")
+        if len(parts) < 3 or parts[1] != "->":
+            raise ContainerFormatError(f"line {ln}: bad rule {line!r}")
+        var = _reference_int(parts[0], f"line {ln}")
+        if var in rules:
+            raise ContainerFormatError(f"line {ln}: duplicate rule for {var}")
+        items: list[Term | Var] = []
+        for tok in parts[2:]:
+            if tok.startswith("t"):
+                items.append(Term(_reference_int(tok[1:], f"line {ln}")))
+            elif tok.startswith("v"):
+                items.append(Var(_reference_int(tok[1:], f"line {ln}")))
+            else:
+                raise ContainerFormatError(f"line {ln}: bad item {tok!r}")
+        rules[var] = tuple(items)
+    if not rules:
+        raise ContainerFormatError("grammar container has no rules")
+    if fmt == "grammar":
+        return CompressedContainer(fmt, alphabet_size, length,
+                                   AdmissibleGrammar(rules, max(rules)))
+    n = len(rules)
+    if set(rules) != set(range(1, n + 1)):
+        raise InvalidInputError("missing-variable", "rules")
+    program: list[Term | tuple[int, int]] = []
+    for i in range(1, n + 1):
+        rhs = rules[i]
+        if len(rhs) == 1 and isinstance(rhs[0], Term):
+            program.append(rhs[0])
+        elif len(rhs) == 2 and isinstance(rhs[0], Var) and isinstance(rhs[1], Var):
+            program.append((rhs[0].index, rhs[1].index))
+        else:
+            raise InvalidInputError("malformed-slp-rule", f"rule {i}")
+    return CompressedContainer(fmt, alphabet_size, length, Slp.build(program))

@@ -12,7 +12,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 INTERNALS = {
     "crx.slp_ops": ("EdgeRuns", "OccRepr", "Fingerprints", "annotate_runs", "run_count"),
     "crx.model": ("RunLinkAnnotations", "canonical_grammar",
-                  "slp_from_grammar_rules", "lz78_factor_lengths"),
+                  "lz78_factor_lengths"),
     "crx.suffix": ("MetaText",),
 }
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crx import Slp, Term, make_slp_container, parse, serialize
-from crx.cli import TARGETS, main
+from crx.cli import TARGETS, build_parser, main
 from helpers import VALIDATE_FAULTS, record_calls, sample_slp
 
 
@@ -264,8 +264,20 @@ def test_program_with_too_many_runs_exits_3_at_once(tmp_path, capsys):
         code, stdout, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1, argv
         assert (code, stdout) == (3, ""), argv
-        assert err == "error: conversion needs 78176339 runs, budget is 1048576\n"
+        # the line names the command's own work
+        what = "verify" if argv[0] == "verify" else "conversion"
+        assert err == f"error: {what} needs 78176339 runs, budget is 1048576\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_parser_is_built_once_and_left_as_it_was():
+    # main reuses one parser, so a flag given to one call reaches no later one
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["convert", "--to", "lz77", "--self-ref", "a", "b"])
+    second = parser.parse_args(["convert", "--to", "rle", "a", "b"])
+    assert (first.target, first.self_ref) == ("lz77", True)
+    assert (second.target, second.self_ref) == ("rle", False)
 
 
 def test_invalid_container_exit_code(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Wire format: serialize/parse round trips and validation codes."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,13 @@ from crx import (
     make_lz78_container,
     make_rle_container,
     make_slp_container,
+    naive_bisection,
+    naive_lz77,
+    naive_lz78,
+    naive_repair,
     parse,
     rle_as_slp,
+    rle_encode,
     serialize,
     validate,
 )
@@ -34,6 +41,8 @@ from helpers import (
     fibonacci_slp,
     random_runs,
     random_slp,
+    random_text,
+    reference_parse,
     sample_slp,
 )
 
@@ -142,29 +151,160 @@ def test_payload_size():
     assert make_slp_container(sample_slp(), 2).payload_size() == 12
 
 
-@pytest.mark.parametrize("bad", [
-    "",
-    "NOPE rle 2 3\n0 3\n",
-    "CRX1 rle 2\n",
-    "CRX1 zip 2 3\n",
-    "CRX1 rle 2 3 selfref\n0 3\n",
-    "CRX1 lz77 2 3 wrong\nL 0\n",
-    "CRX1 rle 2 x\n",
-    "CRX1 rle 2 3\n0\n",
-    "CRX1 rle 2 3\n0 1 2\n",
-    "CRX1 rle 2 3\n0 \u00b3\n",
-    "CRX1 rle 2 3\n0 " + "9" * 5000 + "\n",
-    "CRX1 lz77 2 3\nQ 0\n",
-    "CRX1 lz77 2 3\nL 0 5\n",
-    "CRX1 lz78 2 3\nnope\n",
-    "CRX1 grammar 2 3\n1 t0\n",
-    "CRX1 grammar 2 3\n1 -> x0\n",
-    "CRX1 grammar 2 3\n1 -> t0\n1 -> t1\n",
-    "CRX1 grammar 2 3\n",
+@pytest.mark.parametrize("bad,message", [
+    ("", "empty container"),
+    ("NOPE rle 2 3\n0 3\n", "bad header 'NOPE rle 2 3'"),
+    ("CRX1 rle 2\n", "bad header 'CRX1 rle 2'"),
+    ("CRX1 zip 2 3\n", "unknown format 'zip'"),
+    ("CRX1 rle 2 3 selfref\n0 3\n", "bad header 'CRX1 rle 2 3 selfref'"),
+    ("CRX1 lz77 2 3 wrong\nL 0\n", "bad header 'CRX1 lz77 2 3 wrong'"),
+    ("CRX1 rle 2 x\n", "header: expected integer, got 'x'"),
+    ("CRX1 rle 2 3\n0\n", "line 2: bad run '0'"),
+    ("CRX1 rle 2 3\n0 1 2\n", "line 2: bad run '0 1 2'"),
+    ("CRX1 rle 2 3\n0 ³\n", "line 2: expected integer, got '³'"),
+    ("CRX1 rle 2 3\n0 " + "9" * 5000 + "\n", "line 2: integer has too many digits"),
+    ("CRX1 lz77 2 3\nQ 0\n", "line 2: bad factor 'Q 0'"),
+    ("CRX1 lz77 2 3\nL 0 5\n", "line 2: bad factor 'L 0 5'"),
+    ("CRX1 lz78 2 3\nnope\n", "line 2: expected integer, got 'nope'"),
+    ("CRX1 grammar 2 3\n1 t0\n", "line 2: bad rule '1 t0'"),
+    ("CRX1 grammar 2 3\n1 -> x0\n", "line 2: bad item 'x0'"),
+    ("CRX1 grammar 2 3\n1 -> t0\n1 -> t1\n", "line 3: duplicate rule for 1"),
+    ("CRX1 grammar 2 3\n", "grammar container has no rules"),
+    # a blank line is a line of its own, and "\r" stays in its token
+    ("CRX1 rle 2 3\n0 1\n\n1 2\n", "line 3: bad run ''"),
+    ("CRX1 rle 2 3\n0 1\r\n1 2\n", "line 2: expected integer, got '1\\r'"),
+    # the first fault in line order wins, a duplicate as much as a syntax
+    # fault, and a duplicate is found before its line's items are read
+    ("CRX1 slp 2 3\n1 -> t0\n1 -> t1\n2 -> x0\n", "line 3: duplicate rule for 1"),
+    ("CRX1 slp 2 3\n1 -> t0\n1 -> x0\n", "line 3: duplicate rule for 1"),
+    ("CRX1 slp 2 3\n1 -> t0\n2 -> v1 t1\n3 -> x\n", "line 4: bad item 'x'"),
 ])
-def test_parse_rejects(bad):
-    with pytest.raises(ContainerFormatError):
+def test_parse_rejects(bad, message):
+    with pytest.raises(ContainerFormatError) as ei:
         parse(bad)
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("wire,same_as", [
+    # the last line may lack its newline
+    ("CRX1 rle 2 3\n0 1\n1 2", "CRX1 rle 2 3\n0 1\n1 2\n"),
+    ("CRX1 slp 2 2\n1 -> t0\n2 -> v1 v1", "CRX1 slp 2 2\n1 -> t0\n2 -> v1 v1\n"),
+    # the rule lines of a program may come in any order
+    ("CRX1 slp 2 5\n4 -> v3 v2\n1 -> t0\n3 -> v1 v2\n2 -> t1\n",
+     "CRX1 slp 2 5\n1 -> t0\n2 -> t1\n3 -> v1 v2\n4 -> v3 v2\n"),
+    ("CRX1 slp 2 5\n1 -> t0\n4 -> v3 v2\n2 -> t1\n3 -> v1 v2\n",
+     "CRX1 slp 2 5\n1 -> t0\n2 -> t1\n3 -> v1 v2\n4 -> v3 v2\n"),
+])
+def test_parse_accepts(wire, same_as):
+    assert parse(wire) == parse(same_as)
+    assert serialize(parse(wire)) == same_as
+
+
+def _lines_of(c: CompressedContainer) -> list[str]:
+    return serialize(c).split("\n")[:-1]
+
+
+@st.composite
+def containers(draw):
+    """The lines of a valid container of any of the five formats."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    fmt = draw(st.sampled_from(("rle", "lz77", "lz78", "grammar", "slp")))
+    text = random_text(rng, max_len=30, sigma=3)
+    if fmt == "rle":
+        return _lines_of(make_rle_container(rle_encode(text), 3))
+    if fmt == "lz77":
+        return _lines_of(make_lz77_container(naive_lz77(text, rng.random() < 0.5), 3))
+    if fmt == "lz78":
+        return _lines_of(make_lz78_container(naive_lz78(text, 3)))
+    if fmt == "grammar":
+        codec = naive_repair if rng.random() < 0.5 else naive_bisection
+        return _lines_of(make_grammar_container(codec(text), 3))
+    return _lines_of(make_slp_container(draw(programs()), 3))
+
+
+@st.composite
+def mutated_wires(draw):
+    """A valid wire, or one with a few of its lines mutated."""
+    lines = draw(containers())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        kind = draw(st.sampled_from((
+            "truncate", "double-space", "sign", "digits", "permute", "duplicate",
+            "drop", "blank", "carriage-return", "extra-token")))
+        if kind == "truncate":
+            lines[i] = line[:draw(st.integers(0, len(line)))]
+        elif kind == "double-space" and " " in line:
+            k = draw(st.sampled_from([j for j, ch in enumerate(line) if ch == " "]))
+            lines[i] = line[:k] + " " + line[k:]
+        elif kind == "sign":
+            k = draw(st.integers(0, len(line)))
+            lines[i] = line[:k] + draw(st.sampled_from("-+")) + line[k:]
+        elif kind == "digits":
+            tokens = line.split(" ")
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[k] = tokens[k][:1] + draw(st.sampled_from(("1" * 5000, "0" * 5000)))
+            lines[i] = " ".join(tokens)
+        elif kind == "permute" and len(lines) > 2:
+            body = lines[1:]
+            lines[1:] = draw(st.permutations(body))
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(1, len(lines))), line)
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "blank":
+            lines.insert(draw(st.integers(1, len(lines))), "")
+        elif kind == "carriage-return":
+            lines[i] = line + "\r"
+        elif kind == "extra-token":
+            lines[i] = line + draw(st.sampled_from((" t0", " v1", " 1", " x")))
+    wire = "\n".join(lines)
+    return wire if draw(st.booleans()) else wire + "\n"
+
+
+def _outcome(read, wire: str):
+    try:
+        return "ok", read(wire)
+    except (ContainerFormatError, InvalidInputError, EmptyInputError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "code", None),
+                getattr(exc, "location", None))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_wires())
+def test_parse_matches_line_loop_reference(wire):
+    # the same payload, or the same exception with the same message, code
+    # and location, as a loop that splits and checks every line
+    assert _outcome(parse, wire) == _outcome(reference_parse, wire)
+
+
+@settings(max_examples=100, deadline=None)
+@given(containers())
+def test_valid_wire_round_trips(lines):
+    wire = "\n".join(lines) + "\n"
+    assert serialize(parse(wire)) == wire
+    assert parse(wire) == reference_parse(wire)
+
+
+def test_slp_parse_peak_memory():
+    # the rules go straight into the program: no grammar of Term and Var
+    # objects is built first, and no pattern backtracks over the body
+    rng = random.Random(2000)
+    runs, prev = [], -1
+    for _ in range(2000):
+        sym = rng.choice([c for c in range(4) if c != prev])
+        runs.append((sym, rng.randint(1, 8)))
+        prev = sym
+    wire = serialize(make_slp_container(rle_as_slp(RleString(tuple(runs))), 4))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        c = parse(wire)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.payload.n > 6000
+    assert peak < 1.5 * 2**20
 
 
 def _raised(c: str | CompressedContainer) -> tuple[str, str]:
