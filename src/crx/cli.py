@@ -10,6 +10,12 @@ through `grammar_to_slp`. lz77 and lz78 convert only with --via-expand,
 which decodes and re-encodes; it reaches slp through the bisection
 grammar. Exit 2 for an lz source without --via-expand.
 
+`verify` reads both files first. Two rle, slp or grammar files are
+compared without expanding: `first_mismatch` walks their run streams
+side by side, an rle file's own runs and a program's derived ones. A
+pair with an lz77 or lz78 file is decoded under --max-output and
+compared as two texts.
+
 Exit codes: 0 success, 1 invalid input or a failed verification, 2 no
 conversion path between the requested formats, 3 a budget exceeded: the
 expansion budget, or the fixed cap of MAX_RUNS (2^20) runs, counted
@@ -76,7 +82,6 @@ from .model import (
     DEFAULT_LIMIT,
     Literal,
     Lz78Factorization,
-    Slp,
     Text,
     expand_grammar,
     expand_lz77,
@@ -173,12 +178,9 @@ def _container(target: str, payload: Payload,
     return make_grammar_container(payload, alphabet_size)
 
 
-def _as_slp(c: CompressedContainer) -> Slp:
-    if c.format == "rle":
-        return rle_as_slp(c.payload)
-    if c.format == "slp":
-        return c.payload
-    return grammar_to_slp(c.payload)
+def _direct_source(c: CompressedContainer) -> Payload:
+    """An rle file's runs, or the program of an slp or grammar file."""
+    return grammar_to_slp(c.payload) if c.format == "grammar" else c.payload
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
@@ -222,7 +224,7 @@ def _convert_direct(c: CompressedContainer, target: str,
         raise UnreachableConversionError(
             f"no direct conversion from {c.format} to {target}; "
             "re-run with --via-expand")
-    source = c.payload if c.format == "rle" else _as_slp(c)
+    source = _direct_source(c)
     if c.format != "rle" and target != "slp":
         _cap_runs(run_count(source), "conversion")
     if target == "lz77":
@@ -246,26 +248,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     limit = _budget(args)
     a = _read_container(args.input)
     b = _read_container(args.second)
-    if a.length == 0 or b.length == 0:
-        equal, pos = a.length == b.length, 1
-    elif a.format not in ("lz77", "lz78") and b.format not in ("lz77", "lz78"):
-        sa, sb = _as_slp(a), _as_slp(b)
+    if a.format not in ("lz77", "lz78") and b.format not in ("lz77", "lz78"):
+        sa, sb = _direct_source(a), _direct_source(b)
         if "rle" not in (a.format, b.format):  # else that file's runs bound the walk
             _cap_runs(min(run_count(sa), run_count(sb)), "verify")
         pos = first_mismatch(sa, sb)
-        equal = pos is None
     else:
-        ta = _expand_container(a, limit)
-        tb = _expand_container(b, limit)
-        equal, pos = ta.symbols == tb.symbols, None
-        if not equal:
-            common = min(len(ta), len(tb))
-            pos = common + 1
-            for idx in range(common):
-                if ta.symbols[idx] != tb.symbols[idx]:
-                    pos = idx + 1
+        xs = _expand_container(a, limit).symbols
+        ys = _expand_container(b, limit).symbols
+        pos = None
+        if xs != ys:
+            pos = min(len(xs), len(ys)) + 1
+            for i in range(pos - 1):
+                if xs[i] != ys[i]:
+                    pos = i + 1
                     break
-    if equal:
+    if pos is None:
         print("equal")
         return 0
     print(f"differ {pos}")

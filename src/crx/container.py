@@ -26,7 +26,8 @@ rule (see RleString, Lz77Factorization and Slp), with the type's code
 and location; an slp file also needs one rule for each of 1..n
 ("missing-variable" at "rules"), each of the program's shape
 ("malformed-slp-rule" at "rule 2"). `validate` raises InvalidInputError
-on what needs the header: symbols outside the alphabet and a declared
+on what needs the header: a negative alphabet size ("bad-alphabet" at
+"header", checked first), symbols outside the alphabet and a declared
 length the payload does not derive, plus the faults that the LZ78 and
 grammar walks and the program's reachable rules show. A grammar with no
 rules, which only a library caller can build, raises EmptyInputError in
@@ -367,9 +368,10 @@ def parse(data: str) -> CompressedContainer:
 def validate(c: CompressedContainer) -> int:
     """Check the payload against the header and return the derived length.
 
-    Every symbol must lie inside the alphabet, every rule must be
-    reachable from the start and the derived length must equal the
-    declared one. LZ78 ids and grammar references are checked on the way
+    The alphabet size must not be negative ("bad-alphabet" at
+    "header"), every symbol must lie inside the alphabet, every rule
+    must be reachable from the start and the derived length must equal
+    the declared one. LZ78 ids and grammar references are checked on the way
     by the walks that own them; an slp payload is a program whose shape
     parse has checked, so its length and reachable rules are read off it.
     Raises InvalidInputError(code, location) on the first violation
@@ -377,6 +379,8 @@ def validate(c: CompressedContainer) -> int:
     was built. A grammar payload with no rules raises EmptyInputError.
     """
     sigma = c.alphabet_size
+    if sigma < 0:
+        raise InvalidInputError("bad-alphabet", "header")
     p = c.payload
     if c.format == "rle":
         for i, (sym, _) in enumerate(p.runs, start=1):

@@ -19,7 +19,9 @@ Every test of whether two stretches of the derived string agree
 (`slp_lce`, `membership`, `prefix_match`, `first_mismatch`,
 `slp_equals`) walks run streams: a window's runs come from its
 O(height) cover pieces, found as the runs are read, and the walk stops
-at the first pair of runs that differ. `Fingerprints` only suggest
+at the first pair of runs that differ. `first_mismatch` and the
+pattern of `occurrences` take a program or its runs, an `RleString`
+whose own runs are read as they are. `Fingerprints` only suggest
 equality: a window's Karp-Rabin fingerprint folds those of its cover
 pieces in O(height), and a caller confirms equal ones on the runs.
 
@@ -660,6 +662,10 @@ class OccRepr:
         return out
 
 
+def _runs_of(s: Slp | RleString) -> Iterable[tuple[int, int]]:
+    return s.runs if isinstance(s, RleString) else _window_runs(s, 1, s.length)
+
+
 def occurrences(text: Slp, pattern: Slp | RleString) -> OccRepr:
     """The occurrence set of a pattern inside val(text). The pattern is a
     program or its runs.
@@ -670,10 +676,10 @@ def occurrences(text: Slp, pattern: Slp | RleString) -> OccRepr:
     first use from that store. An empty run list raises
     EmptyInputError.
     """
-    runs = pattern if isinstance(pattern, RleString) else slp_runs(pattern)
-    if not runs.runs:
+    runs = list(_runs_of(pattern))
+    if not runs:
         raise EmptyInputError("cannot search for the empty pattern")
-    return OccRepr(text, list(runs.runs))
+    return OccRepr(text, runs)
 
 
 def slp_equals(a: Slp, b: Slp) -> bool:
@@ -693,11 +699,14 @@ def prefix_match(text: Slp, pos: int, pattern: Slp) -> bool:
                              _window_runs(pattern, 1, pattern.length)) is None
 
 
-def first_mismatch(a: Slp, b: Slp) -> int | None:
-    """First position where the derived strings differ, or None if equal.
+def first_mismatch(a: Slp | RleString, b: Slp | RleString) -> int | None:
+    """First position where two strings differ, or None if equal. Each
+    side is a program or its runs.
 
-    Walks the two run streams side by side: the first pair of runs that
-    differ fixes the position, and no run past it is produced.
+    Walks the two run streams side by side: an RleString's own runs, or
+    a program's runs as its derivation produces them. The first pair of
+    runs that differ fixes the position, and no run past it is produced;
+    an empty run list differs from any other string at position 1.
     """
-    d = _first_difference(_window_runs(a, 1, a.length), _window_runs(b, 1, b.length))
+    d = _first_difference(_runs_of(a), _runs_of(b))
     return None if d is None else d + 1

@@ -77,6 +77,7 @@ VALIDATE_FAULTS = [
     ("CRX1 grammar 2 9\n1 -> t0 t1\n", "length-mismatch", "payload"),
     ("CRX1 slp 2 9\n1 -> t0\n", "length-mismatch", "payload"),
     ("CRX1 slp 2 1\n1 -> t0\n2 -> t1\n", "unreachable-variable", "rules"),
+    ("CRX1 rle -1 0\n", "bad-alphabet", "header"),
 ]
 
 

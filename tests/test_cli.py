@@ -10,7 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crx import Slp, Term, make_slp_container, parse, serialize
+from crx import (
+    Slp,
+    Term,
+    Text,
+    expand_slp,
+    grammar_to_slp,
+    make_grammar_container,
+    make_lz77_container,
+    make_lz78_container,
+    make_rle_container,
+    make_slp_container,
+    naive_bisection,
+    naive_lz77,
+    naive_lz78,
+    naive_repair,
+    parse,
+    rle_encode,
+    serialize,
+)
 from crx.cli import TARGETS, build_parser, main
 from helpers import VALIDATE_FAULTS, record_calls, sample_slp
 
@@ -195,6 +213,17 @@ def test_verify_mixed_formats(tmp_path, capsys):
     assert out.strip() == "equal"
 
 
+def test_verify_reads_both_files_before_expanding(tmp_path, capsys):
+    # the lz77 file derives 100 symbols, past a budget of 10, yet the
+    # second file's fault is what verify reports: both are read first
+    big = write(tmp_path / "big.lz77", b"CRX1 lz77 256 100 selfref\nL 97\nR 1 99\n")
+    bad = write(tmp_path / "bad.rle", b"CRX1 rle 256 3\n97 3 4\n")
+    good = write(tmp_path / "good.rle", b"CRX1 rle 256 3\n97 3\n")
+    assert run(capsys, "verify", "--max-output", "10", big, bad) == (
+        1, "", "error: line 2: bad run '97 3 4'\n")
+    assert run(capsys, "verify", "--max-output", "10", big, good)[:2] == (3, "")
+
+
 def test_decode_budget_exit_code(tmp_path, capsys):
     a = tmp_path / "a.crx"
     a.write_text(f"CRX1 rle 256 {2**40}\n97 {2**40}\n")
@@ -362,12 +391,16 @@ def test_info_slp(tmp_path, capsys):
     (("info", "a.slp"), 1),
     (("decode", "a.slp", "out"), 1),
     (("verify", "a.slp", "b.slp"), 2),
+    # an rle file is walked as its own runs, with no program built from them
+    (("verify", "a.rle", "b.slp"), 1),
 ])
 def test_slp_file_builds_its_program_once(tmp_path, capsys, monkeypatch, argv, builds):
     # the program parse builds is the one every later step uses
     monkeypatch.chdir(tmp_path)
     for name in ("a.slp", "b.slp"):
         (tmp_path / name).write_text(serialize(make_slp_container(sample_slp(), 2)))
+    runs = rle_encode(expand_slp(sample_slp()))
+    (tmp_path / "a.rle").write_text(serialize(make_rle_container(runs, 2)))
     calls = record_calls(monkeypatch, "build", Slp)
     code, _, err = run(capsys, *argv)
     assert code == 0, err
@@ -459,3 +492,53 @@ def test_convert_routes_match_via_expand(data):
             code, _, err = call("convert", "--to", target, path(src), path("off"))
             assert code == 2, (src, target)
             assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _verify_files(text: Text) -> dict[str, str]:
+    """The text's container in every format verify reads; slp and grammar
+    files only for a non-empty text."""
+    files = {"rle": make_rle_container(rle_encode(text), 256),
+             "lz77": make_lz77_container(naive_lz77(text, False), 256),
+             "lz77-selfref": make_lz77_container(naive_lz77(text, True), 256),
+             "lz78": make_lz78_container(naive_lz78(text, 256))}
+    if text.symbols:
+        files["slp"] = make_slp_container(grammar_to_slp(naive_bisection(text)), 256)
+        files["bisection"] = make_grammar_container(naive_bisection(text), 256)
+        files["repair"] = make_grammar_container(naive_repair(text), 256)
+    return {fmt: serialize(c) for fmt, c in files.items()}
+
+
+@st.composite
+def verify_pairs(draw):
+    """A short text and a second one: equal, one symbol changed, or a prefix."""
+    first = draw(st.lists(st.sampled_from(b"ab"), max_size=24))
+    kind = draw(st.sampled_from(("equal", "changed", "prefix")))
+    second = list(first)
+    if kind == "changed" and first:
+        i = draw(st.integers(0, len(first) - 1))
+        second[i] = draw(st.sampled_from([c for c in b"abc" if c != first[i]]))
+    elif kind == "prefix":
+        second = first[:draw(st.integers(0, len(first)))]
+    return first, second
+
+
+@settings(max_examples=120, deadline=None)
+@given(verify_pairs())
+def test_verify_every_format_pair_matches_text_comparison(pair):
+    # every pair of formats prints what comparing the two texts gives
+    x, y = pair
+    k = next((i for i, (p, q) in enumerate(zip(x, y), 1) if p != q),
+             min(len(x), len(y)) + 1)
+    want = (0, "equal\n") if x == y else (1, f"differ {k}\n")
+    with tempfile.TemporaryDirectory() as d:
+        paths = []
+        for side, text in (("x", x), ("y", y)):
+            names = {}
+            for fmt, wire in _verify_files(Text(tuple(text))).items():
+                names[fmt] = os.path.join(d, f"{side}.{fmt}")
+                with open(names[fmt], "w", encoding="utf-8") as fh:
+                    fh.write(wire)
+            paths.append(names)
+        for fa, pa in paths[0].items():
+            for fb, pb in paths[1].items():
+                assert call("verify", pa, pb) == (*want, ""), (fa, fb)

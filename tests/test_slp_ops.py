@@ -451,12 +451,17 @@ def test_first_mismatch_random():
         a = random_slp(rng, max_extra=7, sigma=2, max_len=400)
         b = random_slp(rng, max_extra=7, sigma=2, max_len=400)
         x, y = expand_slp(a).to_str(), expand_slp(b).to_str()
-        got = first_mismatch(a, b)
         k = 0
         while k < min(len(x), len(y)) and x[k] == y[k]:
             k += 1
         want = None if x == y else k + 1
-        assert got == want
+        # each side is a program or its runs
+        for p in (a, slp_runs(a)):
+            for q in (b, slp_runs(b)):
+                assert first_mismatch(p, q) == want
+    assert first_mismatch(RleString(()), sample_slp()) == 1
+    assert first_mismatch(sample_slp(), RleString(())) == 1
+    assert first_mismatch(RleString(()), RleString(())) is None
 
 
 def _check_fresh_sets(rng, s, p):
