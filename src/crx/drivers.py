@@ -1,9 +1,12 @@
-"""Codec drivers shared by the run-length and program lanes.
+"""Codec drivers over primitives that a lane supplies.
 
 A driver owns one codec's control flow and sees the text only through
-primitives on 1-based positions that a lane supplies. LZ78 reads the
-text's runs from a position onwards; bisection asks the symbol at a
-position, a key of a span and an equality test on two spans.
+primitives on 1-based positions. LZ78's, shared by the run-length and
+program lanes, reads the text's runs from a position onwards.
+Bisection's serves the program lane alone and asks the symbol at a
+position, a key of a span and an equality test on two spans; the run
+lane builds its bisection grammar level by level from the runs instead
+(`from_rle.rle_to_bisection`).
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ def lz78_driver(n: int, sigma: int,
 def bisection_driver(n: int, char: Callable[[int], int],
                      key: Callable[[int, int], Hashable],
                      same: Callable[[int, int, int], bool]) -> AdmissibleGrammar:
-    """Balanced splitting grammar of a text of length n >= 1.
+    """Balanced splitting grammar of a text of length n >= 1, for the
+    program lane's `slp_to_bisection`.
 
     Spans i..j split at the largest power of two below their length and
     are finished in post-order, left first; a span equal to an earlier one

@@ -4,10 +4,13 @@ Only the run structure is ever touched. LZ77 runs its own factor loop:
 it finds leftmost window starts from each symbol's record runs and from
 two indexes of the run boundaries, built once, that hold only the
 boundaries able to give a record, and asks the meta text for the few
-common extensions those do not fix. Bisection's shared driver runs on
-the meta text's symbol lookup and LCE queries; LZ78's reads the runs
-from the cursor on. Re-Pair keeps them in a linked list and updates the
-pair counts around each replacement, so no round walks the runs.
+common extensions those do not fix; it is the one conversion here that
+builds the meta text and its LCE index. Bisection pairs the runs'
+blocks level by level, one dict lookup per run of block ids, and takes
+the right spine from the last block of each level. LZ78's shared driver
+reads the runs from the cursor on. Re-Pair keeps them in a linked list
+and updates the pair counts around each replacement, so no round walks
+the runs.
 Outputs match the reference codecs on the decoded string. The run walks
 rely on maximal runs, which every RleString has: its construction
 rejects a run of exponent 0 and two adjacent runs of one symbol.
@@ -17,11 +20,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from heapq import heappop, heappush
 from itertools import accumulate
 
-from .drivers import bisection_driver, lz78_driver
+from .drivers import lz78_driver
 from .errors import EmptyInputError
 from .model import (
     AdmissibleGrammar,
@@ -371,14 +374,101 @@ def rle_to_repair(r: RleString) -> AdmissibleGrammar:
 
 
 def rle_to_bisection(r: RleString) -> AdmissibleGrammar:
-    """Balanced splitting grammar rebuilt from the runs by the shared
-    driver: spans are bucketed by MetaText.span_key and compared with at
-    most one character-level LCE query, so no span is ever expanded."""
-    if not r.runs:
+    """Balanced splitting grammar built level by level from the runs:
+    O(m log(N/m) + m) dict lookups for m runs of N symbols, plus one
+    step per rule. No span is expanded and no index of the runs is
+    built, so exponents of any size cost only their levels."""
+    return _bisection_of_runs(r.runs)
+
+
+def _bisection_of_runs(runs: Sequence[tuple[int, int]]) -> AdmissibleGrammar:
+    """Balanced splitting grammar of the text the maximal runs (symbol,
+    exponent) spell, equal to the reference codec's variable for
+    variable.
+
+    Every span of the balanced tree but the right spine is an aligned
+    block of 2^l symbols, so the blocks are built one level at a time
+    (Kieffer, Yang, Nelson & Cosman's multilevel pattern matching). Level
+    0 is the runs; level l+1 pairs level l's run list of block ids left
+    to right: a run x^e gives (pending, x) if a block is left over from
+    the run before, (x, x) repeated, and a new pending block if one is
+    left. A pair gets its id from one dict per level, and equal
+    neighbours merge, so every level holds at most about 2m + 1 runs and
+    level l covers the first (N >> l) << l symbols. The spine's block for
+    a set bit b of N is the last block of level b.
+
+    Rules are numbered as the reference codec's post-order finishes them:
+    the blocks under each spine block, high bit first, left first, each
+    id taking a variable the first time it finishes; then the spine
+    rules, innermost first.
+    """
+    if not runs:
         raise EmptyInputError("cannot build a grammar for the empty string")
-    meta = rank_runs(r)
-    return bisection_driver(meta.length, meta.symbol, meta.span_key,
-                            meta.span_equals)
+    dense: dict[int, int] = {}  # symbol -> terminal id, in order of appearance
+    # the current level's run list: block ids and their counts, Python
+    # ints of any size
+    ids = [dense.setdefault(sym, len(dense)) for sym, _ in runs]
+    cnts = [e for _, e in runs]
+    n = sum(cnts)
+    left = [-1] * len(dense)  # the halves of each id; terminals have none
+    right = left[:]
+    spine = [ids[-1]] if n & 1 else []  # the last block of level b for each set bit b
+    for level in range(1, n.bit_length()):
+        k = len(left)
+        pairs: dict[int, int] = {}
+        nids: list[int] = []
+        ncnts: list[int] = []
+        last = pend = -1
+        for x, e in zip(ids, cnts):
+            if pend >= 0:
+                z = pairs.get(key := pend * k + x)
+                if z is None:
+                    z = pairs[key] = len(left)
+                    left.append(pend)
+                    right.append(x)
+                if z == last:
+                    ncnts[-1] += 1
+                else:
+                    nids.append(z)
+                    ncnts.append(1)
+                    last = z
+                e -= 1
+            if e >= 2:
+                z = pairs.get(key := x * k + x)
+                if z is None:
+                    z = pairs[key] = len(left)
+                    left.append(x)
+                    right.append(x)
+                if z == last:
+                    ncnts[-1] += e >> 1
+                else:
+                    nids.append(z)
+                    ncnts.append(e >> 1)
+                    last = z
+            pend = x if e & 1 else -1
+        ids, cnts = nids, ncnts
+        if n >> level & 1:
+            spine.append(ids[-1])
+    item: list[GrammarItem | None] = [Term(c) for c in dense]
+    item += [None] * (len(left) - len(dense))
+    rules: dict[int, tuple[GrammarItem, ...]] = {}
+    for root in reversed(spine):
+        stack = [root]  # ids to finish; ~z marks z's halves as finished
+        while stack:
+            z = stack.pop()
+            if z < 0:
+                z = ~z
+                rules[len(rules) + 1] = (item[left[z]], item[right[z]])
+                item[z] = Var(len(rules))
+            elif item[z] is None:
+                stack += (~z, right[z], left[z])
+    top = item[spine[0]]
+    for z in spine[1:]:
+        rules[len(rules) + 1] = (item[z], top)
+        top = Var(len(rules))
+    if isinstance(top, Term):
+        return AdmissibleGrammar({1: (top,)}, 1)
+    return AdmissibleGrammar(rules, top.index)
 
 
 def rle_as_slp(r: RleString) -> Slp:

@@ -1,9 +1,10 @@
 """Suffix array, LCP and LCE machinery over integer sequences.
 
-The conversions never index the raw text. They index the run-length
-encoding instead: each distinct (symbol, exponent) pair gets a rank, the
-sequence of ranks forms a meta text, and longest common extensions on it
-translate back to character counts with a little boundary arithmetic.
+The run lane's LZ77, their one user among the conversions, never
+indexes the raw text. It indexes the run-length encoding instead: each
+distinct (symbol, exponent) pair gets a rank, the sequence of ranks
+forms a meta text, and longest common extensions on it translate back
+to character counts with a little boundary arithmetic.
 
 The index over a sequence comes from one numpy prefix-doubling pass
 (Manber & Myers) that keeps each round's ranks. The suffix array is the
@@ -124,6 +125,7 @@ class MetaText:
     prefix_len[i] is the character length of the first i runs. meta_lce
     counts whole equal runs; char_lce answers character-level extension
     queries with one partial run on each end around a meta_lce core.
+    The run lane's LZ77 is the one conversion that builds it.
     """
 
     def __init__(self, r: RleString):
@@ -134,38 +136,6 @@ class MetaText:
         self.prefix_len = list(accumulate((exp for _, exp in self.runs), initial=0))
         self.length = self.prefix_len[-1]
         self._lce = LceIndex(self.ranks)
-
-    def symbol(self, pos: int) -> int:
-        """Symbol at 1-based character position pos."""
-        if not 0 < pos <= self.length:
-            raise IndexError(f"position {pos} out of range 1..{self.length}")
-        return self.runs[bisect_left(self.prefix_len, pos) - 1][0]
-
-    def span_key(self, i: int, j: int) -> tuple:
-        """Length, end pieces and run count of the text at i..j, plus the
-        ranks of its first and last whole inner runs: a key that agrees on
-        equal strings and pins down every span of at most four runs."""
-        if not 1 <= i <= j <= self.length:
-            raise IndexError(f"span [{i}, {j}] out of range 1..{self.length}")
-        pl = self.prefix_len
-        u = bisect_left(pl, i) - 1
-        w = bisect_left(pl, j) - 1
-        if u == w:
-            return (j - i + 1, self.runs[u][0])
-        inner = (self.ranks[u + 1], self.ranks[w - 1]) if w - u > 1 else ()
-        return (j - i + 1, w - u, self.runs[u][0], pl[u + 1] - i + 1,
-                self.runs[w][0], j - pl[w], *inner)
-
-    def span_equals(self, i: int, j: int, k: int) -> bool:
-        """Is the text at i..j equal to the span of that length at k, given
-        equal span_keys? Spans of at most four runs then must be."""
-        n = self.length
-        if not (1 <= i <= j <= n and 1 <= k <= n - (j - i)):
-            raise IndexError(f"spans [{i}, {j}] and [{k}, {k + j - i}] "
-                             f"out of range 1..{n}")
-        pl = self.prefix_len
-        return (bisect_left(pl, j) - bisect_left(pl, i) < 4
-                or self.char_lce(i, k) >= j - i + 1)
 
     def meta_lce(self, i: int, j: int) -> int:
         """Equal (symbol, exponent) pairs from 1-based run positions i, j."""

@@ -197,6 +197,21 @@ def test_verify_giant_containers_without_expansion(tmp_path, capsys):
     assert out.strip() == f"differ {p + 1}"
 
 
+def test_bisection_of_giant_file_agrees_across_lanes(tmp_path, capsys):
+    # 2^66 + 3 symbols: the run lane's levels and the program lane's
+    # driver write the same grammar file, which no expansion could check
+    src = write(tmp_path / "big.rle",
+                f"CRX1 rle 2 {2**66 + 3}\n0 {2**66}\n1 3\n".encode())
+    direct, slp, via = (str(tmp_path / name) for name in ("direct", "big.slp", "via"))
+    assert run(capsys, "convert", "--to", "bisection", src, direct)[0] == 0
+    assert run(capsys, "convert", "--to", "slp", src, slp)[0] == 0
+    assert run(capsys, "convert", "--to", "bisection", slp, via)[0] == 0
+    with open(direct) as a, open(via) as b:
+        got = a.read()
+        assert got == b.read()
+    assert got.startswith(f"CRX1 grammar 2 {2**66 + 3}\n1 -> t0 t0\n")
+
+
 def test_verify_mixed_formats(tmp_path, capsys):
     raw = write(tmp_path / "in.bin", b"aababaababaab")
     r = str(tmp_path / "x.rle")

@@ -1,11 +1,14 @@
 """The shared drivers give the same output from both lanes, and the
 run lane's LZ77 gives the reference output on plain texts."""
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crx import (
+    RleString,
     Text,
     expand_rle,
     naive_bisection,
@@ -74,9 +77,49 @@ def test_lz78_last_factor_adds_no_entry(text, ids):
     assert slp_to_lz78(rle_as_slp(rle_encode(t))) == want
 
 
-@settings(max_examples=100, deadline=None)
-@given(long_run_lists())
+@st.composite
+def bisection_run_lists(draw):
+    """Runs over 1-4 symbols with exponents up to 2 or 50, of any length
+    or of 2^k - 1, 2^k or 2^k + 1 symbols, where the right spine has the
+    most, one or two blocks; one symbol gives a single run."""
+    sigma = draw(st.integers(1, 4))
+    cap = draw(st.sampled_from((2, 50)))
+    if draw(st.booleans()):
+        return draw(long_run_lists(sigma=sigma, max_exp=cap, max_runs=30))
+    n = (1 << draw(st.integers(1, 9))) + draw(st.sampled_from((-1, 0, 1)))
+    if sigma == 1:
+        return RleString(((0, n),))
+    rng = draw(st.randoms(use_true_random=False))
+    runs, prev = [], -1
+    while n:
+        sym = rng.choice([c for c in range(sigma) if c != prev])
+        runs.append((sym, min(n, rng.randint(1, cap))))
+        n -= runs[-1][1]
+        prev = sym
+    return RleString(tuple(runs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(long_run_lists(), bisection_run_lists()))
+@example(RleString(((0, 1),)))
+@example(RleString(((2, 1), (0, 1))))
 def test_bisection_agrees_across_lanes(r):
     want = naive_bisection(expand_rle(r))
     assert rle_to_bisection(r) == want
     assert slp_to_bisection(rle_as_slp(r)) == want
+
+
+def test_bisection_of_giant_runs_agrees_across_lanes():
+    # lengths no expansion reaches: the program lane is the reference
+    rng = random.Random(4066)
+    inputs = [RleString(((0, 2**60 + 1), (1, 2**59 + 3)))]
+    for bits in (40, 66, 70):
+        for _ in range(4):
+            runs, prev = [], -1
+            for _ in range(rng.randint(1, 6)):
+                sym = rng.choice([c for c in range(3) if c != prev])
+                runs.append((sym, 2**bits + rng.randint(-3, 3)))
+                prev = sym
+            inputs.append(RleString(tuple(runs)))
+    for r in inputs:
+        assert rle_to_bisection(r) == slp_to_bisection(rle_as_slp(r)), r.runs

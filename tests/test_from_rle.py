@@ -1,6 +1,8 @@
 """Conversions that start from a run-length encoded string."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -35,21 +37,17 @@ AB3 = RleString(((0, 3), (1, 2), (0, 3)))  # aaabbaaa
 
 
 def test_span_content_key_equality_matches_string_equality():
-    # equal end pieces around (1,2)(0,3)(1,2) and (1,2)(2,3)(1,2) inner runs
+    # equal end pieces around (1,2)(0,3)(1,2) and (1,2)(2,3)(1,2) inner
+    # runs: one character LCE tells every pair of equal-length spans apart
     runs = ((0, 3), (1, 2), (0, 3), (1, 2), (0, 3), (1, 2), (2, 3), (1, 2), (0, 3))
     m = rank_runs(RleString(runs))
     text = expand_rle(RleString(runs)).to_str()
     n = len(text)
-    spans = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    keys = {sp: m.span_key(*sp) for sp in spans}
-    for a in spans:
-        for b in spans:
-            same_str = text[a[0] - 1:a[1]] == text[b[0] - 1:b[1]]
-            if keys[a] != keys[b]:
-                assert not same_str, (a, b)
-                continue
-            assert (m.char_lce(a[0], b[0]) >= a[1] - a[0] + 1) == same_str, (a, b)
-            assert m.span_equals(a[0], a[1], b[0]) == same_str, (a, b)
+    for length in range(1, n + 1):
+        for i in range(1, n - length + 2):
+            for k in range(1, n - length + 2):
+                same_str = text[i - 1:i - 1 + length] == text[k - 1:k - 1 + length]
+                assert (m.char_lce(i, k) >= length) == same_str, (i, k, length)
 
 
 def test_lz77_three_run_example_both_variants():
@@ -201,6 +199,42 @@ def test_lz77_matches_naive_on_seeded_block_texts():
         t = Text(tuple(block * rng.randint(2, 6)))
         for self_ref in (False, True):
             assert rle_to_lz77(rle_encode(t), self_ref) == naive_lz77(t, self_ref)
+
+
+def test_bisection_builds_no_run_index(monkeypatch):
+    # the levels pair block ids straight from the runs: no meta text and
+    # no LCE index, whose build once took most of this conversion's time
+    def refuse(*args):
+        raise AssertionError("built an index of the runs")
+
+    monkeypatch.setattr(crx.suffix.MetaText, "__init__", refuse)
+    monkeypatch.setattr(crx.suffix.LceIndex, "__init__", refuse)
+    rng = random.Random(131)
+    for _ in range(40):
+        r = RleString(random_runs(rng, max_runs=12, max_exp=40))
+        assert rle_to_bisection(r) == naive_bisection(expand_rle(r))
+    assert len(rle_to_bisection(RleString(((0, 2**70), (1, 3)))).rules) == 73
+
+
+def test_bisection_peak_memory():
+    # one level's run list and the block halves are held, never an index
+    # of the runs: the meta text and its LCE index peaked at 15.7 MiB here
+    rng = random.Random(40000)
+    runs, prev = [], -1
+    for _ in range(40000):
+        sym = rng.choice([c for c in range(4) if c != prev])
+        runs.append((sym, rng.randint(1, 3)))
+        prev = sym
+    r = RleString(tuple(runs))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = rle_to_bisection(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.rules) > 10000
+    assert peak < 8 * 2**20
 
 
 def test_bisection_matches_naive_rule_for_rule():

@@ -15,8 +15,10 @@ from crx import (
     RleString,
     lcp_array,
     rank_runs,
+    rle_as_slp,
     rle_to_bisection,
     rle_to_lz77,
+    slp_to_bisection,
     suffix_array,
 )
 from crx.suffix import MetaText
@@ -103,11 +105,6 @@ def test_rank_runs_distinct_exponents_get_distinct_ranks():
     m = rank_runs(RleString(((0, 3), (1, 1), (0, 2))))
     # (0,2) and (0,3) are different meta symbols
     assert m.ranks[0] != m.ranks[2]
-
-
-def test_symbol_at_run_edges():
-    m = MetaText(RleString(((0, 3), (1, 2), (2, 3))))
-    assert [m.symbol(p) for p in (1, 3, 4, 5, 6, 8)] == [0, 0, 1, 1, 2, 2]
 
 
 def test_char_lce_within_and_across_runs():
@@ -220,16 +217,6 @@ def test_lce_index_matches_brute_force(seq):
     assert all(type(x) is int for row in stored for x in row)
 
 
-def test_symbol_rejects_position_zero():
-    with pytest.raises(IndexError, match=r"position 0 out of range 1\.\.6"):
-        MetaText(RleString(((0, 2), (1, 3), (0, 1)))).symbol(0)
-
-
-def test_symbol_rejects_position_past_end():
-    with pytest.raises(IndexError, match=r"position 7 out of range 1\.\.6"):
-        MetaText(RleString(((0, 2), (1, 3), (0, 1)))).symbol(7)
-
-
 def test_char_lce_rejects_position_before_start():
     m = MetaText(RleString(((0, 2), (1, 3), (0, 1))))
     with pytest.raises(IndexError, match=r"position -1 out of range 1\.\.6"):
@@ -237,29 +224,6 @@ def test_char_lce_rejects_position_before_start():
     with pytest.raises(IndexError, match=r"position 0 out of range 1\.\.6"):
         m.char_lce(3, 0)
     assert m.char_lce(2, 7) == 0  # past the end still extends by nothing
-
-
-def test_span_key_rejects_span_before_start():
-    m = MetaText(RleString(((0, 2), (1, 3), (0, 1))))
-    with pytest.raises(IndexError, match=r"span \[0, 3\] out of range 1\.\.6"):
-        m.span_key(0, 3)  # run index -1 would wrap to the last run
-    assert m.span_key(1, 3) == (3, 1, 0, 2, 1, 1)
-
-
-def test_span_equals_rejects_span_before_start():
-    m = MetaText(RleString(((0, 2), (1, 3), (0, 1))))
-    with pytest.raises(IndexError, match=r"spans \[0, 2\] and \[4, 6\] out of range 1\.\.6"):
-        m.span_equals(0, 2, 4)
-    with pytest.raises(IndexError, match=r"spans \[4, 6\] and \[5, 7\] out of range 1\.\.6"):
-        m.span_equals(4, 6, 5)
-    assert m.span_equals(3, 4, 4)
-
-
-def test_span_key_rejects_span_past_end():
-    m = MetaText(RleString(((0, 2), (1, 3), (0, 1))))
-    with pytest.raises(IndexError, match=r"span \[7, 7\] out of range 1\.\.6"):
-        m.span_key(7, 7)
-    assert m.span_key(6, 6) == (1, 0)
 
 
 def test_lce_index_rejects_position_zero():
@@ -311,13 +275,7 @@ def test_huge_exponents_stay_python_ints():
     for s in edges:
         for t in edges:
             assert m.char_lce(s, t) == run_lce(runs, s, t), (s, t)
-    for i in edges:
-        for j in (j for j in edges if j >= i):
-            for k in (k for k in edges if k + j - i <= m.length):
-                equal = run_lce(runs, i, k) >= j - i + 1
-                same_key = m.span_key(i, j) == m.span_key(k, k + j - i)
-                assert same_key or not equal, (i, j, k)
-                if same_key:
-                    assert m.span_equals(i, j, k) == equal, (i, j, k)
     assert len(rle_to_lz77(r).factors) == 73
-    assert len(rle_to_bisection(r).rules) == 143
+    g = rle_to_bisection(r)
+    assert len(g.rules) == 143
+    assert g == slp_to_bisection(rle_as_slp(r))
