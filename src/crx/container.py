@@ -166,7 +166,6 @@ _RUN = re.compile(f"{_INT} {_INT}{_EOL}")
 _FACTOR = re.compile(f"(?:L {_INT}|R {_INT} {_INT}){_EOL}")
 _ID = re.compile(f"{_INT}{_EOL}")
 _RULE = re.compile(f"{_INT} ->((?: [tv]-?[0-9]+)+){_EOL}")
-_ITEM = re.compile(f" ([tv]){_INT}")
 _SLP_RULE = re.compile(f"{_INT} -> (?:t{_INT}|v{_INT} v{_INT}){_EOL}")
 
 _Rule = tuple[int, tuple[Term | Var, ...]]
@@ -256,11 +255,6 @@ def _id(m: re.Match) -> int:
     return int(m[1])
 
 
-def _rule(m: re.Match) -> _Rule:
-    return int(m[1]), tuple([Term(int(c)) if k == "t" else Var(int(c))
-                             for k, c in _ITEM.findall(m[2])])
-
-
 def _slp_rule(m: re.Match) -> tuple[int, Term | tuple[int, int]]:
     if m[2] is not None:
         return int(m[1]), Term(int(m[2]))
@@ -269,11 +263,19 @@ def _slp_rule(m: re.Match) -> tuple[int, Term | tuple[int, int]]:
 
 def _read_grammar(data: str, pos: int) -> AdmissibleGrammar:
     rules: dict[int, tuple[Term | Var, ...]] = {}
+    interned: dict[str, Term | Var] = {}  # one item per token text
+
+    def intern(tok: str) -> Term | Var:
+        item = interned[tok] = Term(int(tok[1:])) if tok[0] == "t" else Var(int(tok[1:]))
+        return item
+
+    def rule(m: re.Match) -> _Rule:
+        return int(m[1]), tuple([interned.get(tok) or intern(tok) for tok in m[2].split()])
 
     def read_line(line: str, ln: int) -> _Rule:
         return _read_rule(line, ln, rules.__contains__)
 
-    for ln, (var, items) in enumerate(_body(data, pos, _RULE, _rule, read_line), start=2):
+    for ln, (var, items) in enumerate(_body(data, pos, _RULE, rule, read_line), start=2):
         if var in rules:
             raise _duplicate(var, ln)
         rules[var] = items

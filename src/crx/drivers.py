@@ -1,12 +1,13 @@
 """Codec drivers over primitives that a lane supplies.
 
 A driver owns one codec's control flow and sees the text only through
-primitives on 1-based positions. LZ78's, shared by the run-length and
-program lanes, reads the text's runs from a position onwards.
-Bisection's serves the program lane alone and asks the symbol at a
-position, a key of a span and an equality test on two spans; the run
-lane builds its bisection grammar level by level from the runs instead
-(`from_rle.rle_to_bisection`).
+what its lane hands it. LZ78's, shared by the run-length and program
+lanes, reads the text's maximal runs once, front to back: each factor
+starts where the previous one stopped, inside the run that factor broke
+on, so no factor seeks. Bisection's serves the program lane alone and
+asks the symbol at a 1-based position, a key of a span and an equality
+test on two spans; the run lane builds its bisection grammar level by
+level from the runs instead (`from_rle.rle_to_bisection`).
 """
 
 from __future__ import annotations
@@ -22,27 +23,30 @@ from .model import (
 )
 
 
-def lz78_driver(n: int, sigma: int,
-                runs_from: Callable[[int], Iterable[tuple[int, int]]]) -> Lz78Factorization:
+def lz78_driver(n: int, sigma: int, runs: Iterable[tuple[int, int]]) -> Lz78Factorization:
     """LZ78 factorization of a text of length n over symbols 0..sigma-1.
 
-    runs_from(pos) yields the maximal runs (symbol, exponent) of the text
-    from pos to its end, the first one cut at pos; a factor reads only
-    the runs it covers plus one. The dictionary is prefix closed, so the
-    longest entry at pos ends one walk down its trie. The trie's edges
-    are runs: ext[(b, c)] lists the ids of b·c, b·c², ... for an entry b
-    that does not end in c (0 is the empty string), so one lookup
-    matches a whole text run (c, e) up to the chain's length, and the
-    walk stops at the first run it does not match in full. The new
-    entry, the factor plus the next symbol, extends the chain where the
-    walk stopped.
+    runs yields the text's maximal runs (symbol, exponent) in order; it is
+    read once, front to back, and never past the run that ends the text.
+    The dictionary is prefix closed, so the longest entry at the cursor
+    ends one walk down its trie. The trie's edges are runs: ext[(b, c)]
+    lists the ids of b·c, b·c², ... for an entry b that does not end in c
+    (0 is the empty string), so one lookup matches a whole text run
+    (c, e) up to the chain's length, and the walk stops at the first run
+    it does not match in full. That run's unread symbols are pending: the
+    new entry, the factor plus the next symbol, extends the chain where
+    the walk stopped, and the next factor starts on the pending run.
     """
     ext: dict[tuple[int, int], list[int]] = {}
     ids: list[int] = []
-    pos = 1
-    while pos <= n:
+    runs = iter(runs)
+    c = e = 0  # the pending run: e symbols of c not yet read
+    left = n
+    while left:
         node = flen = 0
-        for c, e in runs_from(pos):
+        while True:
+            if not e:
+                c, e = next(runs)
             chain = ext.get((node, c))
             if chain is None:  # each single symbol is an entry from the start
                 chain = ext[node, c] = [] if node else [c + 1]
@@ -50,11 +54,12 @@ def lz78_driver(n: int, sigma: int,
             if k:
                 node = chain[k - 1]
                 flen += k
-            if k < e:
+                e -= k
+            if e or flen == left:
                 break
         ids.append(node)
-        pos += flen
-        if pos <= n:
+        left -= flen
+        if left:
             chain.append(sigma + len(ids))
     return Lz78Factorization(tuple(ids), sigma)
 

@@ -8,7 +8,7 @@ common extensions those do not fix; it is the one conversion here that
 builds the meta text and its LCE index. Bisection pairs the runs'
 blocks level by level, one dict lookup per run of block ids, and takes
 the right spine from the last block of each level. LZ78's shared driver
-reads the runs from the cursor on. Re-Pair keeps them in a linked list
+reads the runs once, front to back. Re-Pair keeps them in a linked list
 and updates the pair counts around each replacement, so no round walks
 the runs.
 Outputs match the reference codecs on the decoded string. The run walks
@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from heapq import heappop, heappush
-from itertools import accumulate
 
 from .drivers import lz78_driver
 from .errors import EmptyInputError
@@ -161,18 +160,10 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
 
 def rle_to_lz78(r: RleString) -> Lz78Factorization:
     """Dictionary factorization computed on the runs: the shared driver
-    walks its trie one run at a time, reading the runs from the cursor's
-    run on, so no index of the runs is built."""
-    runs = r.runs
-    pl = list(accumulate((exp for _, exp in runs), initial=0))
-
-    def runs_from(pos: int) -> Iterator[tuple[int, int]]:
-        u = bisect_left(pl, pos) - 1
-        yield runs[u][0], pl[u + 1] - pos + 1
-        yield from map(runs.__getitem__, range(u + 1, len(runs)))
-
-    sigma = max((sym + 1 for sym, _ in runs), default=0)
-    return lz78_driver(pl[-1], sigma, runs_from)
+    walks its trie one run at a time, reading the runs once, front to
+    back, so no index of the runs is built."""
+    sigma = max((sym + 1 for sym, _ in r.runs), default=0)
+    return lz78_driver(r.length, sigma, r.runs)
 
 
 def rle_to_repair(r: RleString) -> AdmissibleGrammar:

@@ -9,7 +9,8 @@ before any run is built.
 Bisection keys its spans by Karp-Rabin fingerprints and confirms every
 equal key with an occurrence query on the runs of a span, so a
 collision costs time, never output. LZ78's driver walks its dictionary
-trie along the runs from the cursor on.
+trie along one stream of the program's runs, read once, front to back,
+in O(height) memory.
 Outputs match the reference codecs on the expansion, which the tests
 check against the naive codecs.
 """
@@ -58,15 +59,16 @@ def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
 
 def slp_to_lz78(s: Slp) -> Lz78Factorization:
     """Dictionary factorization computed on the program: the shared
-    driver walks its trie one run at a time, reading the runs of the
-    text from the cursor on. Each factor costs O(height) to reach the
-    cursor plus the runs it reads; no entry is compared with slp_lce."""
+    driver walks its trie one run at a time along one stream of the
+    text's runs, read once from the run annotations. The stream holds
+    O(height) memory and no run list is built; no entry is compared
+    with slp_lce."""
     sigma = 0
     for v in reachable_vars(s):
         rule = s.rules[v - 1]
         if isinstance(rule, Term):
             sigma = max(sigma, rule.code + 1)
-    return lz78_driver(s.length, sigma, lambda pos: _window_runs(s, pos, s.length))
+    return lz78_driver(s.length, sigma, _window_runs(s, 1, s.length))
 
 
 def slp_to_bisection(s: Slp) -> AdmissibleGrammar:

@@ -101,6 +101,15 @@ def test_grammar_wire_sorted_rules():
     assert validate(round_trip(c)) == 3
 
 
+def test_grammar_parse_shares_equal_items():
+    # one item per token text and parse: a wide grammar file builds each
+    # Term and Var once, however many rules name it
+    g = parse("CRX1 grammar 2 5\n1 -> t0\n2 -> v1 t1 v1\n3 -> t1 v2 v1\n").payload
+    assert g.rules == {1: (Term(0),), 2: (Var(1), Term(1), Var(1)), 3: (Term(1), Var(2), Var(1))}
+    assert g.rules[2][0] is g.rules[2][2] is g.rules[3][2]
+    assert g.rules[2][1] is g.rules[3][0]
+
+
 def test_grammar_container_canonicalizes_start():
     g = AdmissibleGrammar({3: (Term(0),), 1: (Var(3), Term(1))}, start=1)
     c = make_grammar_container(g, 2)

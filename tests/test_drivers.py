@@ -1,6 +1,7 @@
 """The shared drivers give the same output from both lanes, and the
 run lane's LZ77 gives the reference output on plain texts."""
 
+import math
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from crx import (
     slp_to_bisection,
     slp_to_lz78,
 )
+from crx.drivers import lz78_driver
 from helpers import T, long_run_lists, slp_of
 
 
@@ -33,6 +35,73 @@ def test_lz78_agrees_across_lanes(r):
     want = naive_lz78(expand_rle(r))
     assert rle_to_lz78(r) == want
     assert slp_to_lz78(rle_as_slp(r)) == want
+
+
+class CountingRuns:
+    """A run list that counts how often it is iterated and how many runs
+    are asked of it, and records an ask past its last run."""
+
+    def __init__(self, runs):
+        self.runs, self.iters, self.asked, self.past = runs, 0, 0, False
+
+    def __iter__(self):
+        self.iters += 1
+        return self
+
+    def __next__(self):
+        if self.asked == len(self.runs):
+            self.past = True
+            raise StopIteration
+        self.asked += 1
+        return self.runs[self.asked - 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(long_run_lists(), long_run_lists(sigma=1, max_exp=200),
+                 long_run_lists(sigma=2, max_exp=10**4)))
+@example(RleString(()))
+def test_lz78_driver_reads_each_run_once(r):
+    # each factor starts on the run the previous one broke on: the runs
+    # are read once, front to back, and the last one ends the walk
+    runs = CountingRuns(r.runs)
+    sigma = max((sym + 1 for sym, _ in r.runs), default=0)
+    assert lz78_driver(r.length, sigma, runs) == naive_lz78(expand_rle(r))
+    assert runs.iters == 1
+    assert runs.asked == len(r.runs)
+    assert not runs.past
+
+
+def single_run_factor_count(n: int) -> int:
+    """Factors of LZ78 on one run of n symbols: they read 1, 2, 3, ...
+    symbols, the last one possibly fewer, so the least k with
+    k(k+1)/2 >= n."""
+    k = (math.isqrt(8 * n + 1) - 1) // 2
+    return k if k * (k + 1) // 2 >= n else k + 1
+
+
+def test_lz78_of_giant_runs_agrees_across_lanes():
+    # lengths no expansion reaches: the program lane is the reference,
+    # and a single run has a closed form. A run of N symbols needs at
+    # least sqrt(N) factors, since each new entry is one symbol longer
+    # than an older one, so exponents past 2^40 are out of reach of any
+    # LZ78 route
+    assert single_run_factor_count(2**20) == 1448
+    for n in (2**20, 2**40 + 3):
+        r = RleString(((1, n),))
+        f = rle_to_lz78(r)
+        assert len(f.factor_ids) == single_run_factor_count(n)
+        assert f.factor_ids[:4] == (2, 3, 4, 5)
+        assert slp_to_lz78(rle_as_slp(r)) == f
+    rng = random.Random(4078)
+    for bits in (20, 24, 30):
+        for _ in range(3):
+            runs, prev = [], -1
+            for _ in range(rng.randint(1, 4)):
+                sym = rng.choice([c for c in range(3) if c != prev])
+                runs.append((sym, 2**bits + rng.randint(-3, 3)))
+                prev = sym
+            r = RleString(tuple(runs))
+            assert rle_to_lz78(r) == slp_to_lz78(rle_as_slp(r)), r.runs
 
 
 @st.composite

@@ -261,6 +261,36 @@ def test_lz78_asks_no_slp_lce(monkeypatch):
     assert calls == []
 
 
+def test_lz78_streams_the_runs_once(monkeypatch):
+    # one stream of the whole text's runs per conversion, never one per factor
+    rng = random.Random(131)
+    programs = [sample_slp(), power_slp(12), fibonacci_slp(14)]
+    programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
+    texts = [expand_slp(s) for s in programs]
+    calls = record_calls(monkeypatch, "_window_runs", crx.from_slp)
+    for s, t in zip(programs, texts):
+        del calls[:]
+        assert slp_to_lz78(s) == naive_lz78(t)
+        assert calls == [(s, 1, s.length)]
+
+
+def test_lz78_builds_no_run_list(monkeypatch):
+    # the run stream holds O(height) memory: no RleString of the runs
+    rng = random.Random(137)
+    programs = [sample_slp(), power_slp(20), fibonacci_slp(16)]
+    programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
+    programs += [rle_as_slp(RleString(((0, 3), (1, 2)) * 20 + ((2, 5),)))]
+    want = [naive_lz78(expand_slp(s)) for s in programs]
+
+    def refuse(*args):
+        raise AssertionError("a run list was built")
+
+    monkeypatch.setattr(crx.from_slp, "slp_to_rle", refuse)
+    monkeypatch.setattr(RleString, "__post_init__", refuse)
+    for s, w in zip(programs, want):
+        assert slp_to_lz78(s) == w
+
+
 def test_bisection_of_sample_rule_for_rule():
     assert slp_to_bisection(sample_slp()) == naive_bisection(expand_slp(sample_slp()))
 
