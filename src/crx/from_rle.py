@@ -7,8 +7,9 @@ boundaries able to give a record, and asks the meta text for the few
 common extensions those do not fix; it is the one conversion here that
 builds the meta text and its LCE index. Bisection pairs the runs'
 blocks level by level, one dict lookup per run of block ids, and takes
-the right spine from the last block of each level. LZ78's shared driver
-reads the runs once, front to back. Re-Pair keeps them in a linked list
+the right spine from the last block of each level. LZ78 walks its
+dictionary trie along the runs once, front to back; the program lane
+runs the same loop on its run stream. Re-Pair keeps them in a linked list
 and updates the pair counts around each replacement, so no round walks
 the runs.
 Outputs match the reference codecs on the decoded string. The run walks
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from heapq import heappop, heappush
 
-from .drivers import lz78_driver
 from .errors import EmptyInputError
 from .model import (
     AdmissibleGrammar,
@@ -159,11 +159,11 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
 
 
 def rle_to_lz78(r: RleString) -> Lz78Factorization:
-    """Dictionary factorization computed on the runs: the shared driver
+    """Dictionary factorization computed on the runs: `_lz78_of_runs`
     walks its trie one run at a time, reading the runs once, front to
     back, so no index of the runs is built."""
     sigma = max((sym + 1 for sym, _ in r.runs), default=0)
-    return lz78_driver(r.length, sigma, r.runs)
+    return _lz78_of_runs(r.length, sigma, r.runs)
 
 
 def rle_to_repair(r: RleString) -> AdmissibleGrammar:
@@ -460,6 +460,47 @@ def _bisection_of_runs(runs: Sequence[tuple[int, int]]) -> AdmissibleGrammar:
     if isinstance(top, Term):
         return AdmissibleGrammar({1: (top,)}, 1)
     return AdmissibleGrammar(rules, top.index)
+
+
+def _lz78_of_runs(n: int, sigma: int, runs: Iterable[tuple[int, int]]) -> Lz78Factorization:
+    """LZ78 factorization of a text of length n over symbols 0..sigma-1.
+
+    runs yields the text's maximal runs (symbol, exponent) in order; it is
+    read once, front to back, and never past the run that ends the text.
+    The dictionary is prefix closed, so the longest entry at the cursor
+    ends one walk down its trie. The trie's edges are runs: ext[(b, c)]
+    lists the ids of b·c, b·c², ... for an entry b that does not end in c
+    (0 is the empty string), so one lookup matches a whole text run
+    (c, e) up to the chain's length, and the walk stops at the first run
+    it does not match in full. That run's unread symbols are pending: the
+    new entry, the factor plus the next symbol, extends the chain where
+    the walk stopped, and the next factor starts on the pending run.
+    """
+    ext: dict[tuple[int, int], list[int]] = {}
+    ids: list[int] = []
+    runs = iter(runs)
+    c = e = 0  # the pending run: e symbols of c not yet read
+    left = n
+    while left:
+        node = flen = 0
+        while True:
+            if not e:
+                c, e = next(runs)
+            chain = ext.get((node, c))
+            if chain is None:  # each single symbol is an entry from the start
+                chain = ext[node, c] = [] if node else [c + 1]
+            k = min(e, len(chain))
+            if k:
+                node = chain[k - 1]
+                flen += k
+                e -= k
+            if e or flen == left:
+                break
+        ids.append(node)
+        left -= flen
+        if left:
+            chain.append(sigma + len(ids))
+    return Lz78Factorization(tuple(ids), sigma)
 
 
 def rle_as_slp(r: RleString) -> Slp:

@@ -8,26 +8,25 @@ run lane on the program's runs, so it holds O(runs) memory;
 before any run is built.
 Bisection keys its spans by Karp-Rabin fingerprints and confirms every
 equal key with an occurrence query on the runs of a span, so a
-collision costs time, never output. LZ78's driver walks its dictionary
-trie along one stream of the program's runs, read once, front to back,
-in O(height) memory.
+collision costs time, never output. LZ78 runs the run lane's trie walk
+on one stream of the program's runs, read once, front to back, in
+O(height) memory.
 Outputs match the reference codecs on the expansion, which the tests
 check against the naive codecs.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
-from .drivers import bisection_driver, lz78_driver
-from .from_rle import rle_to_lz77
+from .from_rle import _lz78_of_runs, rle_to_lz77
 from .model import (
     AdmissibleGrammar,
+    GrammarItem,
     Lz77Factorization,
     Lz78Factorization,
     RleString,
     Slp,
     Term,
+    Var,
 )
 from .slp_ops import (
     Fingerprints,
@@ -58,9 +57,9 @@ def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
 
 
 def slp_to_lz78(s: Slp) -> Lz78Factorization:
-    """Dictionary factorization computed on the program: the shared
-    driver walks its trie one run at a time along one stream of the
-    text's runs, read once from the run annotations. The stream holds
+    """Dictionary factorization computed on the program: the run lane's
+    `_lz78_of_runs` walks its trie one run at a time along one stream of
+    the text's runs, read once from the run annotations. The stream holds
     O(height) memory and no run list is built; no entry is compared
     with slp_lce."""
     sigma = 0
@@ -68,27 +67,48 @@ def slp_to_lz78(s: Slp) -> Lz78Factorization:
         rule = s.rules[v - 1]
         if isinstance(rule, Term):
             sigma = max(sigma, rule.code + 1)
-    return lz78_driver(s.length, sigma, _window_runs(s, 1, s.length))
+    return _lz78_of_runs(s.length, sigma, _window_runs(s, 1, s.length))
 
 
 def slp_to_bisection(s: Slp) -> AdmissibleGrammar:
     """Rebuild the balanced splitting grammar without expanding.
 
-    The shared driver keys a span by its length and its Karp-Rabin
-    fingerprint, O(height) from the variables' fingerprint table. Equal
-    strings always get equal keys, and every equal key is confirmed on
-    the text itself: the occurrence set of the new span's runs is asked
-    whether it starts at the earlier span, which walks the earlier span's
-    runs up to the first pair that differ. A collision is rejected there,
-    so the output never depends on the fingerprints. No span gets a
-    program.
+    Spans i..j split at the largest power of two below their length and
+    are finished in post-order, left first; a span equal to an earlier one
+    reuses its variable, so the grammar matches the reference codec's
+    variable for variable. A span is keyed by its length and its
+    Karp-Rabin fingerprint, O(height) from the variables' fingerprint
+    table. Equal strings always get equal keys, and every equal key is
+    confirmed on the text itself: the occurrence set of the new span's
+    runs is asked whether it starts at the earlier span, which walks the
+    earlier span's runs up to the first pair that differ. A collision is
+    rejected there, so the output never depends on the fingerprints. No
+    span gets a program.
     """
     fingerprints = Fingerprints(s)
-
-    def key(i: int, j: int) -> tuple[int, int]:
-        return j - i + 1, fingerprints.span(i, j)
-
-    def same(i: int, j: int, k: int) -> bool:
-        return occurrences(s, slp_runs(s, i, j)).membership(k)
-
-    return bisection_driver(s.length, partial(char_at, s), key, same)
+    rules: dict[int, tuple[GrammarItem, ...]] = {}
+    buckets: dict[tuple[int, int], list[tuple[Var, int]]] = {}
+    done: list[GrammarItem] = []  # items of finished spans, in post-order
+    stack: list[tuple[int, int, tuple[int, int] | None]] = [(1, s.length, None)]  # key once split
+    while stack:
+        i, j, k = stack.pop()
+        if k is not None:
+            right, left = done.pop(), done.pop()
+            rules[len(rules) + 1] = (left, right)
+            done.append(Var(len(rules)))
+            buckets.setdefault(k, []).append((done[-1], i))
+        elif i == j:
+            done.append(Term(char_at(s, i)))
+        else:
+            k = (j - i + 1, fingerprints.span(i, j))
+            for var, start in buckets.get(k, ()):
+                if occurrences(s, slp_runs(s, i, j)).membership(start):
+                    done.append(var)
+                    break
+            else:
+                half = 1 << (j - i).bit_length() - 1  # largest power of two below j-i+1
+                stack += ((i, j, k), (i + half, j, None), (i, i + half - 1, None))
+    top = done[0]
+    if isinstance(top, Term):
+        return AdmissibleGrammar({1: (top,)}, 1)
+    return AdmissibleGrammar(rules, top.index)

@@ -197,43 +197,46 @@ def _iter_runs(s: Slp, ann: RunLinkAnnotations, top: int) -> Iterator[tuple[int,
     children around the run at the cut, which is the only place where two
     runs can merge.
     """
-    n_chars = s.lengths[top - 1]
-    if ann.plen[top - 1] == n_chars:
-        yield (ann.first[top - 1], n_chars)
+    rules, lengths = s.rules, s.lengths
+    plen, slen, first, last = ann.plen, ann.slen, ann.first, ann.last
+    llink, rlink = ann.llink, ann.rlink
+    n_chars = lengths[top - 1]
+    if plen[top - 1] == n_chars:
+        yield (first[top - 1], n_chars)
         return
-    yield (ann.first[top - 1], ann.plen[top - 1])
+    yield (first[top - 1], plen[top - 1])
     stack: list[int | tuple[int, int]] = [top]
+    push, pop = stack.append, stack.pop
     while stack:
-        item = stack.pop()
+        item = pop()
         if isinstance(item, tuple):
             yield item
             continue
         v = item
         # interior of v equals the interior of the jump target
         while True:
-            l, r = s.rules[v - 1]
-            if ann.plen[v - 1] > s.lengths[l - 1]:
-                v = ann.rlink[v - 1]
-                continue
-            if ann.slen[v - 1] > s.lengths[r - 1]:
-                v = ann.llink[v - 1]
-                continue
-            break
-        l, r = s.rules[v - 1]
+            l, r = rules[v - 1]
+            if plen[v - 1] > lengths[l - 1]:
+                v = rlink[v - 1]
+            elif slen[v - 1] > lengths[r - 1]:
+                v = llink[v - 1]
+            else:
+                break
+        # pushed right to left, so l pops first
         li, ri = l - 1, r - 1
-        l_unary = ann.plen[li] == s.lengths[li]
-        r_unary = ann.plen[ri] == s.lengths[ri]
-        pushes: list[int | tuple[int, int]] = []
-        if ann.last[li] == ann.first[ri]:
+        if last[li] == first[ri]:
             # a swallowed child would have delegated above, so neither is unary
-            pushes = [l, (ann.last[li], ann.slen[li] + ann.plen[ri]), r]
+            push(r)
+            push((last[li], slen[li] + plen[ri]))
+            push(l)
         else:
-            if not l_unary:
-                pushes += [l, (ann.last[li], ann.slen[li])]
-            if not r_unary:
-                pushes += [(ann.first[ri], ann.plen[ri]), r]
-        stack.extend(reversed(pushes))
-    yield (ann.last[top - 1], ann.slen[top - 1])
+            if plen[ri] != lengths[ri]:
+                push(r)
+                push((first[ri], plen[ri]))
+            if plen[li] != lengths[li]:
+                push((last[li], slen[li]))
+                push(l)
+    yield (last[top - 1], slen[top - 1])
 
 
 def _window_runs(s: Slp, i: int, j: int) -> Iterator[tuple[int, int]]:

@@ -1,4 +1,4 @@
-"""The shared drivers give the same output from both lanes, and the
+"""LZ78 and bisection give the same output from both lanes, and the
 run lane's LZ77 gives the reference output on plain texts."""
 
 import math
@@ -23,7 +23,7 @@ from crx import (
     slp_to_bisection,
     slp_to_lz78,
 )
-from crx.drivers import lz78_driver
+from crx.from_rle import _lz78_of_runs
 from helpers import T, long_run_lists, slp_of
 
 
@@ -65,7 +65,7 @@ def test_lz78_driver_reads_each_run_once(r):
     # are read once, front to back, and the last one ends the walk
     runs = CountingRuns(r.runs)
     sigma = max((sym + 1 for sym, _ in r.runs), default=0)
-    assert lz78_driver(r.length, sigma, runs) == naive_lz78(expand_rle(r))
+    assert _lz78_of_runs(r.length, sigma, runs) == naive_lz78(expand_rle(r))
     assert runs.iters == 1
     assert runs.asked == len(r.runs)
     assert not runs.past

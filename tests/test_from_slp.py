@@ -17,6 +17,7 @@ from crx import (
     Text,
     expand_rle,
     expand_slp,
+    first_mismatch,
     grammar_to_slp,
     naive_bisection,
     naive_lz77,
@@ -27,6 +28,7 @@ from crx import (
     slp_to_bisection,
     slp_to_lz77,
     slp_to_lz78,
+    slp_runs,
     slp_to_rle,
 )
 from crx.slp_ops import run_count
@@ -190,6 +192,22 @@ def lz77_programs(draw):
 @given(lz77_programs(), st.booleans())
 def test_lz77_matches_reference_on_programs(s, self_ref):
     assert slp_to_lz77(s, self_ref) == naive_lz77(expand_slp(s), self_ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lz77_programs(), st.data())
+def test_run_walks_match_reference_on_programs(s, data):
+    # every route through the program's run walk, on the Fibonacci words'
+    # rlink/llink jumps too
+    t = expand_slp(s)
+    r = rle_encode(t)
+    assert slp_to_rle(s) == r
+    assert slp_to_lz78(s) == naive_lz78(t)
+    assert slp_to_bisection(s) == naive_bisection(t)
+    assert first_mismatch(s, r) is None
+    i = data.draw(st.integers(1, s.length))
+    j = data.draw(st.integers(i, s.length))
+    assert slp_runs(s, i, j) == rle_encode(Text(t.symbols[i - 1:j]))
 
 
 def test_lz77_asks_no_occurrence_set(monkeypatch):
