@@ -10,6 +10,14 @@ through `grammar_to_slp`. lz77 and lz78 convert only with --via-expand,
 which decodes and re-encodes; it reaches slp through the bisection
 grammar. Exit 2 for an lz source without --via-expand.
 
+A converted file's header is its source's: a conversion changes how the
+text is written, never the text, so it writes the length and alphabet
+size that `validate` checked, and `encode` writes the input's length
+and 256. Nothing is derived again from the payload. The direct LZ78
+lanes number their ids for the text's own alphabet, so their lane
+relabels them for the source's; --via-expand and `encode` number for
+it already.
+
 `verify` reads both files first. Two rle, slp or grammar files are
 compared without expanding: `first_mismatch` walks their run streams
 side by side, an rle file's own runs and a program's derived ones. A
@@ -51,18 +59,7 @@ from .codecs import (
     ncd,
     rle_encode,
 )
-from .container import (
-    CompressedContainer,
-    Payload,
-    make_grammar_container,
-    make_lz77_container,
-    make_lz78_container,
-    make_rle_container,
-    make_slp_container,
-    parse,
-    serialize,
-    validate,
-)
+from .container import CompressedContainer, Payload, parse, serialize, validate
 from .errors import (
     BudgetExceededError,
     ContainerFormatError,
@@ -165,17 +162,11 @@ def _relabel_lz78(f: Lz78Factorization, sigma: int) -> Lz78Factorization:
     return Lz78Factorization(ids, sigma)
 
 
-def _container(target: str, payload: Payload,
-               alphabet_size: int) -> CompressedContainer:
-    if target == "rle":
-        return make_rle_container(payload, alphabet_size)
-    if target == "lz77":
-        return make_lz77_container(payload, alphabet_size)
-    if target == "lz78":
-        return make_lz78_container(_relabel_lz78(payload, alphabet_size))
-    if target == "slp":
-        return make_slp_container(payload, alphabet_size)
-    return make_grammar_container(payload, alphabet_size)
+def _container(target: str, alphabet_size: int, length: int,
+               payload: Payload) -> CompressedContainer:
+    """The target's file under the header of the text it spells."""
+    fmt = "grammar" if target in ("repair", "bisection") else target
+    return CompressedContainer(fmt, alphabet_size, length, payload)
 
 
 def _direct_source(c: CompressedContainer) -> Payload:
@@ -187,7 +178,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         text = Text.from_bytes(fh.read())
     payload = _encode_text(text, args.codec, args.self_ref, 256)
-    _write_container(args.output, _container(args.codec, payload, 256))
+    _write_container(args.output, _container(args.codec, 256, len(text), payload))
     return 0
 
 
@@ -211,13 +202,16 @@ def _cap_runs(runs: int, what: str) -> None:
 def _convert_direct(c: CompressedContainer, target: str,
                     self_ref: bool) -> Payload:
     """The target's payload by the source's lane, without expansion."""
+    sigma = c.alphabet_size
     lane = {}
     if c.format == "rle":
-        lane = {"rle": lambda r: r, "lz77": rle_to_lz77, "lz78": rle_to_lz78,
+        lane = {"rle": lambda r: r, "lz77": lambda r: rle_to_lz77(r, self_ref),
+                "lz78": lambda r: _relabel_lz78(rle_to_lz78(r), sigma),
                 "repair": rle_to_repair, "bisection": rle_to_bisection,
                 "slp": rle_as_slp}
     elif c.format in ("slp", "grammar"):
-        lane = {"rle": slp_to_rle, "lz77": slp_to_lz77, "lz78": slp_to_lz78,
+        lane = {"rle": slp_to_rle, "lz77": lambda s: slp_to_lz77(s, self_ref),
+                "lz78": lambda s: _relabel_lz78(slp_to_lz78(s), sigma),
                 "repair": lambda s: rle_to_repair(slp_to_rle(s)),
                 "bisection": slp_to_bisection, "slp": lambda s: s}
     if target not in lane:
@@ -227,8 +221,6 @@ def _convert_direct(c: CompressedContainer, target: str,
     source = _direct_source(c)
     if c.format != "rle" and target != "slp":
         _cap_runs(run_count(source), "conversion")
-    if target == "lz77":
-        return lane[target](source, self_ref)
     return lane[target](source)
 
 
@@ -240,7 +232,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
         payload = _encode_text(text, args.target, args.self_ref, c.alphabet_size)
     else:
         payload = _convert_direct(c, args.target, args.self_ref)
-    _write_container(args.output, _container(args.target, payload, c.alphabet_size))
+    _write_container(args.output,
+                     _container(args.target, c.alphabet_size, c.length, payload))
     return 0
 
 

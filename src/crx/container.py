@@ -76,13 +76,7 @@ class CompressedContainer:
         """Item count used as the compressed size: runs, factors, or total
         right-hand-side length for grammars and programs."""
         p = self.payload
-        if isinstance(p, RleString):
-            return len(p.runs)
-        if isinstance(p, Lz77Factorization):
-            return len(p.factors)
-        if isinstance(p, Lz78Factorization):
-            return len(p.factor_ids)
-        return p.size
+        return p.size if self.format in ("grammar", "slp") else len(p)
 
 
 def make_rle_container(r: RleString, alphabet_size: int) -> CompressedContainer:

@@ -32,7 +32,7 @@ derivation heights can exceed Python's recursion limit.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
 from .errors import BudgetExceededError, EmptyInputError, InternalError
 from .model import RleString, RunLinkAnnotations, Slp, Term
@@ -61,18 +61,17 @@ def char_at(s: Slp, i: int) -> int:
 
 
 def reachable_vars(s: Slp) -> list[int]:
-    """Variables reachable from the start rule, ascending."""
-    seen = bytearray(s.n + 1)
-    seen[s.n] = 1
-    work = [s.n]
-    while work:
-        rule = s.rules[work.pop() - 1]
-        if not isinstance(rule, Term):
-            for c in rule:
-                if not seen[c]:
-                    seen[c] = 1
-                    work.append(c)
-    return [v for v in range(1, s.n + 1) if seen[v]]
+    """Variables reachable from the start rule, ascending. Children come
+    before their parents, so one pass from X_n down to X_1 marks them
+    all."""
+    n = s.n
+    seen = bytearray(n + 1)
+    seen[n] = 1
+    for v, rule in zip(range(n, 0, -1), reversed(s.rules)):
+        if seen[v] and not isinstance(rule, Term):
+            l, r = rule
+            seen[l] = seen[r] = 1
+    return list(compress(range(1, n + 1), seen[1:]))
 
 
 def annotate_runs(s: Slp) -> RunLinkAnnotations:

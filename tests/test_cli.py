@@ -11,6 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crx import (
+    AdmissibleGrammar,
+    Lz77Factorization,
+    Lz78Factorization,
+    RleString,
     Slp,
     Term,
     Text,
@@ -199,7 +203,7 @@ def test_verify_giant_containers_without_expansion(tmp_path, capsys):
 
 def test_bisection_of_giant_file_agrees_across_lanes(tmp_path, capsys):
     # 2^66 + 3 symbols: the run lane's levels and the program lane's
-    # driver write the same grammar file, which no expansion could check
+    # split walk write the same grammar file, which no expansion could check
     src = write(tmp_path / "big.rle",
                 f"CRX1 rle 2 {2**66 + 3}\n0 {2**66}\n1 3\n".encode())
     direct, slp, via = (str(tmp_path / name) for name in ("direct", "big.slp", "via"))
@@ -459,6 +463,11 @@ def test_convert_preserves_alphabet_size(tmp_path, capsys):
     assert c.format == "grammar"
 
 
+# the container each payload type is written in, less LZ78's, whose
+# constructor reads the alphabet size off the factorization
+MAKE = {RleString: make_rle_container, Lz77Factorization: make_lz77_container,
+        AdmissibleGrammar: make_grammar_container, Slp: make_slp_container}
+
 # the targets rle, program and grammar sources reach without expansion;
 # lz77 runs with and without --self-ref
 DIRECT = ("rle", "lz77", "lz78", "repair", "bisection", "slp")
@@ -482,6 +491,14 @@ def test_convert_routes_match_via_expand(data):
             with open(path(name), "rb") as fh:
                 return fh.read()
 
+        def derived(name):
+            # the file with the header its payload derives, as each
+            # format's make_*_container builds it for an alphabet of 256
+            p = parse(read(name).decode()).payload
+            c = (make_lz78_container(Lz78Factorization(p.factor_ids, 256))
+                 if isinstance(p, Lz78Factorization) else MAKE[type(p)](p, 256))
+            return serialize(c).encode()
+
         with open(path("in.bin"), "wb") as fh:
             fh.write(data)
         for codec in ("rle", "lz77", "lz78", "repair", "bisection"):
@@ -495,6 +512,8 @@ def test_convert_routes_match_via_expand(data):
                     assert code == 0, (src, target, err)
                     assert call("convert", "--via-expand", "--to", target, *flags,
                                 path(src), path("expand"))[0] == 0
+                    for out in ("direct", "expand"):
+                        assert read(out) == derived(out), (src, target, flags, out)
                     if target == "slp":
                         for out in ("direct", "expand"):
                             assert call("verify", path(src), path(out))[:2] == (0, "equal\n")

@@ -20,6 +20,7 @@ from crx import (
     Reference,
     RleString,
     Term,
+    Text,
     Var,
     make_grammar_container,
     make_lz77_container,
@@ -33,7 +34,10 @@ from crx import (
     parse,
     rle_as_slp,
     rle_encode,
+    rle_to_bisection,
+    rle_to_repair,
     serialize,
+    slp_to_bisection,
     validate,
 )
 from helpers import (
@@ -44,6 +48,7 @@ from helpers import (
     random_text,
     reference_parse,
     sample_slp,
+    slp_of,
 )
 
 
@@ -115,6 +120,19 @@ def test_grammar_container_canonicalizes_start():
     c = make_grammar_container(g, 2)
     assert c.payload.start == max(c.payload.rules)
     assert validate(c) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=60))
+def test_emitted_grammars_need_no_renumbering(symbols):
+    # the CLI writes an emitted grammar under its source's header with no
+    # canonical_grammar pass, so every emitter numbers its start highest
+    text = Text(tuple(symbols))
+    runs = rle_encode(text)
+    for g in (rle_to_repair(runs), rle_to_bisection(runs), slp_to_bisection(slp_of(text)),
+              naive_repair(text), naive_bisection(text)):
+        assert g.start == max(g.rules)
+        assert make_grammar_container(g, 3).payload is g
 
 
 def test_slp_wire_and_to_slp():

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import crx.slp_ops
@@ -29,9 +29,10 @@ from crx import (
     slp_runs,
     substring_slp,
 )
-from crx.slp_ops import EdgeRuns, Fingerprints, _cut, _pieces, annotate_runs
+from crx.slp_ops import EdgeRuns, Fingerprints, _cut, _pieces, annotate_runs, reachable_vars
 from helpers import (
     brute_occurrences,
+    fibonacci_slp,
     long_run_lists,
     power_slp,
     random_runs,
@@ -624,6 +625,27 @@ def edge_programs(draw):
     if kind == 1:
         return rle_as_slp(draw(long_run_lists(max_runs=12, max_exp=20)))
     return slp_of(Text(tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=60)))))
+
+
+def _reachable_by_dfs(s: Slp) -> list[int]:
+    seen, work = {s.n}, [s.n]
+    while work:
+        rule = s.rules[work.pop() - 1]
+        if not isinstance(rule, Term):
+            for c in rule:
+                if c not in seen:
+                    seen.add(c)
+                    work.append(c)
+    return sorted(seen)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(edge_programs(), st.integers(1, 24).map(fibonacci_slp)))
+@example(Slp.build((Term(0), Term(1), (1, 1), (3, 1), (3, 3))))  # reaches 1, 3, 5
+def test_reachable_vars_matches_dfs(s):
+    # random programs often leave rules unreachable; X_1 of a Fibonacci
+    # program is reachable only from k = 3 on
+    assert reachable_vars(s) == _reachable_by_dfs(s)
 
 
 @settings(max_examples=150, deadline=None)
