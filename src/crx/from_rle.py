@@ -2,16 +2,18 @@
 
 Only the run structure is ever touched. LZ77 runs its own factor loop:
 it finds leftmost window starts from each symbol's record runs and from
-two indexes of the run boundaries, built once, that hold only the
-boundaries able to give a record, and asks the meta text for the few
-common extensions those do not fix; it is the one conversion here that
-builds the meta text and its LCE index. Bisection pairs the runs'
-blocks level by level, one dict lookup per run of block ids, and takes
-the right spine from the last block of each level. LZ78 walks its
-dictionary trie along the runs once, front to back; the program lane
-runs the same loop on its run stream. Re-Pair keeps them in a linked list
-and updates the pair counts around each replacement, so no round walks
-the runs.
+three indexes of the run boundaries, built once: a staircase that holds
+only the boundaries able to give a record, lists of the boundaries by
+the run after them, and chains through those lists by the run after
+that. It asks the meta text only for the common extensions of
+boundaries whose next two runs both match the cursor's; it is the one
+conversion here that builds the meta text and its LCE index. Bisection
+pairs the runs' blocks level by level, one dict lookup per run of block
+ids, and takes the right spine from the last block of each level.
+LZ78 walks its dictionary trie along the runs once, front to back; the
+program lane runs the same loop on its run stream. Re-Pair keeps them
+in a linked list and updates the pair counts around each replacement,
+so no round walks the runs.
 Outputs match the reference codecs on the decoded string. The run walks
 rely on maximal runs, which every RleString has: its construction
 rejects a run of exponent 0 and two adjacent runs of one symbol.
@@ -58,17 +60,25 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
     boundary j <= u whose run j-1 is c^(>=head) and whose run j has
     symbol nxt. If run j differs from run u+1, it reaches
     head + min(exps[j], E) from there; if it equals run u+1, at least
-    head + E, by one meta LCE. The prefix maxima of the reach, scored at
-    most once per cursor, come from two indexes of the boundaries built
-    once:
+    head + E. The prefix maxima of the reach, scored at most once per
+    cursor, come from three indexes of the boundaries built once:
 
     - up to the first boundary whose run equals run u+1, a staircase per
       (c, nxt): the boundaries that no earlier boundary of the pair beats
       in both exps[j-1] and exps[j], the only ones that can hold a record
       there;
     - from it on, a list per (c, rank of run j): only a boundary whose
-      run equals run u+1 can reach past head + E.
+      run equals run u+1 can reach past head + E. While run j+1 differs
+      from run u+2, such a boundary reaches exactly head + E, plus
+      min(exps[j+1], exps[u+2]) when the symbols of those runs agree,
+      with no LCE; the walk stops at the first boundary whose run j+1
+      equals run u+2, as that one reaches at least head + E + exps[u+2],
+      which no boundary of the first kind passes;
+    - from that boundary on, a chain per (c, rank of run j, rank of run
+      j+1) through the list: only these boundaries can set a record now,
+      and each takes one meta LCE.
 
+    When run u+1 ends the text, every such boundary reaches the end.
     Closed by the cursor itself, the maxima answer each length with a
     bisection.
     """
@@ -99,30 +109,54 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
         xs[lo:hi], nys[lo:hi] = [x], [-y]
         stairs.setdefault(pair, []).append(j)
     del fronts
+    # chain[j]: the next boundary of j's equal list whose run j+1 has the
+    # same rank as run j+1; m when there is none
+    chain = array("q", [m]) * m
+    for same in equal.values():
+        after: dict[int, int] = {}  # rank of run j+1 -> its nearest later j
+        for j in reversed(same):
+            if j + 1 < m:
+                chain[j] = after.get(ranks[j + 1], m)
+                after[ranks[j + 1]] = j
 
     def score(pos: int, u: int, head: int) -> list[tuple[int, int]]:
         """Prefix maxima (reach, start) of the windows longer than head."""
         c, nxt, big = syms[u], syms[u + 1], exps[u + 1]
         base, rest = pl[u + 1], n - pos + 1
         best = [(0, 0)]  # a floor; the cursor itself closes the list
-        same = equal.get((c, ranks[u + 1]), [])
-        same = [j for j in same[:bisect_left(same, u + 1)] if exps[j - 1] >= head]
-        first = same[0] if same else u + 1
+        walk = iter(equal[c, ranks[u + 1]])
+        for first in walk:  # the first equal-run candidate, u + 1 at the latest
+            if exps[first - 1] >= head:
+                break
         for j in stairs.get((c, nxt), ()):
             if j >= first or best[-1][0] == head + big:
                 break
             if exps[j - 1] >= head and head + min(exps[j], big) > best[-1][0]:
                 best.append((head + min(exps[j], big), pl[j] + 1 - head))
-        for j in same:
-            if best[-1][0] == rest:  # nothing reaches past the end
-                break
-            full = meta.meta_lce(j + 1, u + 2)
-            cand = head + (pl[u + 1 + full] - base)
-            a, b = j + full, u + 1 + full
-            if b < m and syms[a] == syms[b]:
-                cand += min(exps[a], exps[b])
+        if u + 2 == m:  # run u+1 ends the text: every candidate reaches rest
+            if first <= u and best[-1][0] < rest:
+                best.append((rest, pl[first] + 1 - head))
+            best.append((rest, pos))
+            return best
+        nr, ns, ne = ranks[u + 2], syms[u + 2], exps[u + 2]
+        j = first
+        while ranks[j + 1] != nr:  # run j+1 differs from run u+2: no LCE needed
+            cand = head + big + (min(exps[j + 1], ne) if syms[j + 1] == ns else 0)
             if cand > best[-1][0]:
                 best.append((cand, pl[j] + 1 - head))
+            for j in walk:  # u + 1, whose run u+2 matches, stops the walk
+                if exps[j - 1] >= head:
+                    break
+        while j <= u and best[-1][0] < rest:  # nothing reaches past the end
+            if exps[j - 1] >= head:
+                full = meta.meta_lce(j + 1, u + 2)
+                cand = head + (pl[u + 1 + full] - base)
+                a, b = j + full, u + 1 + full
+                if b < m and syms[a] == syms[b]:
+                    cand += min(exps[a], exps[b])
+                if cand > best[-1][0]:
+                    best.append((cand, pl[j] + 1 - head))
+            j = chain[j]
         best.append((rest, pos))
         return best
 

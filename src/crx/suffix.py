@@ -10,12 +10,14 @@ The index over a sequence comes from one numpy prefix-doubling pass
 (Manber & Myers) that keeps each round's ranks. The suffix array is the
 last round's order; the LCP of every adjacent pair of suffixes is lifted
 over the kept rounds from the top down, and a sparse table over the LCP
-array (Bender & Farach-Colton) answers range minima. numpy only sees
-ranks; the run exponents, which may exceed 64 bits, stay Python ints.
+array (Bender & Farach-Colton) answers range minima; the index keeps
+its rows as array('q'), 8 bytes an entry. numpy only sees ranks; the
+run exponents, which may exceed 64 bits, stay Python ints.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import accumulate
@@ -81,7 +83,9 @@ class LceIndex:
     pos (rank[0] = 0 is a placeholder). table[0] is the LCP array, lifted
     over the rounds of the one doubling pass that also gives the order,
     and table[k][r] is the minimum of table[0][r .. r + 2^k - 1]. Every
-    array is a Python list, so a query is two list lookups and a min.
+    array is an array('q') copied from its numpy buffer: 8 bytes an
+    entry, where a list of ints takes about 40, and a lookup still gives
+    a Python int, so a query is two array lookups and a min.
     """
 
     def __init__(self, seq: Sequence[int]):
@@ -89,15 +93,15 @@ class LceIndex:
         order, rounds = _doubling(seq)
         row = np.zeros(n, dtype=np.int64)
         row[1:] = _lift(rounds, order[:-1], order[1:])
-        del rounds  # free the round arrays before the table's lists exist
+        del rounds  # free the round arrays before the table's rows exist
         rank = np.zeros(n + 1, dtype=np.int64)
         rank[order + 1] = np.arange(n)
-        self.rank = rank.tolist()
-        self.table = [row.tolist()]
+        self.rank = array("q", rank.tobytes())
+        self.table = [array("q", row.tobytes())]
         width = 1
         while width * 2 <= n:
             row = np.minimum(row[:-width], row[width:])
-            self.table.append(row.tolist())
+            self.table.append(array("q", row.tobytes()))
             width *= 2
 
     def lce(self, i: int, j: int) -> int:

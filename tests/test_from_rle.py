@@ -159,6 +159,10 @@ def nudged_block_run_lists(draw):
 LZ77_INPUTS = st.one_of(
     long_run_lists(sigma=2, max_exp=40, max_runs=12),  # long runs
     long_run_lists(sigma=4, max_exp=2, max_runs=30),  # short runs: many equal runs
+    # longer short-run lists: equal runs whose next runs match too, down
+    # the next-run chains, and a next run that ends the text
+    long_run_lists(sigma=3, max_exp=2, min_runs=40, max_runs=120),
+    long_run_lists(sigma=2, max_exp=2, min_runs=40, max_runs=120),
     periodic_run_lists(),
     nudged_block_run_lists(),
 )
@@ -172,23 +176,40 @@ def test_lz77_matches_naive_on_run_lists(r):
         assert rle_to_lz77(r, self_ref) == naive_lz77(t, self_ref)
 
 
-def test_lz77_scores_few_boundaries_per_factor(monkeypatch):
-    # a window crossing the cursor's run is answered from the staircase
-    # of its symbol pair and the boundaries whose run equals the next
-    # run; only the latter take a meta LCE, where scoring every earlier
-    # run boundary takes some 40 per factor on this input
-    rng = random.Random(2011)
+def short_runs(seed, m, max_exp):
+    """m seeded runs over 4 symbols with exponents 1..max_exp."""
+    rng = random.Random(seed)
     runs, prev = [], -1
-    for _ in range(2000):
+    for _ in range(m):
         sym = rng.choice([c for c in range(4) if c != prev])
-        runs.append((sym, rng.randint(1, 50)))
+        runs.append((sym, rng.randint(1, max_exp)))
         prev = sym
+    return RleString(tuple(runs))
+
+
+def meta_lce_calls_per_factor(monkeypatch, r):
     calls = []
     real = crx.suffix.MetaText.meta_lce
     monkeypatch.setattr(crx.suffix.MetaText, "meta_lce",
                         lambda self, i, j: calls.append(i) or real(self, i, j))
-    f = rle_to_lz77(RleString(tuple(runs)))
-    assert len(calls) <= 3 * len(f.factors)
+    f = rle_to_lz77(r)
+    return len(calls) / len(f.factors)
+
+
+def test_lz77_scores_few_boundaries_per_factor(monkeypatch):
+    # a window crossing the cursor's run is answered from the staircase
+    # of its symbol pair and the boundaries whose run equals the next
+    # run; only those whose next two runs both match take a meta LCE,
+    # where scoring every earlier run boundary takes some 40 per factor
+    # on this input
+    assert meta_lce_calls_per_factor(monkeypatch, short_runs(2011, 2000, 50)) <= 3
+
+
+def test_lz77_scores_short_exponents_by_the_next_run(monkeypatch):
+    # with exponents 1-2 most boundaries whose run equals the next run
+    # differ in the run after it, and are scored without a meta LCE:
+    # asking one for each took 31 per factor here
+    assert meta_lce_calls_per_factor(monkeypatch, short_runs(2048, 2048, 2)) <= 8
 
 
 def test_lz77_matches_naive_on_seeded_block_texts():

@@ -1,6 +1,8 @@
 """Conversions that start from a straight-line program."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,21 @@ def test_lz77_asks_no_occurrence_set(monkeypatch):
         for self_ref in (False, True):
             assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
     assert calls == lces == built == []
+
+
+def test_lz77_of_fibonacci_word_peak_memory():
+    # X_24, 35,423 runs: the LCE index keeps its rank and sparse-table
+    # rows as 8-byte array entries; as lists of ints they peaked at 15.9 MiB
+    s = fibonacci_slp(24)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f = slp_to_lz77(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f.factors) == 23
+    assert peak < 10 * 2**20
 
 
 @settings(max_examples=300, deadline=None)
