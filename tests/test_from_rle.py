@@ -240,13 +240,7 @@ def test_bisection_builds_no_run_index(monkeypatch):
 def test_bisection_peak_memory():
     # one level's run list and the block halves are held, never an index
     # of the runs: the meta text and its LCE index peaked at 15.7 MiB here
-    rng = random.Random(40000)
-    runs, prev = [], -1
-    for _ in range(40000):
-        sym = rng.choice([c for c in range(4) if c != prev])
-        runs.append((sym, rng.randint(1, 3)))
-        prev = sym
-    r = RleString(tuple(runs))
+    r = short_runs(40000, 40000, 3)
     gc.collect()
     tracemalloc.start()
     try:
