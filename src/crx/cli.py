@@ -26,17 +26,19 @@ compared as two texts.
 
 Exit codes: 0 success, 1 invalid input or a failed verification, 2 no
 conversion path between the requested formats, 3 a budget exceeded: the
-expansion budget, or the fixed cap of MAX_RUNS (2^20) runs, counted
-from the rules before any run is built. The cap covers every direct
-conversion of a program but --to slp, and verify of two programs,
-whose walk reads the fewer runs plus one. Its one error line names the
-work: "conversion needs 78176339 runs, budget is 1048576" for convert,
-"verify needs ..." for verify. The commands that may expand (decode,
-convert, verify) take the expansion budget from --max-output, then the
-CRX_MAX_OUTPUT environment variable, then a 64 MiB default; the others
-never read the variable, and neither budget sets the other. A negative
-budget, or a CRX_MAX_OUTPUT that is not an integer, is invalid input
-(exit 1).
+expansion budget, or the fixed cap of MAX_RUNS (2^20) runs. The cap
+covers every direct conversion of a program but --to slp, counted from
+the rules before any run is built; the conversion of an rle file --to
+lz77, plain or --self-ref, counted from the file's runs, since the run
+lane's LZ77 loop is still quadratic on short exponents; and verify of
+two programs, whose walk reads the fewer runs plus one. Its one error
+line names the work: "conversion needs 78176339 runs, budget is
+1048576" for convert, "verify needs ..." for verify. The commands that
+may expand (decode, convert, verify) take the expansion budget from
+--max-output, then the CRX_MAX_OUTPUT environment variable, then a 64
+MiB default; the others never read the variable, and neither budget
+sets the other. A negative budget, or a CRX_MAX_OUTPUT that is not an
+integer, is invalid input (exit 1).
 
 `main` builds the argument parser once per process (`build_parser` is
 cached) and reuses it on every later call.
@@ -219,7 +221,10 @@ def _convert_direct(c: CompressedContainer, target: str,
             f"no direct conversion from {c.format} to {target}; "
             "re-run with --via-expand")
     source = _direct_source(c)
-    if c.format != "rle" and target != "slp":
+    if c.format == "rle":
+        if target == "lz77":  # the run lane's LZ77 is quadratic on short runs
+            _cap_runs(len(source.runs), "conversion")
+    elif target != "slp":
         _cap_runs(run_count(source), "conversion")
     return lane[target](source)
 

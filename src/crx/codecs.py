@@ -20,7 +20,6 @@ from .model import (
     Term,
     Text,
     Var,
-    grammar_lengths,
     item_key,
 )
 
@@ -236,7 +235,9 @@ def grammar_to_slp(g: AdmissibleGrammar) -> Slp:
 
     Terminals get one variable per distinct symbol, longer right-hand
     sides fold left to right, and single-item rules collapse onto their
-    target. Variables are numbered so children precede parents.
+    target. Variables are numbered so children precede parents: the
+    rules are taken in the post-order of `g.lengths`, the grammar's one
+    walk, which validating a grammar container has already taken.
     """
     slp_rules: list[Term | tuple[int, int]] = []
     term_var: dict[int, int] = {}
@@ -248,7 +249,7 @@ def grammar_to_slp(g: AdmissibleGrammar) -> Slp:
             term_var[code] = len(slp_rules)
         return term_var[code]
 
-    for v in grammar_lengths(g):
+    for v in g.lengths:
         ids = [term(it.code) if isinstance(it, Term) else mapped[it.index]
                for it in g.rules[v]]
         cur = ids[0]

@@ -13,10 +13,12 @@ Payload lines by format:
 * ``slp``      -- same as grammar, restricted to ``X -> a`` / ``X -> Y Z``;
   the payload is the program itself, an Slp
 
-`parse` reads the body in place, line by line from the end of the
-header, with one compiled pattern per format, and puts each line's
-integers straight into the payload; an slp body goes straight into the
-rules of its program. A line the pattern does not accept is described
+`parse` reads the body in place from the end of the header. An rle
+body is read a chunk of lines at a time: one anchored pattern checks a
+chunk whole, and str.split reads its integers. The other bodies are read
+line by line, with one compiled pattern per format, and each line's
+integers go straight into the payload; an slp body goes straight into
+the rules of its program. A line a pattern does not accept is described
 by the per-field checks, which name its number and its first fault.
 
 Errors come from two places, both as exceptions. `parse` raises
@@ -37,6 +39,7 @@ rules, which only a library caller can build, raises EmptyInputError in
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -52,7 +55,6 @@ from .model import (
     Term,
     Var,
     canonical_grammar,
-    grammar_lengths,
     lz78_factor_lengths,
 )
 from .slp_ops import reachable_vars
@@ -97,15 +99,11 @@ def make_grammar_container(g: AdmissibleGrammar, alphabet_size: int) -> Compress
         raise EmptyInputError(_EMPTY_GRAMMAR)
     if g.start != max(g.rules):
         g = canonical_grammar(g)
-    return CompressedContainer("grammar", alphabet_size, grammar_lengths(g)[g.start], g)
+    return CompressedContainer("grammar", alphabet_size, g.lengths[g.start], g)
 
 
 def make_slp_container(s: Slp, alphabet_size: int) -> CompressedContainer:
     return CompressedContainer("slp", alphabet_size, s.length, s)
-
-
-def _item_str(item: Term | Var) -> str:
-    return f"t{item.code}" if isinstance(item, Term) else f"v{item.index}"
 
 
 def serialize(c: CompressedContainer) -> str:
@@ -132,7 +130,8 @@ def serialize(c: CompressedContainer) -> str:
                 lines.append(f"{i} -> v{rule[0]} v{rule[1]}")
     elif c.format == "grammar":
         for var in sorted(p.rules):
-            rhs = " ".join(_item_str(it) for it in p.rules[var])
+            rhs = " ".join([f"t{it.code}" if type(it) is Term else f"v{it.index}"
+                            for it in p.rules[var]])
             lines.append(f"{var} -> {rhs}")
     else:
         raise ContainerFormatError(f"unknown format {c.format!r}")
@@ -164,17 +163,27 @@ _SLP_RULE = re.compile(f"{_INT} -> (?:t{_INT}|v{_INT} v{_INT}){_EOL}")
 
 _Rule = tuple[int, tuple[Term | Var, ...]]
 
+# An rle body is read a chunk of lines at a time: one anchored match of
+# _RUNS, the repeat of _RUN, checks a chunk, and str.split reads its
+# integers. The repeat is possessive where the interpreter has it (3.11
+# on), so the match keeps no backtracking state; a greedy one holds some
+# 400 bytes a line, which the chunk bounds on 3.10. The chunk also
+# bounds the token list.
+_CHUNK = 1 << 13  # characters, rounded up to the end of a line
+_RUNS = re.compile(f"(?:{_RUN.pattern})*{'+' if sys.version_info >= (3, 11) else ''}")
+
 
 def _body(data: str, pos: int, pattern: re.Pattern, item: Callable[[re.Match], Any],
-          read_line: Callable[[str, int], Any]) -> Iterator[Any]:
+          read_line: Callable[[str, int], Any], ln: int = 2) -> Iterator[Any]:
     """The item of each body line from pos on, in line order: item(match)
     for a line the pattern accepts. Any other line, and one holding an
     integer past the interpreter's digit limit, goes to read_line(line,
     number), the per-field checks: they raise on the line's first fault,
-    or in an slp body give a rule of the wrong shape."""
+    or in an slp body give a rule of the wrong shape. ln is the number of
+    the line at pos; the body starts on line 2."""
     match = pattern.match
     end = len(data)
-    ln, counted = 2, pos  # the body starts on line 2
+    counted = pos
     while pos < end:
         m = match(data, pos)
         if m is not None:
@@ -191,6 +200,29 @@ def _body(data: str, pos: int, pattern: re.Pattern, item: Callable[[re.Match], A
         counted = pos
         yield read_line(data[pos:nl], ln)
         pos = nl + 1
+
+
+def _read_runs(data: str, pos: int) -> tuple[tuple[int, int], ...]:
+    """The runs of an rle body from pos on, in line order. From the first
+    chunk that _RUNS does not take whole, or that holds an integer past
+    the interpreter's digit limit, the body is read line by line by
+    _body, so every fault reads as it does there."""
+    runs: list[tuple[int, int]] = []
+    start, end = pos, len(data)
+    while pos < end:
+        stop = data.find("\n", pos + _CHUNK) + 1 or end
+        if _RUNS.match(data, pos, stop).end() == stop:
+            kept = len(runs)
+            ints = map(int, data[pos:stop].split())
+            try:
+                runs.extend(zip(ints, ints))
+                pos = stop
+                continue
+            except ValueError:  # an integer past the interpreter's digit limit
+                del runs[kept:]
+        runs.extend(_body(data, pos, _RUN, _run, _read_run, 2 + data.count("\n", start, pos)))
+        break
+    return tuple(runs)
 
 
 def _read_run(line: str, ln: int) -> tuple[int, int]:
@@ -316,11 +348,16 @@ def parse(data: str) -> CompressedContainer:
     and InvalidInputError on an rle, lz77 or slp payload that its type
     rejects; the rest of the checking is left to validate.
 
-    The body is read in place, line by line: each line is matched by its
-    format's pattern and its integers go straight into the payload, an
-    slp body's into the rules of its program, whose lines may come in
-    any order. The first line the pattern does not accept is described
-    by the per-field checks, by its number and its first fault. Faults
+    The body is read in place. An rle body is read in chunks of lines,
+    each checked whole by one anchored pattern and split into its
+    integers; from the first chunk that pattern stops short in, or that
+    holds an integer past the interpreter's digit limit, it is read line
+    by line. Every other body is read line by line: each line is matched
+    by its format's pattern and its integers go straight into the
+    payload, an slp body's into the rules of its program, whose lines may
+    come in any order. The first line the pattern does not accept is
+    described by the per-field checks, by its number and its first
+    fault, the same in either reading. Faults
     are reported in this order: the first syntax fault or duplicate rule,
     in line order; a grammar or slp file with no rules; then in an slp
     file "missing-variable", "malformed-slp-rule" in rule order and the
@@ -347,7 +384,7 @@ def parse(data: str) -> CompressedContainer:
 
     payload: Payload
     if fmt == "rle":
-        payload = RleString(tuple(_body(data, pos, _RUN, _run, _read_run)))
+        payload = RleString(_read_runs(data, pos))
     elif fmt == "lz77":
         factors = tuple(_body(data, pos, _FACTOR, _factor, _read_factor))
         payload = Lz77Factorization(factors, self_ref)
@@ -368,7 +405,9 @@ def validate(c: CompressedContainer) -> int:
     "header"), every symbol must lie inside the alphabet, every rule
     must be reachable from the start and the derived length must equal
     the declared one. LZ78 ids and grammar references are checked on the way
-    by the walks that own them; an slp payload is a program whose shape
+    by the walks that own them; a grammar's walk is kept on it
+    (`AdmissibleGrammar.lengths`), so a conversion that follows reads it
+    without walking again. An slp payload is a program whose shape
     parse has checked, so its length and reachable rules are read off it.
     Raises InvalidInputError(code, location) on the first violation
     found; an rle, lz77 or slp payload has checked its own rule when it
@@ -412,7 +451,7 @@ def validate(c: CompressedContainer) -> int:
                     raise InvalidInputError("undefined-variable", f"rule {var}")
         if p.start != max(p.rules):
             raise InvalidInputError("bad-start", "header")
-        lengths = grammar_lengths(p)
+        lengths = p.lengths
         if len(lengths) != len(p.rules):
             raise InvalidInputError("unreachable-variable", "rules")
         length = lengths[p.start]

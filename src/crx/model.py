@@ -8,6 +8,7 @@ so tests and examples stay readable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BudgetExceededError,
@@ -195,7 +196,13 @@ class Lz78Factorization:
 
 @dataclass(frozen=True)
 class AdmissibleGrammar:
-    """A context-free grammar with one rule per variable deriving one string."""
+    """A context-free grammar with one rule per variable deriving one string.
+
+    The rules are not changed after construction: every grammar is built
+    from a finished dict, so `lengths`, the walk of the rules, is taken
+    once per grammar and read by validation, `grammar_to_slp`,
+    `make_grammar_container` and `expand_grammar` alike.
+    """
 
     rules: dict[int, tuple[GrammarItem, ...]]
     start: int
@@ -203,6 +210,14 @@ class AdmissibleGrammar:
     @property
     def size(self) -> int:
         return sum(len(rhs) for rhs in self.rules.values())
+
+    @cached_property
+    def lengths(self) -> dict[int, int]:
+        """grammar_lengths of this grammar, walked on the first read and
+        kept: the derived length of every reachable variable, in the walk's
+        post-order. It is no field, so equality and repr ignore it. A walk
+        that raises keeps nothing, so every read raises the same error."""
+        return grammar_lengths(self)
 
 
 @dataclass(frozen=True)
@@ -287,27 +302,30 @@ class Slp:
 def grammar_lengths(g: AdmissibleGrammar) -> dict[int, int]:
     """Derived length of every variable reachable from the start, computed
     without expansion. Each variable enters the dict after the variables on
-    its right-hand side.
+    its right-hand side, so the dict's order is a post-order of the rules.
+    `AdmissibleGrammar.lengths` keeps it; read that instead of walking
+    the same grammar again.
 
     Raises on cycles or undefined variables.
     """
-    VISITING, DONE = 1, 2
-    lengths: dict[int, int] = {}
-    state: dict[int, int] = {}
+    rules = g.rules
+    lengths: dict[int, int] = {}  # a variable in it is finished
+    visiting: set[int] = set()  # expanded and not yet finished
     stack = [g.start]
     while stack:
         v = stack[-1]
-        if v not in g.rules:
-            raise InvalidInputError("undefined-variable", f"variable {v}")
-        if state.get(v) == DONE:
+        if v in lengths:
             stack.pop()
             continue
-        if state.get(v) != VISITING:
-            state[v] = VISITING
+        rhs = rules.get(v)
+        if rhs is None:
+            raise InvalidInputError("undefined-variable", f"variable {v}")
+        if v not in visiting:
+            visiting.add(v)
             pushed = False
-            for item in g.rules[v]:
-                if isinstance(item, Var) and state.get(item.index) != DONE:
-                    if state.get(item.index) == VISITING:
+            for item in rhs:
+                if type(item) is Var and item.index not in lengths:
+                    if item.index in visiting:
                         raise InvalidInputError("cyclic-grammar",
                                                 f"variable {item.index}")
                     stack.append(item.index)
@@ -315,10 +333,9 @@ def grammar_lengths(g: AdmissibleGrammar) -> dict[int, int]:
             if pushed:
                 continue
         total = 0
-        for item in g.rules[v]:
-            total += 1 if isinstance(item, Term) else lengths[item.index]
+        for item in rhs:
+            total += lengths[item.index] if type(item) is Var else 1
         lengths[v] = total
-        state[v] = DONE
         stack.pop()
     return lengths
 
@@ -415,7 +432,7 @@ def expand_lz78(f: Lz78Factorization, limit: int = DEFAULT_LIMIT) -> Text:
 
 
 def expand_grammar(g: AdmissibleGrammar, limit: int = DEFAULT_LIMIT) -> Text:
-    n = grammar_lengths(g)[g.start]
+    n = g.lengths[g.start]
     if n > limit:
         raise BudgetExceededError(n, limit)
     out: list[int] = []

@@ -113,6 +113,17 @@ def random_runs(rng: random.Random, max_runs: int = 8, sigma: int = 3,
     return tuple(runs)
 
 
+def short_runs(seed: int, m: int, max_exp: int) -> RleString:
+    """m seeded runs over 4 symbols with exponents 1..max_exp."""
+    rng = random.Random(seed)
+    runs, prev = [], -1
+    for _ in range(m):
+        sym = rng.choice([c for c in range(4) if c != prev])
+        runs.append((sym, rng.randint(1, max_exp)))
+        prev = sym
+    return RleString(tuple(runs))
+
+
 @st.composite
 def long_run_lists(draw, sigma: int = 3, max_exp: int = 30, min_runs: int = 1,
                    max_runs: int = 8):

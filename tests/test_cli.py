@@ -33,6 +33,10 @@ from crx import (
     rle_encode,
     serialize,
 )
+import crx.cli
+import crx.codecs
+import crx.container
+import crx.model
 from crx.cli import TARGETS, build_parser, main
 from helpers import VALIDATE_FAULTS, record_calls, sample_slp
 
@@ -316,6 +320,49 @@ def test_program_with_too_many_runs_exits_3_at_once(tmp_path, capsys):
         what = "verify" if argv[0] == "verify" else "conversion"
         assert err == f"error: {what} needs 78176339 runs, budget is 1048576\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--self-ref",)])
+def test_rle_file_past_the_run_cap_exits_3_on_lz77(tmp_path, capsys, monkeypatch, flags):
+    # the run lane's LZ77 loop is quadratic on short exponents, so an rle
+    # file of more runs than the cap is refused before it starts; a small
+    # cap stands in for 2^20
+    monkeypatch.setattr(crx.cli, "MAX_RUNS", 8)
+
+    def rle_file(m):
+        runs = RleString(tuple((i % 2, 1 + i % 3) for i in range(m)))
+        return write(tmp_path / f"{m}.rle", serialize(make_rle_container(runs, 2)).encode())
+
+    at_cap, past_cap, out = rle_file(8), rle_file(9), str(tmp_path / "out")
+    assert run(capsys, "convert", "--to", "lz77", *flags, at_cap, out)[0] == 0
+    assert run(capsys, "verify", at_cap, out)[:2] == (0, "equal\n")
+    os.remove(out)
+    assert run(capsys, "convert", "--to", "lz77", *flags, past_cap, out) == (
+        3, "", "error: conversion needs 9 runs, budget is 8\n")
+    assert not os.path.exists(out)
+    # the cap is LZ77's alone: every other target converts the 9 runs
+    for to in ("rle", "lz78", "repair", "bisection", "slp"):
+        assert run(capsys, "convert", "--to", to, past_cap, out)[0] == 0, to
+
+
+@pytest.mark.parametrize("target", ["slp", "rle"])
+def test_grammar_file_is_walked_once(tmp_path, capsys, monkeypatch, target):
+    # validate walks the grammar, and grammar_to_slp numbers its rules in
+    # that same walk's order, kept on the grammar; every module that binds
+    # the walk is watched
+    text = Text.from_str("abaababaabaababaababaabaababaabab" * 3)
+    src = tmp_path / "a.grammar"
+    src.write_text(serialize(make_grammar_container(naive_bisection(text), 2)))
+    want = tmp_path / "want"
+    assert run(capsys, "convert", "--to", target, "--via-expand", str(src), str(want))[0] == 0
+    modules = [m for m in (crx.model, crx.container, crx.codecs)
+               if hasattr(m, "grammar_lengths")]
+    calls = record_calls(monkeypatch, "grammar_lengths", *modules)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "convert", "--to", target, str(src), str(out))
+    assert code == 0, err
+    assert len(calls) == 1
+    assert out.read_text() == want.read_text()
 
 
 def test_parser_is_built_once_and_left_as_it_was():

@@ -48,6 +48,7 @@ from helpers import (
     random_text,
     reference_parse,
     sample_slp,
+    short_runs,
     slp_of,
 )
 
@@ -217,6 +218,36 @@ def test_parse_rejects(bad):
     assert str(ei.value) == PARSE_FAULTS[bad]
 
 
+def _long_rle_wire(fault: str | None = None, at: int = 0) -> str:
+    # 6,000 short runs; the fault, if any, replaces body line `at` (the
+    # body starts on line 2), far past the first chunk the bulk read takes
+    lines = serialize(make_rle_container(short_runs(6000, 6000, 3), 4)).split("\n")
+    if fault is not None:
+        lines[at - 1] = fault
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("0 1 2", "line 5000: bad run '0 1 2'"),
+    ("0 " + "9" * 5000, "line 5000: integer has too many digits"),
+    ("", "line 5000: bad run ''"),
+])
+def test_parse_names_a_late_fault_in_a_long_rle_body(fault, message):
+    # the bulk read hands the chunk that holds the fault to the per-line
+    # checks, which name the same line and fault as a line loop does
+    wire = _long_rle_wire(fault, 5000)
+    with pytest.raises(ContainerFormatError) as ei:
+        parse(wire)
+    assert str(ei.value) == message
+    assert _outcome(parse, wire) == _outcome(reference_parse, wire)
+
+
+def test_long_rle_body_reads_as_its_lines():
+    wire = _long_rle_wire()
+    assert parse(wire) == reference_parse(wire)
+    assert parse(wire.rstrip("\n")) == reference_parse(wire)  # no last newline
+
+
 @pytest.mark.parametrize("wire,same_as", [
     # the last line may lack its newline
     ("CRX1 rle 2 3\n0 1\n1 2", "CRX1 rle 2 3\n0 1\n1 2\n"),
@@ -336,6 +367,23 @@ def test_slp_parse_peak_memory():
         tracemalloc.stop()
     assert c.payload.n > 6000
     assert peak < 1.5 * 2**20
+
+
+def test_rle_parse_peak_memory():
+    # the body is checked and read a chunk at a time, with a repeat that
+    # keeps no backtracking state: a greedy pattern over the whole body
+    # peaks near 16 MiB here, the runs themselves need about 2.5
+    r = short_runs(40000, 40000, 3)
+    wire = serialize(make_rle_container(r, 4))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        c = parse(wire)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.payload == r
+    assert peak < 4 * 2**20
 
 
 def _raised(c: str | CompressedContainer) -> tuple[str, str]:

@@ -31,7 +31,7 @@ from crx import (
     rle_to_lz78,
     rle_to_repair,
 )
-from helpers import long_run_lists, random_runs, record_calls
+from helpers import long_run_lists, random_runs, record_calls, short_runs
 
 AB3 = RleString(((0, 3), (1, 2), (0, 3)))  # aaabbaaa
 
@@ -174,17 +174,6 @@ def test_lz77_matches_naive_on_run_lists(r):
     t = expand_rle(r)
     for self_ref in (False, True):
         assert rle_to_lz77(r, self_ref) == naive_lz77(t, self_ref)
-
-
-def short_runs(seed, m, max_exp):
-    """m seeded runs over 4 symbols with exponents 1..max_exp."""
-    rng = random.Random(seed)
-    runs, prev = [], -1
-    for _ in range(m):
-        sym = rng.choice([c for c in range(4) if c != prev])
-        runs.append((sym, rng.randint(1, max_exp)))
-        prev = sym
-    return RleString(tuple(runs))
 
 
 def meta_lce_calls_per_factor(monkeypatch, r):
