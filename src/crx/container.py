@@ -210,7 +210,7 @@ def _read_runs(data: str, pos: int) -> tuple[tuple[int, int], ...]:
     runs: list[tuple[int, int]] = []
     start, end = pos, len(data)
     while pos < end:
-        stop = data.find("\n", pos + _CHUNK) + 1 or end
+        stop = data.find("\n", pos + _CHUNK) + 1 or end  # or the last line's end
         if _RUNS.match(data, pos, stop).end() == stop:
             kept = len(runs)
             ints = map(int, data[pos:stop].split())
