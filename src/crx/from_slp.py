@@ -6,9 +6,12 @@ run streams of the program, never the derived string. LZ77 takes the
 run lane on the program's runs, so it holds O(runs) memory;
 `slp_ops.run_count` gives that count in one pass over the rules,
 before any run is built.
-Bisection keys its spans by Karp-Rabin fingerprints and confirms every
-equal key with an occurrence query on the runs of a span, so a
-collision costs time, never output. LZ78 runs the run lane's trie walk
+Bisection finds each span's cover, the deepest variable holding it,
+by descending from its parent span's cover, and reads leaves and
+Karp-Rabin fingerprints under it. An equal key from a span with the
+same cover is the same string; every other equal key is confirmed with
+an occurrence query on the runs of a span, so a collision costs time,
+never output. LZ78 runs the run lane's trie walk
 on one stream of the program's runs, read once, front to back, in
 O(height) memory.
 Outputs match the reference codecs on the expansion, which the tests
@@ -30,8 +33,8 @@ from .model import (
 )
 from .slp_ops import (
     Fingerprints,
+    _descend,
     _window_runs,
-    char_at,
     occurrences,
     reachable_vars,
     slp_runs,
@@ -76,38 +79,49 @@ def slp_to_bisection(s: Slp) -> AdmissibleGrammar:
     Spans i..j split at the largest power of two below their length and
     are finished in post-order, left first; a span equal to an earlier one
     reuses its variable, so the grammar matches the reference codec's
-    variable for variable. A span is keyed by its length and its
-    Karp-Rabin fingerprint, O(height) from the variables' fingerprint
-    table. Equal strings always get equal keys, and every equal key is
-    confirmed on the text itself: the occurrence set of the new span's
-    runs is asked whether it starts at the earlier span, which walks the
-    earlier span's runs up to the first pair that differ. A collision is
-    rejected there, so the output never depends on the fingerprints. No
-    span gets a program.
+    variable for variable. Each span carries its cover: the deepest
+    variable v holding it and its positions lo..hi in val(v), found by
+    descending from its parent span's cover, never from the root. A leaf's
+    cover is its terminal rule. A span is keyed by its length and its
+    Karp-Rabin fingerprint, folded under its cover in O(height of v). Equal
+    strings always get equal keys. An equal key whose earlier span had the
+    same cover is the same positions of the same variable, so the same
+    string, and its variable is reused at once; every other equal key is
+    confirmed on the text: the occurrence set of the new span's runs is
+    asked whether it starts at the earlier span, which walks the earlier
+    span's runs up to the first pair that differ. A collision is rejected
+    there, so the output never depends on the fingerprints. No span gets
+    a program.
     """
     fingerprints = Fingerprints(s)
     rules: dict[int, tuple[GrammarItem, ...]] = {}
-    buckets: dict[tuple[int, int], list[tuple[Var, int]]] = {}
+    # per key, the variable, start and cover (v, lo) of each finished span
+    buckets: dict[tuple[int, int], list[tuple[Var, int, tuple[int, int]]]] = {}
     done: list[GrammarItem] = []  # items of finished spans, in post-order
-    stack: list[tuple[int, int, tuple[int, int] | None]] = [(1, s.length, None)]  # key once split
+    # span i..j, a cover to descend from (v, lo..hi), and its key once split
+    stack: list[tuple[int, int, int, int, int, tuple[int, int] | None]] = [
+        (1, s.length, s.n, 1, s.length, None)]
     while stack:
-        i, j, k = stack.pop()
+        i, j, v, lo, hi, k = stack.pop()
         if k is not None:
             right, left = done.pop(), done.pop()
             rules[len(rules) + 1] = (left, right)
             done.append(Var(len(rules)))
-            buckets.setdefault(k, []).append((done[-1], i))
-        elif i == j:
-            done.append(Term(char_at(s, i)))
+            buckets.setdefault(k, []).append((done[-1], i, (v, lo)))
+            continue
+        v, lo, hi = _descend(s, v, lo, hi)
+        if i == j:
+            done.append(s.rules[v - 1])  # a one-symbol span's cover is a Term
+            continue
+        k = (j - i + 1, fingerprints.window(v, lo, hi))
+        for var, start, cover in buckets.get(k, ()):
+            if cover == (v, lo) or occurrences(s, slp_runs(s, i, j)).membership(start):
+                done.append(var)
+                break
         else:
-            k = (j - i + 1, fingerprints.span(i, j))
-            for var, start in buckets.get(k, ()):
-                if occurrences(s, slp_runs(s, i, j)).membership(start):
-                    done.append(var)
-                    break
-            else:
-                half = 1 << (j - i).bit_length() - 1  # largest power of two below j-i+1
-                stack += ((i, j, k), (i + half, j, None), (i, i + half - 1, None))
+            half = 1 << (j - i).bit_length() - 1  # largest power of two below j-i+1
+            stack += ((i, j, v, lo, hi, k), (i + half, j, v, lo + half, hi, None),
+                      (i, i + half - 1, v, lo, lo + half - 1, None))
     top = done[0]
     if isinstance(top, Term):
         return AdmissibleGrammar({1: (top,)}, 1)

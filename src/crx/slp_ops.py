@@ -23,7 +23,10 @@ at the first pair of runs that differ. `first_mismatch` and the
 pattern of `occurrences` take a program or its runs, an `RleString`
 whose own runs are read as they are. `Fingerprints` only suggest
 equality: a window's Karp-Rabin fingerprint folds those of its cover
-pieces in O(height), and a caller confirms equal ones on the runs.
+pieces in O(height), and a caller confirms equal ones on the runs. A
+window's cover (`_cut`) is found by `_descend` from the root, or from
+the cover of any window that contains it, and `Fingerprints.window`
+folds the pieces under a cover already found.
 
 All positions are 1-based. Traversals use explicit stacks throughout;
 derivation heights can exceed Python's recursion limit.
@@ -130,8 +133,16 @@ def _cut(s: Slp, i: int, j: int) -> tuple[int, int, int]:
     positions lo..hi inside val(v)."""
     if not 1 <= i <= j <= s.length:
         raise IndexError(f"substring [{i}, {j}] out of range 1..{s.length}")
+    return _descend(s, s.n, i, j)
+
+
+def _descend(s: Slp, v: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """The deepest variable below v (v included) containing positions
+    lo..hi of val(v), and the range's positions inside it. The path from
+    the root to a window's cover passes through the cover of any window
+    that contains it, so descending from that cover gives `_cut`'s
+    triple in fewer steps."""
     rules, lengths = s.rules, s.lengths
-    v, lo, hi = len(rules), i, j
     # a range short of all of val(v) lies in a pair rule
     while lo != 1 or hi != lengths[v - 1]:
         l, r = rules[v - 1]
@@ -332,10 +343,17 @@ class Fingerprints:
 
     def span(self, i: int, j: int) -> int:
         """The fingerprint of s[i..j], in O(height) steps."""
+        return self.window(*_cut(self.text, i, j))
+
+    def window(self, v: int, lo: int, hi: int) -> int:
+        """The fingerprint of positions lo..hi of val(v), where v is the
+        range's cover as `_cut` or `_descend` gives it: that of v itself
+        if the range is all of it, else a fold over the range's pieces
+        below v, in O(height of v) steps."""
         fp, power, mod = self._fp, self._power, self._mod
         h = 0
-        for v in _pieces(self.text, *_cut(self.text, i, j)):
-            h = (h * power[v - 1] + fp[v - 1]) % mod
+        for u in _pieces(self.text, v, lo, hi):
+            h = (h * power[u - 1] + fp[u - 1]) % mod
         return h
 
 

@@ -22,6 +22,7 @@ from crx import (
     Var,
     grammar_to_slp,
     naive_bisection,
+    rle_as_slp,
 )
 
 
@@ -136,6 +137,26 @@ def long_run_lists(draw, sigma: int = 3, max_exp: int = 30, min_runs: int = 1,
         runs.append((sym, draw(st.integers(1, max_exp))))
         prev = sym
     return RleString(tuple(runs))
+
+
+@st.composite
+def slp_programs(draw):
+    """Random, bisection, `rle_as_slp` and Fibonacci programs."""
+    kind = draw(st.sampled_from(["random", "bisection", "runs", "fibonacci"]))
+    if kind == "random":
+        rules: list = [Term(c) for c in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 10))):
+            n = len(rules)  # a left child among the last rules, so lengths grow
+            rules.append((draw(st.integers(max(1, n - 4), n)),
+                          draw(st.integers(1, n))))
+        return Slp(rules)
+    if kind == "bisection":
+        symbols = draw(st.lists(st.integers(0, 2), min_size=1, max_size=300))
+        return grammar_to_slp(naive_bisection(Text(tuple(symbols))))
+    if kind == "runs":
+        return rle_as_slp(draw(st.one_of(long_run_lists(),
+                                         long_run_lists(max_exp=2, min_runs=20, max_runs=50))))
+    return fibonacci_slp(draw(st.integers(3, 16)))
 
 
 def record_calls(monkeypatch, name: str, *modules) -> list:

@@ -33,6 +33,7 @@ from crx import (
     slp_runs,
     slp_to_rle,
 )
+from crx.from_rle import _bisection_of_runs
 from crx.slp_ops import run_count
 from helpers import (
     T,
@@ -44,6 +45,7 @@ from helpers import (
     record_calls,
     sample_slp,
     slp_of,
+    slp_programs,
 )
 
 SAMPLE = "aababaababaab"
@@ -170,42 +172,23 @@ def test_lz77_source_search_checks_itself(programs):
             assert slp_to_lz77(s, self_ref) == naive_lz77(t, self_ref)
 
 
-@st.composite
-def lz77_programs(draw):
-    """Random, bisection, `rle_as_slp` and Fibonacci programs."""
-    kind = draw(st.sampled_from(["random", "bisection", "runs", "fibonacci"]))
-    if kind == "random":
-        rules: list = [Term(c) for c in range(draw(st.integers(1, 3)))]
-        for _ in range(draw(st.integers(1, 10))):
-            n = len(rules)  # a left child among the last rules, so lengths grow
-            rules.append((draw(st.integers(max(1, n - 4), n)),
-                          draw(st.integers(1, n))))
-        return Slp(rules)
-    if kind == "bisection":
-        symbols = draw(st.lists(st.integers(0, 2), min_size=1, max_size=300))
-        return grammar_to_slp(naive_bisection(Text(tuple(symbols))))
-    if kind == "runs":
-        return rle_as_slp(draw(st.one_of(long_run_lists(),
-                                         long_run_lists(max_exp=2, min_runs=20, max_runs=50))))
-    return fibonacci_slp(draw(st.integers(3, 16)))
-
-
 @settings(max_examples=300, deadline=None)
-@given(lz77_programs(), st.booleans())
+@given(slp_programs(), st.booleans())
 def test_lz77_matches_reference_on_programs(s, self_ref):
     assert slp_to_lz77(s, self_ref) == naive_lz77(expand_slp(s), self_ref)
 
 
 @settings(max_examples=300, deadline=None)
-@given(lz77_programs(), st.data())
+@given(slp_programs(), st.data())
 def test_run_walks_match_reference_on_programs(s, data):
     # every route through the program's run walk, on the Fibonacci words'
-    # rlink/llink jumps too
+    # rlink/llink jumps too; bisection also through the run lane's levels
     t = expand_slp(s)
     r = rle_encode(t)
     assert slp_to_rle(s) == r
     assert slp_to_lz78(s) == naive_lz78(t)
     assert slp_to_bisection(s) == naive_bisection(t)
+    assert _bisection_of_runs(r.runs) == naive_bisection(t)
     assert first_mismatch(s, r) is None
     i = data.draw(st.integers(1, s.length))
     j = data.draw(st.integers(i, s.length))
@@ -247,7 +230,7 @@ def test_lz77_of_fibonacci_word_peak_memory():
 
 
 @settings(max_examples=300, deadline=None)
-@given(lz77_programs())
+@given(slp_programs())
 def test_run_count_counts_the_runs(s):
     assert run_count(s) == len(slp_to_rle(s).runs)
 
@@ -379,6 +362,37 @@ def test_bisection_rejects_fingerprint_collisions(monkeypatch):
         assert slp_to_bisection(s) == naive_bisection(t)
     assert False in answers
     assert built == []
+
+
+def block_text(rng: random.Random, length: int) -> Text:
+    """A text of blocks drawn from a few random ones, cut to length."""
+    blocks = [[rng.randrange(4) for _ in range(rng.randint(5, 40))] for _ in range(6)]
+    symbols: list[int] = []
+    while len(symbols) < length:
+        symbols += rng.choice(blocks)
+    return Text(tuple(symbols[:length]))
+
+
+def test_bisection_walks_runs_only_for_spans_under_other_variables(monkeypatch):
+    # a bisection program's equal spans are the same positions of the
+    # same variable, so every reuse is proven by the spans' covers; in
+    # run chains and Fibonacci words equal spans lie under different
+    # variables and are still confirmed on the runs
+    rng = random.Random(131)
+    texts = [block_text(rng, 4000), Text(tuple(rng.randrange(4) for _ in range(2000)))]
+    texts += [block_text(rng, rng.randint(1, 600)) for _ in range(10)]
+    bisected = [grammar_to_slp(naive_bisection(t)) for t in texts]
+    others = [rle_as_slp(RleString(random_runs(rng, max_runs=30))) for _ in range(10)]
+    others += [rle_as_slp(RleString(((0, 3), (1, 2)) * 20 + ((2, 5),)))]
+    others += [fibonacci_slp(k) for k in range(6, 15)]
+    answers = record_memberships(monkeypatch)
+    for s, t in zip(bisected, texts):
+        assert slp_to_bisection(s) == naive_bisection(t)
+    assert answers == []
+    for s in others:
+        assert slp_to_bisection(s) == naive_bisection(expand_slp(s))
+        assert answers and all(answers), s
+        answers.clear()
 
 
 def test_all_conversions_random_vs_naive():

@@ -29,7 +29,15 @@ from crx import (
     slp_runs,
     substring_slp,
 )
-from crx.slp_ops import EdgeRuns, Fingerprints, _cut, _pieces, annotate_runs, reachable_vars
+from crx.slp_ops import (
+    EdgeRuns,
+    Fingerprints,
+    _cut,
+    _descend,
+    _pieces,
+    annotate_runs,
+    reachable_vars,
+)
 from helpers import (
     brute_occurrences,
     fibonacci_slp,
@@ -40,6 +48,7 @@ from helpers import (
     random_text,
     sample_slp,
     slp_of,
+    slp_programs,
 )
 
 SAMPLE = "aababaababaab"
@@ -693,6 +702,26 @@ def test_equal_windows_get_equal_fingerprints(s, data):
                 assert Fingerprints(prefix).span(1, m) == want, v
     for other in (slp_of(Text(window)), rle_as_slp(rle_encode(Text(window)))):
         assert Fingerprints(other).span(1, m) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(slp_programs(), st.data())
+def test_descend_from_a_containing_cover(s, data):
+    # a window inside a..b descends from a..b's cover to its own, and its
+    # fingerprint folds under that cover
+    a = data.draw(st.integers(1, s.length))
+    b = data.draw(st.integers(a, s.length))
+    i = data.draw(st.integers(a, b))
+    j = data.draw(st.integers(i, b))
+    v, lo, hi = _cut(s, a, b)
+    inner = (v, lo + i - a, hi - b + j)
+    assert _descend(s, *inner) == _cut(s, i, j)
+    fps = Fingerprints(s)
+    assert fps.window(*_cut(s, i, j)) == fps.span(i, j)
+    want = 0
+    for c in expand_slp(s).symbols[i - 1:j]:
+        want = (want * crx.slp_ops._FP_BASE + c + 1) % crx.slp_ops._FP_MOD
+    assert fps.span(i, j) == want
 
 
 def test_fingerprints_bad_span():
