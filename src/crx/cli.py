@@ -19,8 +19,10 @@ relabels them for the source's; --via-expand and `encode` number for
 it already.
 
 `verify` reads both files first. Two rle, slp or grammar files are
-compared without expanding: `first_mismatch` walks their run streams
-side by side, an rle file's own runs and a program's derived ones. A
+compared without expanding: `first_mismatch` compares their runs, an
+rle file's own runs and a program's derived ones, built as one tuple
+when the program shares a variable of two or more runs and has at most
+MAX_RUNS runs, else streamed up to the first pair of runs that differ. A
 pair with an lz77 or lz78 file is decoded under --max-output and
 compared as two texts.
 
@@ -88,11 +90,9 @@ from .model import (
     expand_rle,
     expand_slp,
 )
-from .slp_ops import first_mismatch, run_count
+from .slp_ops import MAX_RUNS, first_mismatch, run_count
 
 CODECS = ("rle", "lz77", "lz78", "repair", "bisection")
-# runs a program's direct conversion or verify walk may take, about 600 MB
-MAX_RUNS = 1 << 20
 TARGETS = CODECS + ("slp",)
 
 

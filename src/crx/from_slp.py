@@ -1,19 +1,22 @@
 """Conversions out of straight-line programs.
 
 Every function here reads only the program and builds no other: runs
-come from the program's run annotations, and LZ78 and bisection read
-run streams of the program, never the derived string. LZ77 takes the
-run lane on the program's runs, so it holds O(runs) memory;
-`slp_ops.run_count` gives that count in one pass over the rules,
-before any run is built.
+come from the program's run annotations, never from the derived string.
+RLE, LZ77 and LZ78 read the whole text's runs as `slp_ops._runs_of`
+gives them: within the run cap (`slp_ops.MAX_RUNS`), a program that
+shares a variable of two or more runs has them built once as a tuple,
+copied from its shared variables' runs, in O(runs) memory; a program
+past the cap, or one that shares none, streams them in O(height)
+memory. LZ77 takes the run lane on the program's runs, so it holds
+O(runs) memory either way; `slp_ops.run_count` reads that count from
+the run annotations, before any run is built.
 Bisection finds each span's cover, the deepest variable holding it,
 by descending from its parent span's cover, and reads leaves and
 Karp-Rabin fingerprints under it. An equal key from a span with the
 same cover is the same string; every other equal key is confirmed with
 an occurrence query on the runs of a span, so a collision costs time,
 never output. LZ78 runs the run lane's trie walk
-on one stream of the program's runs, read once, front to back, in
-O(height) memory.
+along the program's runs, read once, front to back.
 Outputs match the reference codecs on the expansion, which the tests
 check against the naive codecs.
 """
@@ -34,7 +37,7 @@ from .model import (
 from .slp_ops import (
     Fingerprints,
     _descend,
-    _window_runs,
+    _runs_of,
     occurrences,
     reachable_vars,
     slp_runs,
@@ -42,12 +45,18 @@ from .slp_ops import (
 
 
 def slp_to_rle(s: Slp) -> RleString:
-    """Run-length encoding of the derived string. Equal runs share one
-    tuple, so the output costs a pointer per run beyond its distinct
-    runs."""
-    distinct: dict[tuple[int, int], tuple[int, int]] = {}
-    return RleString(tuple(distinct.setdefault(run, run)
-                           for run in _window_runs(s, 1, s.length)))
+    """Run-length encoding of the derived string, read by `_runs_of`: a
+    program within the run cap (`slp_ops.MAX_RUNS`) that shares a
+    variable of two or more runs gets its runs as one tuple, copied from
+    its shared variables' runs, in O(runs) memory; any other program's
+    runs are streamed in O(height) memory. Equal runs share one tuple
+    object either way, so the output costs a pointer per run beyond its
+    distinct runs."""
+    runs = _runs_of(s)
+    if not isinstance(runs, tuple):
+        distinct: dict[tuple[int, int], tuple[int, int]] = {}
+        runs = tuple(distinct.setdefault(run, run) for run in runs)
+    return RleString(runs)
 
 
 def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
@@ -61,16 +70,18 @@ def slp_to_lz77(s: Slp, self_referential: bool = False) -> Lz77Factorization:
 
 def slp_to_lz78(s: Slp) -> Lz78Factorization:
     """Dictionary factorization computed on the program: the run lane's
-    `_lz78_of_runs` walks its trie one run at a time along one stream of
-    the text's runs, read once from the run annotations. The stream holds
-    O(height) memory and no run list is built; no entry is compared
-    with slp_lce."""
+    `_lz78_of_runs` walks its trie one run at a time along the text's
+    runs, read once, front to back, as `_runs_of` gives them: one tuple
+    in O(runs) memory for a program within the run cap
+    (`slp_ops.MAX_RUNS`) that shares a variable of two or more runs, else
+    a stream in O(height) memory. No RleString is built, and no entry is
+    compared with slp_lce."""
     sigma = 0
     for v in reachable_vars(s):
         rule = s.rules[v - 1]
         if isinstance(rule, Term):
             sigma = max(sigma, rule.code + 1)
-    return _lz78_of_runs(s.length, sigma, _window_runs(s, 1, s.length))
+    return _lz78_of_runs(s.length, sigma, _runs_of(s))
 
 
 def slp_to_bisection(s: Slp) -> AdmissibleGrammar:

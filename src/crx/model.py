@@ -229,7 +229,9 @@ class RunLinkAnnotations:
     llink is the shallowest descendant on the leftmost path whose suffix
     run does not swallow its whole right child (slen <= |right|); rlink
     is the mirror image on the rightmost path (plen <= |left|). Both are
-    the variable itself for terminal rules.
+    the variable itself for terminal rules. runs is the run count of each
+    variable's expansion. shared lists, ascending, the variables of two or
+    more runs that two or more rule sides reachable from the start name.
     """
     plen: tuple[int, ...]
     slen: tuple[int, ...]
@@ -237,6 +239,8 @@ class RunLinkAnnotations:
     last: tuple[int, ...]
     llink: tuple[int, ...]
     rlink: tuple[int, ...]
+    runs: tuple[int, ...]
+    shared: tuple[int, ...]
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,22 @@ of its own, capped at the pattern's run count plus two. `run_count`
 gives the run count of the derived string from the run annotations,
 without building a run.
 
-Every test of whether two stretches of the derived string agree
-(`slp_lce`, `membership`, `prefix_match`, `first_mismatch`,
-`slp_equals`) walks run streams: a window's runs come from its
-O(height) cover pieces, found as the runs are read, and the walk stops
-at the first pair of runs that differ. `first_mismatch` and the
-pattern of `occurrences` take a program or its runs, an `RleString`
-whose own runs are read as they are. `Fingerprints` only suggest
+A whole string's runs (`_runs_of`) are an `RleString`'s own, or a
+program's: built children first as one tuple (`_program_runs`), in
+O(runs) memory, when the program has at most `MAX_RUNS` runs and a
+variable of two or more runs that two reachable rule sides name, whose
+runs are then built once and copied into each parent at C speed; else
+streamed in O(height) memory. The run annotations' one pass gives that
+route, so picking it costs O(1) per call. `first_mismatch` (and so
+`slp_equals`) and the pattern of `occurrences` read them, and take a
+program or its runs. Two tuples compare at C speed; a stream on either
+side is read up to the first pair of runs that differ.
+
+Every test of whether two windows of the derived string agree
+(`slp_lce`, `membership`, `prefix_match`) walks run streams: a
+window's runs come from its O(height) cover pieces, found as the runs
+are read, and the walk stops at the first pair of runs that differ.
+`Fingerprints` only suggest
 equality: a window's Karp-Rabin fingerprint folds those of its cover
 pieces in O(height), and a caller confirms equal ones on the runs. A
 window's cover (`_cut`) is found by `_descend` from the root, or from
@@ -35,7 +44,8 @@ derivation heights can exceed Python's recursion limit.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from itertools import compress, zip_longest
+from itertools import compress, count, islice, zip_longest
+from operator import itemgetter, ne
 
 from .errors import BudgetExceededError, EmptyInputError, InternalError
 from .model import RleString, RunLinkAnnotations, Slp, Term
@@ -78,16 +88,20 @@ def reachable_vars(s: Slp) -> list[int]:
 
 
 def annotate_runs(s: Slp) -> RunLinkAnnotations:
-    """The run annotations of s, computed bottom-up in one pass over the
-    rules on the first call and kept on s.annotations for every later
-    one."""
+    """The run annotations of s, computed on the first call and kept on
+    s.annotations for every later one: one pass up the rules for the run
+    geometry and the run counts, runs(X -> Y Z) = runs(Y) + runs(Z) -
+    [last(Y) = first(Z)], then one pass down from the start that counts
+    the reachable rule sides naming each variable of two or more runs and
+    lists as shared those that two or more sides name."""
     if s.annotations is not None:
         return s.annotations
     rules, lengths = s.rules, s.lengths
-    plen, slen, first, last, llink, rlink = ([0] * len(rules) for _ in range(6))
+    n = len(rules)
+    plen, slen, first, last, llink, rlink, runs = ([0] * n for _ in range(7))
     for idx, rule in enumerate(rules):
         if isinstance(rule, Term):
-            plen[idx] = slen[idx] = 1
+            plen[idx] = slen[idx] = runs[idx] = 1
             first[idx] = last[idx] = rule.code
             llink[idx] = rlink[idx] = idx + 1
             continue
@@ -96,6 +110,7 @@ def annotate_runs(s: Slp) -> RunLinkAnnotations:
         len_l, len_r = lengths[li], lengths[ri]
         first[idx] = first[li]
         last[idx] = last[ri]
+        runs[idx] = runs[li] + runs[ri] - (last[li] == first[ri])
         p = plen[li]
         if p == len_l and first[ri] == first[li]:
             p = len_l + plen[ri]
@@ -106,26 +121,42 @@ def annotate_runs(s: Slp) -> RunLinkAnnotations:
         slen[idx] = q
         llink[idx] = idx + 1 if q <= len_r else llink[li]
         rlink[idx] = idx + 1 if p <= len_l else rlink[ri]
-    ann = RunLinkAnnotations(tuple(plen), tuple(slen), tuple(first),
-                             tuple(last), tuple(llink), tuple(rlink))
+    # the rule sides that name each variable, counted from the start down:
+    # a variable's parents all come after it, so its count is final when
+    # the pass reaches it; the variables below a single run are one run
+    # too, so they are neither counted nor shared
+    refs = [0] * n
+    refs[-1] = 1
+    shared: list[int] = []
+    for idx in range(n - 1, -1, -1):
+        if refs[idx] and runs[idx] > 1:
+            if refs[idx] > 1:
+                shared.append(idx + 1)
+            l, r = rules[idx]
+            refs[l - 1] += 1
+            refs[r - 1] += 1
+    shared.reverse()
+    # each list goes as soon as its tuple is made, so that a program's
+    # annotations peak at one column over what they keep
+    cols = [plen, slen, first, last, llink, rlink, runs]
+    del refs, plen, slen, first, last, llink, rlink, runs
+    for k, col in enumerate(cols):
+        cols[k] = tuple(col)
+    ann = RunLinkAnnotations(*cols, tuple(shared))
     object.__setattr__(s, "annotations", ann)
     return ann
 
 
 def run_count(s: Slp) -> int:
-    """How many runs the derived string has, in one pass over the rules:
-    runs(X -> Y Z) = runs(Y) + runs(Z) - [last(Y) = first(Z)]. No run is
-    built, so a caller can bound a conversion that holds every run."""
-    ann = annotate_runs(s)
-    first, last = ann.first, ann.last
-    runs: list[int] = []
-    for rule in s.rules:
-        if isinstance(rule, Term):
-            runs.append(1)
-        else:
-            l, r = rule
-            runs.append(runs[l - 1] + runs[r - 1] - (last[l - 1] == first[r - 1]))
-    return runs[-1]
+    """How many runs the derived string has, read from the run
+    annotations. No run is built, so a caller can bound a conversion that
+    holds every run."""
+    return annotate_runs(s).runs[-1]
+
+
+# runs a whole-program run walk may hold as a tuple, and a program's direct
+# conversion or verify walk in the CLI may take, about 600 MB
+MAX_RUNS = 1 << 20
 
 
 def _cut(s: Slp, i: int, j: int) -> tuple[int, int, int]:
@@ -272,11 +303,73 @@ def _window_runs(s: Slp, i: int, j: int) -> Iterator[tuple[int, int]]:
     yield (sym, exp)
 
 
+def _program_runs(s: Slp, ann: RunLinkAnnotations) -> tuple[tuple[int, int], ...]:
+    """The runs of the derived string as one tuple, built children first.
+
+    Each variable in ann.shared gets the list of its runs once, ascending,
+    and the start rule is built the same way after them: a walk that
+    appends a single-run variable as one run, copies a shared variable's
+    list with one C-level slice assignment, and descends into any other
+    variable, which one reachable rule side names, so it is walked once
+    in all. Two runs merge only where a piece meets the run before it.
+    Every run made here rather than copied is looked up in one table, so
+    equal runs share one tuple object. The lists hold O(runs) memory; a
+    program that shares no variable of two or more runs copies nothing
+    and is faster streamed.
+    """
+    rules, lengths = s.rules, s.lengths
+    runs, first, last = ann.runs, ann.first, ann.last
+    distinct: dict[tuple[int, int], tuple[int, int]] = {}
+    intern = distinct.setdefault
+    built: list[list[tuple[int, int]] | None] = [None] * len(rules)
+    for v in ann.shared + (len(rules),):
+        out: list[tuple[int, int]] = []
+        sym = -1  # the symbol of out's last run; no symbol is negative
+        stack = [v]
+        push, pop = stack.append, stack.pop
+        while stack:
+            u = pop() - 1
+            got = built[u]
+            if got is not None:
+                if got[0][0] == sym:
+                    k = len(out) - 1
+                    run = (sym, out[k][1] + got[0][1])
+                    out[k:] = got
+                    out[k] = intern(run, run)
+                else:
+                    out += got
+                sym = last[u]
+            elif runs[u] == 1:
+                if first[u] == sym:
+                    run = (sym, out[-1][1] + lengths[u])
+                    out[-1] = intern(run, run)
+                else:
+                    sym = first[u]
+                    run = (sym, lengths[u])
+                    out.append(intern(run, run))
+            else:
+                l, r = rules[u]
+                push(r)
+                push(l)
+        built[v - 1] = out
+    del built  # the shared lists go before the start's is copied
+    return tuple(out)
+
+
 def _first_difference(xs: Iterable[tuple[int, int]],
                       ys: Iterable[tuple[int, int]]) -> int | None:
     """How many leading symbols two run streams share, or None if they
     are equal. Stops at the first pair of runs that differ, so no run
-    past it is produced."""
+    past it is produced. Two tuples are compared, and their first
+    differing runs found, at C speed."""
+    if isinstance(xs, tuple) and isinstance(ys, tuple):
+        if xs == ys:
+            return None
+        k = next(compress(count(), map(ne, xs, ys)), min(len(xs), len(ys)))
+        pos = sum(map(itemgetter(1), islice(xs, k)))
+        if k == len(xs) or k == len(ys) or xs[k][0] != ys[k][0]:
+            return pos
+        return pos + min(xs[k][1], ys[k][1])
     pos = 0
     for x, y in zip_longest(xs, ys):
         if x != y:
@@ -683,7 +776,16 @@ class OccRepr:
 
 
 def _runs_of(s: Slp | RleString) -> Iterable[tuple[int, int]]:
-    return s.runs if isinstance(s, RleString) else _window_runs(s, 1, s.length)
+    """The runs of a whole string: an RleString's own, or a program's.
+    A program that shares a variable of two or more runs and has at most
+    MAX_RUNS runs gets them as one tuple from `_program_runs`; any other
+    is streamed, in O(height) memory."""
+    if isinstance(s, RleString):
+        return s.runs
+    ann = annotate_runs(s)
+    if ann.shared and ann.runs[-1] <= MAX_RUNS:
+        return _program_runs(s, ann)
+    return _window_runs(s, 1, s.length)
 
 
 def occurrences(text: Slp, pattern: Slp | RleString) -> OccRepr:
@@ -723,10 +825,14 @@ def first_mismatch(a: Slp | RleString, b: Slp | RleString) -> int | None:
     """First position where two strings differ, or None if equal. Each
     side is a program or its runs.
 
-    Walks the two run streams side by side: an RleString's own runs, or
-    a program's runs as its derivation produces them. The first pair of
-    runs that differ fixes the position, and no run past it is produced;
-    an empty run list differs from any other string at position 1.
+    Reads each side's runs as `_runs_of` gives them: an RleString's own
+    runs; a program's as one tuple built from its shared variables, in
+    O(runs) memory; or, for a program that shares none or has more than
+    MAX_RUNS runs, as a stream in O(height) memory. Two tuples are
+    compared at C speed. With a stream on either side the runs are read
+    side by side up to the first pair that differ, and no stream run past
+    it is produced. That pair fixes the position; an empty run list
+    differs from any other string at position 1.
     """
     d = _first_difference(_runs_of(a), _runs_of(b))
     return None if d is None else d + 1

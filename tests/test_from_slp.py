@@ -34,7 +34,7 @@ from crx import (
     slp_to_rle,
 )
 from crx.from_rle import _bisection_of_runs
-from crx.slp_ops import run_count
+from crx.slp_ops import annotate_runs, run_count
 from helpers import (
     T,
     fibonacci_slp,
@@ -280,16 +280,77 @@ def test_lz78_asks_no_slp_lce(monkeypatch):
 
 
 def test_lz78_streams_the_runs_once(monkeypatch):
-    # one stream of the whole text's runs per conversion, never one per factor
+    # one walk of the whole text's runs per conversion, never one per
+    # factor: the tuple builder for a program that shares a variable of two
+    # or more runs, else one stream
     rng = random.Random(131)
     programs = [sample_slp(), power_slp(12), fibonacci_slp(14)]
     programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
     texts = [expand_slp(s) for s in programs]
-    calls = record_calls(monkeypatch, "_window_runs", crx.from_slp)
+    streams = record_calls(monkeypatch, "_window_runs", crx.slp_ops)
+    builds = record_calls(monkeypatch, "_program_runs", crx.slp_ops)
+    routes = []
     for s, t in zip(programs, texts):
-        del calls[:]
+        del streams[:], builds[:]
         assert slp_to_lz78(s) == naive_lz78(t)
-        assert calls == [(s, 1, s.length)]
+        routes.append(bool(s.annotations.shared))
+        if routes[-1]:
+            assert (streams, builds) == ([], [(s, s.annotations)])
+        else:
+            assert (streams, builds) == ([(s, 1, s.length)], [])
+    # the sample and Fibonacci programs share variables, a power does not
+    assert routes[:3] == [True, False, True] and routes.count(True) > 2
+
+
+def test_run_walks_past_the_cap_stream(monkeypatch):
+    # a program of more runs than the cap is streamed whatever it shares,
+    # so a library call past the cap holds O(height) memory
+    programs = [fibonacci_slp(14), slp_of(T("abxabyaby" * 3)),
+                Slp.build((Term(0), Term(1), (1, 2)) + tuple((v, v) for v in range(3, 9)))]
+    rles = [slp_to_rle(s) for s in programs]
+    wants = [slp_to_lz78(s) for s in programs]
+    monkeypatch.setattr(crx.slp_ops, "MAX_RUNS", 2)
+    streams = record_calls(monkeypatch, "_window_runs", crx.slp_ops)
+    builds = record_calls(monkeypatch, "_program_runs", crx.slp_ops)
+    for s, r, want in zip(programs, rles, wants):
+        assert annotate_runs(s).shared and run_count(s) > 2
+        del streams[:]
+        assert slp_to_lz78(s) == want
+        assert streams == [(s, 1, s.length)]
+        del streams[:]
+        assert first_mismatch(s, r) is None
+        assert streams == [(s, 1, s.length)]
+        assert slp_to_rle(s) == r
+    assert builds == []
+
+
+def test_lz78_of_fibonacci_word_peak_memory():
+    # X_24, 35,423 runs: the tuple builder holds each shared variable's
+    # runs once, and the start's, as one pointer per run
+    s = fibonacci_slp(24)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f = slp_to_lz78(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f == naive_lz78(expand_slp(s))
+    assert peak < 10 * 2**20
+
+
+def test_first_mismatch_of_fibonacci_words_peak_memory():
+    # two X_24 programs: each side's runs are built as one tuple
+    a, b = fibonacci_slp(24), fibonacci_slp(24)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        d = first_mismatch(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d is None
+    assert peak < 10 * 2**20
 
 
 def test_lz78_builds_no_run_list(monkeypatch):

@@ -34,7 +34,10 @@ from crx.slp_ops import (
     Fingerprints,
     _cut,
     _descend,
+    _first_difference,
     _pieces,
+    _program_runs,
+    _window_runs,
     annotate_runs,
     reachable_vars,
 )
@@ -76,6 +79,16 @@ def test_annotate_runs_sample():
     assert ann.slen[root] == 1
     assert ann.first[root] == 0
     assert ann.last[root] == 1
+
+
+def test_annotate_runs_shares_what_two_reachable_sides_name():
+    # X3 = ab is named by the start and by the unreachable X4: not shared,
+    # until the start names it twice; the one-run X1 never is
+    a, b = Term(0), Term(1)
+    assert annotate_runs(Slp.build((a, b, (1, 2), (3, 1), (3, 2)))).shared == ()
+    ann = annotate_runs(Slp.build((a, b, (1, 2), (3, 1), (3, 3))))
+    assert ann.shared == (3,) and ann.runs == (1, 1, 2, 3, 4)
+    assert annotate_runs(Slp.build((a, b, (1, 1), (3, 2), (4, 4)))).shared == (4,)
 
 
 def test_window_runs_sample():
@@ -211,7 +224,9 @@ def test_annotation_leaves_equality_and_hash_alone():
 
 def test_first_mismatch_streams_runs():
     # comparing two programs of a 2,000-run text holds O(height) pending
-    # runs per side, not the per-level run lists of a root crossing
+    # runs for the chain, which is streamed, and one tuple of the runs for
+    # the bisection program, which shares variables of two or more runs:
+    # never the per-level run lists of a root crossing
     rng = random.Random(79)
     runs: list[tuple[int, int]] = []
     while len(runs) < 2000:
@@ -472,6 +487,58 @@ def test_first_mismatch_random():
     assert first_mismatch(RleString(()), sample_slp()) == 1
     assert first_mismatch(sample_slp(), RleString(())) == 1
     assert first_mismatch(RleString(()), RleString(())) is None
+
+
+@st.composite
+def shaped_programs(draw):
+    """`slp_programs`, some with unreachable rules slipped in below the
+    start, and some with a new start whose two sides name the old one."""
+    s = draw(slp_programs())
+    rules = list(s.rules)
+    n = len(rules)
+    for k in range(n - 1, n - 1 + draw(st.integers(0, 3)) if n > 1 else 0):
+        rules.insert(k, (draw(st.integers(1, k)), draw(st.integers(1, k))))
+    if draw(st.booleans()):
+        rules.append((len(rules), len(rules)))
+    return Slp.build(rules)
+
+
+def _builder_runs(s):
+    return _program_runs(s, annotate_runs(s))
+
+
+def _stream_runs(s):
+    return _window_runs(s, 1, s.length)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shaped_programs(), st.data())
+def test_run_builder_agrees_with_the_stream(s, data):
+    # the tuple builder against the stream and the expansion, then the
+    # first mismatch on tuples, on streams, and on a tuple against a
+    # stream or an RleString's own runs
+    t = expand_slp(s)
+    runs = _builder_runs(s)
+    assert runs == tuple(_stream_runs(s)) == rle_encode(t).runs
+    n = s.length
+    others = [(grammar_to_slp(naive_bisection(t)), None), (rle_as_slp(rle_encode(t)), None)]
+    for p in {1, n, data.draw(st.integers(1, n))}:
+        symbols = list(t.symbols)
+        symbols[p - 1] += 1
+        other = Text(tuple(symbols))
+        others.append((grammar_to_slp(naive_bisection(other)), p))
+        others.append((rle_as_slp(rle_encode(other)), p))
+    if n > 1:
+        prefix = Text(t.symbols[:-1])
+        others.append((grammar_to_slp(naive_bisection(prefix)), n))
+    for b, want in others:
+        d = None if want is None else want - 1
+        own = rle_encode(expand_slp(b)).runs
+        for xs, ys in ((runs, _builder_runs(b)), (_stream_runs(s), _stream_runs(b)),
+                       (runs, _stream_runs(b)), (_stream_runs(s), _builder_runs(b)),
+                       (runs, own), (own, runs), (_stream_runs(s), own)):
+            assert _first_difference(xs, ys) == d
+        assert first_mismatch(s, b) == first_mismatch(b, s) == want
 
 
 def _check_fresh_sets(rng, s, p):
