@@ -6,7 +6,20 @@ counting and membership work even when there are a million hits.
 Run with: python3 demos/04_pattern_matching.py
 """
 
-from crx import Slp, Term, char_at, first_mismatch, occurrences, substring_slp
+from crx import (
+    RleString,
+    Slp,
+    Term,
+    Text,
+    char_at,
+    expand_slp,
+    first_mismatch,
+    occurrences,
+    rle_as_slp,
+    rle_encode,
+    substring_slp,
+)
+from crx.slp_ops import run_count
 
 sample = Slp.build((Term(0), Term(1), (1, 2), (1, 3), (3, 4), (4, 5), (6, 5)))
 print("text:", "".join("ab"[char_at(sample, i)] for i in range(1, sample.length + 1)))
@@ -28,6 +41,26 @@ aaa = Slp.build((Term(0), (1, 1), (2, 1)))
 occ = occurrences(big, aaa)
 print(f"'aaa' in a^(2^20): {occ.count():,} occurrences "
       f"(no expansion, membership(12345)={occ.membership(12345)})")
+print()
+
+
+def count_in_expansion(s: Slp, pattern: str) -> int:
+    """Overlapping occurrences in the expanded text, for checking."""
+    text = expand_slp(s).to_str()
+    return sum(text.startswith(pattern, i) for i in range(len(text)))
+
+
+# counting takes the cheaper exact route: a walk over the rules for a
+# Fibonacci word, whose runs outnumber its rules, and one scan over the
+# runs for a chain of runs, which has more rules than runs
+fib = Slp.build(tuple([Term(1), Term(0)] + [(i - 1, i - 2) for i in range(3, 21)]))
+chain = rle_as_slp(RleString(((0, 7), (1, 2), (0, 3), (1, 2), (0, 9), (1, 1), (0, 3))))
+for name, s, pattern in (("X_20, a Fibonacci word", fib, "abaab"),
+                         ("a chain of 7 runs", chain, "aab")):
+    got = occurrences(s, rle_encode(Text.from_str(pattern))).count()
+    assert got == count_in_expansion(s, pattern)
+    print(f"{pattern!r} in {name} ({s.n} rules, {run_count(s):,} runs, "
+          f"{s.length:,} symbols): {got} occurrences")
 print()
 
 # substring extraction and comparison, still compressed

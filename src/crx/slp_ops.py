@@ -7,13 +7,15 @@ crosses exactly one boundary in the derivation tree, so the ranges with
 derivation multiplicities cover the set exactly. A variable's ranges
 are computed the first time a query needs them. Every leftmost-start
 and range query is one walk that stops at its first hit and records the
-variables it finds empty, and only counting and listing visit every
-variable. The ranges are built from the runs at the inner edges of the
+variables it finds empty; listing visits every variable, and so does
+counting unless the text has few enough runs that one scan of them
+costs less. The ranges are built from the runs at the inner edges of the
 variable's children, which an `EdgeRuns` store keeps per text variable,
 as many from each edge as its fixed cap: each occurrence set builds one
-of its own, capped at the pattern's run count plus two. `run_count`
-gives the run count of the derived string from the run annotations,
-without building a run.
+of its own, capped at the pattern's run count plus two. A crossing
+window and a whole text's runs are scanned for a pattern's anchors by
+one helper (`_anchor_fits`). `run_count` gives the run count of the
+derived string from the run annotations, without building a run.
 
 A whole string's runs (`_runs_of`) are an `RleString`'s own, or a
 program's: built children first as one tuple (`_program_runs`), in
@@ -22,9 +24,12 @@ variable of two or more runs that two reachable rule sides name, whose
 runs are then built once and copied into each parent at C speed; else
 streamed in O(height) memory. The run annotations' one pass gives that
 route, so picking it costs O(1) per call. `first_mismatch` (and so
-`slp_equals`) and the pattern of `occurrences` read them, and take a
-program or its runs. Two tuples compare at C speed; a stream on either
-side is read up to the first pair of runs that differ.
+`slp_equals`), the pattern of `occurrences` and the run route of
+`OccRepr.count` read them, and the first two take a program or its runs.
+Two tuples compare at C speed; a stream on either side is read up to the
+first pair of runs that differ. Two programs whose builds would mostly
+copy runs have a bounded prefix of their runs streamed first, so a
+mismatch inside it builds neither.
 
 Every test of whether two windows of the derived string agree
 (`slp_lce`, `membership`, `prefix_match`) walks run streams: a
@@ -43,7 +48,7 @@ derivation heights can exceed Python's recursion limit.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress, count, islice, zip_longest
 from operator import itemgetter, ne
 
@@ -157,6 +162,13 @@ def run_count(s: Slp) -> int:
 # runs a whole-program run walk may hold as a tuple, and a program's direct
 # conversion or verify walk in the CLI may take, about 600 MB
 MAX_RUNS = 1 << 20
+
+# runs per rule from which `first_mismatch` streams a prefix before it
+# builds two programs' runs: a built run is copied in some 15 ns and a
+# streamed one read in some 420 ns (2-core VM), so from there a prefix of
+# as many runs as the two programs have rules costs about as much as the
+# builds, which then spend their time copying runs
+_PREFIX_RUNS_PER_RULE = 64
 
 
 def _cut(s: Slp, i: int, j: int) -> tuple[int, int, int]:
@@ -557,6 +569,31 @@ def _kmp_find_all(needle: list, hay: list) -> list[int]:
     return matches
 
 
+def _anchor_fits(pruns: list[tuple[int, int]],
+                 runs: Sequence[tuple[int, int]]) -> list[int]:
+    """The anchors t at which a pattern of two or more runs occurs in a
+    sequence of runs with true exponents: its interior runs equal
+    runs[t..t + r_p - 3], found by one KMP scan, and runs[t - 1] and
+    runs[t + r_p - 2] hold its first and last symbols at least as often
+    as it does (r_p = pattern run count). Runs are maximal, so each anchor
+    is exactly one occurrence, the one that starts pruns[0][1] symbols
+    before runs[t] does."""
+    rp = len(pruns)
+    first_sym, first_exp = pruns[0]
+    last_sym, last_exp = pruns[-1]
+    interior = pruns[1:-1]
+    anchors = _kmp_find_all(interior, runs) if interior else range(1, len(runs))
+    fits = []
+    for t in anchors:
+        if t == 0 or t + rp - 2 >= len(runs):
+            continue
+        psym, pexp = runs[t - 1]
+        qsym, qexp = runs[t + rp - 2]
+        if psym == first_sym and pexp >= first_exp and qsym == last_sym and qexp >= last_exp:
+            fits.append(t)
+    return fits
+
+
 class OccRepr:
     """Occurrence starts of one pattern inside one compressed text.
 
@@ -570,7 +607,11 @@ class OccRepr:
     `min_start`, `exists_start_in` and `exists_fully_within` are one
     left-to-right walk for the first start in a range, which keeps the
     set of variables found to hold no occurrence (the miss set) for every
-    later query; nothing here ever expands the text.
+    later query; nothing here ever expands the text. `count` takes the
+    cheaper of two exact routes: the crossing walk over every variable,
+    about n + 2L(r_p + 2) steps for L variables at least as long as the
+    pattern, or, for a text of R <= MAX_RUNS runs where R is the smaller,
+    one anchor scan over the text's runs in O(R + r_p) steps.
     """
 
     def __init__(self, text: Slp, pattern_runs: list[tuple[int, int]]):
@@ -625,11 +666,9 @@ class OccRepr:
             window.append((sym, exp, nxt))
             nxt += exp
         pruns = self._pruns
-        rp = len(pruns)
         first_sym, first_exp = pruns[0]
-        last_sym, last_exp = pruns[-1]
         spans: list[tuple[int, int]] = []
-        if rp == 1:
+        if len(pruns) == 1:
             for sym, exp, ws in window:
                 if ws <= b and ws + exp - 1 >= b + 1:
                     if sym == first_sym:
@@ -639,20 +678,7 @@ class OccRepr:
                             spans.append((o_lo, o_hi))
                     break
         else:
-            interior = pruns[1:-1]
-            pairs = [(sym, exp) for sym, exp, _ in window]
-            anchors = _kmp_find_all(interior, pairs) if interior else range(1, len(window))
-            for t in anchors:
-                tl_idx = t - 1
-                tr_idx = t + rp - 2
-                if tl_idx < 0 or tr_idx >= len(window):
-                    continue
-                psym, pexp, _ = window[tl_idx]
-                qsym, qexp, _ = window[tr_idx]
-                if psym != first_sym or pexp < first_exp:
-                    continue
-                if qsym != last_sym or qexp < last_exp:
-                    continue
+            for t in _anchor_fits(pruns, [(sym, exp) for sym, exp, _ in window]):
                 o = window[t][2] - first_exp
                 if o <= b and o + length - 1 >= b + 1:
                     if o < 1 or o + length - 1 > text.lengths[v - 1]:
@@ -729,7 +755,27 @@ class OccRepr:
         return self._first_start(lo, hi - self.pattern_length + 1) is not None
 
     def count(self) -> int:
+        """How many times the pattern occurs, overlapping ones included.
+
+        Takes the cheaper of two exact routes. The crossing walk visits
+        the n variables once, with their derivation multiplicities, and
+        sums the crossings of the L variables at least as long as the
+        pattern, whose windows hold up to r_p + 2 runs from each side of
+        the cut (r_p = pattern run count): about n + 2L(r_p + 2) steps. The
+        run route reads the text's R runs (`_runs_of`) and counts the
+        anchors of one scan over them, in O(R + r_p) steps and O(R)
+        memory. It is taken when R is at most the walk's steps and at most
+        MAX_RUNS; R is read from the run annotations in O(1) and L from
+        the lengths at C speed. A text whose run count grows exponentially
+        in n, such as a Fibonacci word, keeps the walk, so a count costs
+        about the smaller of the two.
+        """
         s = self.text
+        pruns = self._pruns
+        runs = run_count(s)
+        longer = sum(map(self.pattern_length.__le__, s.lengths))
+        if runs <= MAX_RUNS and runs <= s.n + 2 * (len(pruns) + 2) * longer:
+            return self._count_on_runs()
         voc = [0] * (s.n + 1)
         voc[s.n] = 1
         total = 0
@@ -748,6 +794,17 @@ class OccRepr:
             voc[l] += m
             voc[r] += m
         return total
+
+    def _count_on_runs(self) -> int:
+        """The count read off the text's own runs: a one-run pattern c^e
+        fits x - e + 1 times in each run c^x with x >= e, a longer one once
+        at each anchor of `_anchor_fits`."""
+        runs = tuple(_runs_of(self.text))  # a built tuple is not copied
+        pruns = self._pruns
+        if len(pruns) > 1:
+            return len(_anchor_fits(pruns, runs))
+        (sym, exp), = pruns
+        return sum(x - exp + 1 for c, x in runs if c == sym and x >= exp)
 
     def positions(self) -> list[int]:
         """All absolute starts, by walking the derivation tree. Test-scale
@@ -775,15 +832,25 @@ class OccRepr:
         return out
 
 
+def _tuple_route(s: Slp | RleString) -> RunLinkAnnotations | None:
+    """The run annotations of s if `_runs_of` builds its runs as one
+    tuple, as it does for a program that shares a variable of two or more
+    runs and has at most MAX_RUNS runs; else None. O(1) once s is
+    annotated."""
+    if isinstance(s, RleString):
+        return None
+    ann = annotate_runs(s)
+    return ann if ann.shared and ann.runs[-1] <= MAX_RUNS else None
+
+
 def _runs_of(s: Slp | RleString) -> Iterable[tuple[int, int]]:
     """The runs of a whole string: an RleString's own, or a program's.
-    A program that shares a variable of two or more runs and has at most
-    MAX_RUNS runs gets them as one tuple from `_program_runs`; any other
-    is streamed, in O(height) memory."""
+    A program on the `_tuple_route` gets them as one tuple from
+    `_program_runs`; any other is streamed, in O(height) memory."""
     if isinstance(s, RleString):
         return s.runs
-    ann = annotate_runs(s)
-    if ann.shared and ann.runs[-1] <= MAX_RUNS:
+    ann = _tuple_route(s)
+    if ann is not None:
         return _program_runs(s, ann)
     return _window_runs(s, 1, s.length)
 
@@ -833,6 +900,25 @@ def first_mismatch(a: Slp | RleString, b: Slp | RleString) -> int | None:
     side by side up to the first pair that differ, and no stream run past
     it is produced. That pair fixes the position; an empty run list
     differs from any other string at position 1.
+
+    Two programs that would both be built, with k rules between them and
+    at least _PREFIX_RUNS_PER_RULE * k runs, first have their first k
+    runs streamed side by side, and are built only if those agree. The
+    builds of such texts go mostly to copying runs at C speed, so an
+    early mismatch costs O(k + height) steps where the builds would cost
+    O(runs), and a late one about twice the builds at most.
     """
-    d = _first_difference(_runs_of(a), _runs_of(b))
+    ann_a = _tuple_route(a)
+    ann_b = None if ann_a is None else _tuple_route(b)
+    if ann_b is None:
+        d = _first_difference(_runs_of(a), _runs_of(b))
+    else:
+        runs_a, runs_b = ann_a.runs, ann_b.runs
+        k = len(runs_a) + len(runs_b)  # the two programs' rules
+        if runs_a[-1] + runs_b[-1] >= _PREFIX_RUNS_PER_RULE * k:
+            d = _first_difference(islice(_window_runs(a, 1, a.length), k),
+                                  islice(_window_runs(b, 1, b.length), k))
+            if d is not None:
+                return d + 1
+        d = _first_difference(_program_runs(a, ann_a), _program_runs(b, ann_b))
     return None if d is None else d + 1

@@ -32,6 +32,7 @@ from crx import (
 from crx.slp_ops import (
     EdgeRuns,
     Fingerprints,
+    OccRepr,
     _cut,
     _descend,
     _first_difference,
@@ -40,6 +41,7 @@ from crx.slp_ops import (
     _window_runs,
     annotate_runs,
     reachable_vars,
+    run_count,
 )
 from helpers import (
     brute_occurrences,
@@ -49,7 +51,9 @@ from helpers import (
     random_runs,
     random_slp,
     random_text,
+    record_calls,
     sample_slp,
+    short_runs,
     slp_of,
     slp_programs,
 )
@@ -298,7 +302,15 @@ def test_occurrences_refuses_empty_run_pattern():
         occurrences(sample_slp(), RleString(()))
 
 
-def test_occurrences_random_vs_brute():
+@pytest.fixture(params=["as-is", "max-runs-0"])
+def count_route(request, monkeypatch):
+    """Runs a test as is, where `count` takes the cheaper route, and with
+    MAX_RUNS at 0, where every count takes the crossing walk."""
+    if request.param == "max-runs-0":
+        monkeypatch.setattr(crx.slp_ops, "MAX_RUNS", 0)
+
+
+def test_occurrences_random_vs_brute(count_route):
     rng = random.Random(43)
     for _ in range(150):
         s = random_slp(rng, max_extra=8, sigma=2, max_len=600)
@@ -319,6 +331,91 @@ def test_occurrences_random_vs_brute():
         L = len(pat)
         assert occ.exists_fully_within(lo, hi) == any(
             lo <= w and w + L - 1 <= hi for w in want)
+
+
+def _chain_of_runs(seed: int) -> Slp:
+    """`rle_as_slp` of 60 seeded runs: a chain with fewer runs than rules."""
+    return rle_as_slp(short_runs(seed, 60, 9))
+
+
+def _count_windows(s: Slp, seed: int) -> None:
+    """Counts of windows of s of 1 to 21 symbols, of one run or more, and
+    of a pattern absent from it, against brute force."""
+    text = expand_slp(s).to_str()
+    rng = random.Random(seed)
+    for length in (1, 2, 3, 5, 8, 13, 21):
+        i = rng.randint(1, len(text) - length + 1)
+        pat = text[i - 1:i - 1 + length]
+        assert occurrences(s, slp_of_str(pat)).count() == len(brute_occurrences(text, pat))
+    assert occurrences(s, slp_of_str("aeb")).count() == 0
+
+
+def test_count_in_a_chain_takes_the_run_route(monkeypatch):
+    crossings = record_calls(monkeypatch, "_cross", OccRepr)
+    for seed in (1, 2, 3):
+        _count_windows(_chain_of_runs(seed), seed)
+    assert crossings == []
+
+
+def test_count_in_fibonacci_takes_the_crossing_walk(monkeypatch):
+    # X_22 holds 13,531 runs in 22 rules: a 3-symbol pattern's crossing
+    # walk costs far less than reading them, so they are never built
+    s = fibonacci_slp(22)
+    text = expand_slp(s).to_str()
+    crossings = record_calls(monkeypatch, "_cross", OccRepr)
+    builds = record_calls(monkeypatch, "_program_runs", crx.slp_ops)
+    streams = record_calls(monkeypatch, "_window_runs", crx.slp_ops)
+    for pat in ("aba", "aab", "bab", "bb"):
+        assert occurrences(s, slp_of_str(pat)).count() == len(brute_occurrences(text, pat))
+    assert crossings
+    assert not any(args[0] is s for args in builds + streams)
+
+
+def test_count_past_max_runs_takes_the_crossing_walk(monkeypatch):
+    s = _chain_of_runs(1)
+    monkeypatch.setattr(crx.slp_ops, "MAX_RUNS", run_count(s) - 1)
+    crossings = record_calls(monkeypatch, "_cross", OccRepr)
+    _count_windows(s, 1)
+    assert crossings
+
+
+@settings(max_examples=300, deadline=None)
+@given(slp_programs(), st.data())
+def test_count_matches_brute_force_on_both_routes(s, data):
+    # patterns of 1, 2 and more runs cut from the text, runs over symbols
+    # 0..3 of which no program derives 3, and patterns longer than the
+    # text; each count as is, on the run route, and with MAX_RUNS at 0
+    t = expand_slp(s)
+    runs = rle_encode(t).runs
+    kind = data.draw(st.sampled_from(["window", "random", "longer"]))
+    if kind == "window":
+        r = data.draw(st.integers(1, min(6, len(runs))))
+        i = data.draw(st.integers(0, len(runs) - r))
+        pat = list(runs[i:i + r])
+        pat[0] = (pat[0][0], data.draw(st.integers(1, pat[0][1])))
+        pat[-1] = (pat[-1][0], data.draw(st.integers(1, pat[-1][1])))
+    elif kind == "random":
+        pat = []
+        for sym, exp in data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)),
+                                           min_size=1, max_size=5)):
+            if pat and pat[-1][0] == sym:
+                pat[-1] = (sym, pat[-1][1] + exp)
+            else:
+                pat.append((sym, exp))
+    else:
+        pat = list(runs)
+        if data.draw(st.booleans()):
+            pat.append((3, 1))
+        else:
+            pat[-1] = (pat[-1][0], pat[-1][1] + 1)
+    p = RleString(tuple(pat))
+    want = len(brute_occurrences(t.to_str(), Text(tuple(
+        c for c, e in pat for _ in range(e))).to_str()))
+    assert occurrences(s, p).count() == want
+    assert occurrences(s, p)._count_on_runs() == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crx.slp_ops, "MAX_RUNS", 0)
+        assert occurrences(s, p).count() == want
 
 
 def test_occurrences_unary_pattern_in_power_text():
@@ -487,6 +584,55 @@ def test_first_mismatch_random():
     assert first_mismatch(RleString(()), sample_slp()) == 1
     assert first_mismatch(sample_slp(), RleString(())) == 1
     assert first_mismatch(RleString(()), RleString(())) is None
+
+
+def test_first_mismatch_of_an_early_change_builds_no_runs(monkeypatch):
+    # X_26 holds 92,737 runs in 26 rules, and a bisection program of its
+    # text about as many in 972: a change at the first symbol is found in
+    # the prefix streamed before the builds, and neither side is built
+    a = fibonacci_slp(26)
+    symbols = list(expand_slp(a).symbols)
+    symbols[0] = 1 - symbols[0]
+    b = grammar_to_slp(naive_bisection(Text(tuple(symbols))))
+    builds = record_calls(monkeypatch, "_program_runs", crx.slp_ops)
+    assert first_mismatch(a, b) == first_mismatch(b, a) == 1
+    assert builds == []
+
+
+def test_first_mismatch_past_the_streamed_prefix(monkeypatch):
+    # X_24 against bisection programs of its text changed around the end
+    # of the streamed prefix, past it and at the last symbol, of a proper
+    # prefix of it and of itself; then random programs, each of which
+    # streams a prefix when the runs-per-rule bar is 0
+    a = fibonacci_slp(24)
+    t = expand_slp(a)
+    n = len(t)
+    k = a.n + grammar_to_slp(naive_bisection(t)).n
+    end = sum(e for _, e in rle_encode(t).runs[:k])  # the last symbol of run k
+    cases = [(Text(t.symbols[:-1]), n), (t, None)]
+    for p in (1, 2, 100, end - 1, end, end + 1, end + 2, n // 2, n):
+        for c in (1 - t.symbols[p - 1], 2):
+            symbols = list(t.symbols)
+            symbols[p - 1] = c
+            cases.append((Text(tuple(symbols)), p))
+    builds = record_calls(monkeypatch, "_program_runs", crx.slp_ops)
+    for other, want in cases:
+        b = grammar_to_slp(naive_bisection(other))
+        bar = crx.slp_ops._PREFIX_RUNS_PER_RULE
+        assert run_count(a) + run_count(b) >= bar * (a.n + b.n)
+        assert first_mismatch(a, b) == first_mismatch(b, a) == want
+    assert builds  # the changes past the prefix build both sides
+    monkeypatch.setattr(crx.slp_ops, "_PREFIX_RUNS_PER_RULE", 0)
+    rng = random.Random(67)
+    for _ in range(60):
+        x = random_text(rng, max_len=200, sigma=2)
+        symbols = list(x.symbols)
+        p = rng.randint(1, len(x))
+        symbols[p - 1] += 1
+        y = Text(tuple(symbols))
+        for u, v, want in ((x, y, p), (x, x, None)):
+            a, b = grammar_to_slp(naive_bisection(u)), grammar_to_slp(naive_bisection(v))
+            assert first_mismatch(a, b) == first_mismatch(b, a) == want
 
 
 @st.composite
