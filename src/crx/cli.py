@@ -1,10 +1,10 @@
 """Command line front end.
 
-`convert` picks its route from the source's format alone. rle takes the
-run lane (`rle_to_*`, or `rle_as_slp` for slp), and rle to rle writes
-the runs back. slp and grammar convert a program: to rle, lz77 and
-repair through its runs, to lz78 and bisection on the program itself,
-and for --to slp it is written out. An slp file's program is its
+`convert` reads every rle, slp or grammar source as runs and takes one
+run lane (`rle_to_*`) to each target: an rle file's own runs, or a
+program's, from one `slp_to_rle`; rle to rle writes the runs back.
+--to slp is apart: an rle file becomes a program through `rle_as_slp`,
+and a program is written out as it is. An slp file's program is its
 payload, built once when the file is parsed, and a grammar becomes one
 through `grammar_to_slp`. lz77 and lz78 convert only with --via-expand,
 which decodes and re-encodes; it reaches slp through the bisection
@@ -13,10 +13,10 @@ grammar. Exit 2 for an lz source without --via-expand.
 A converted file's header is its source's: a conversion changes how the
 text is written, never the text, so it writes the length and alphabet
 size that `validate` checked, and `encode` writes the input's length
-and 256. Nothing is derived again from the payload. The direct LZ78
-lanes number their ids for the text's own alphabet, so their lane
-relabels them for the source's; --via-expand and `encode` number for
-it already.
+and 256. Nothing is derived again from the payload. The run lane's
+LZ78 numbers its ids for the text's own alphabet, so the CLI relabels
+them for the source's; --via-expand and `encode` number for it
+already.
 
 `verify` reads both files first. Two rle, slp or grammar files are
 compared without expanding: `first_mismatch` compares their runs, an
@@ -52,6 +52,8 @@ import argparse
 import functools
 import os
 import sys
+from itertools import compress, count
+from operator import ne
 
 from .codecs import (
     compressed_size,
@@ -78,7 +80,7 @@ from .from_rle import (
     rle_to_lz78,
     rle_to_repair,
 )
-from .from_slp import slp_to_bisection, slp_to_lz77, slp_to_lz78, slp_to_rle
+from .from_slp import slp_to_rle
 from .model import (
     DEFAULT_LIMIT,
     Literal,
@@ -203,29 +205,22 @@ def _cap_runs(runs: int, what: str) -> None:
 
 def _convert_direct(c: CompressedContainer, target: str,
                     self_ref: bool) -> Payload:
-    """The target's payload by the source's lane, without expansion."""
-    sigma = c.alphabet_size
-    lane = {}
-    if c.format == "rle":
-        lane = {"rle": lambda r: r, "lz77": lambda r: rle_to_lz77(r, self_ref),
-                "lz78": lambda r: _relabel_lz78(rle_to_lz78(r), sigma),
-                "repair": rle_to_repair, "bisection": rle_to_bisection,
-                "slp": rle_as_slp}
-    elif c.format in ("slp", "grammar"):
-        lane = {"rle": slp_to_rle, "lz77": lambda s: slp_to_lz77(s, self_ref),
-                "lz78": lambda s: _relabel_lz78(slp_to_lz78(s), sigma),
-                "repair": lambda s: rle_to_repair(slp_to_rle(s)),
-                "bisection": slp_to_bisection, "slp": lambda s: s}
-    if target not in lane:
+    """The target's payload from the source's runs, without expansion."""
+    if c.format not in ("rle", "slp", "grammar"):
         raise UnreachableConversionError(
             f"no direct conversion from {c.format} to {target}; "
             "re-run with --via-expand")
     source = _direct_source(c)
-    if c.format == "rle":
-        if target == "lz77":  # the run lane's LZ77 is quadratic on short runs
-            _cap_runs(len(source.runs), "conversion")
-    elif target != "slp":
+    if target == "slp":
+        return rle_as_slp(source) if c.format == "rle" else source
+    if c.format != "rle":
         _cap_runs(run_count(source), "conversion")
+        source = slp_to_rle(source)
+    elif target == "lz77":  # the run lane's LZ77 is quadratic on short runs
+        _cap_runs(len(source.runs), "conversion")
+    lane = {"rle": lambda r: r, "lz77": lambda r: rle_to_lz77(r, self_ref),
+            "lz78": lambda r: _relabel_lz78(rle_to_lz78(r), c.alphabet_size),
+            "repair": rle_to_repair, "bisection": rle_to_bisection}
     return lane[target](source)
 
 
@@ -255,12 +250,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         xs = _expand_container(a, limit).symbols
         ys = _expand_container(b, limit).symbols
         pos = None
-        if xs != ys:
-            pos = min(len(xs), len(ys)) + 1
-            for i in range(pos - 1):
-                if xs[i] != ys[i]:
-                    pos = i + 1
-                    break
+        if xs != ys:  # the first differing symbol, found at C speed
+            pos = next(compress(count(1), map(ne, xs, ys)),
+                       min(len(xs), len(ys)) + 1)
     if pos is None:
         print("equal")
         return 0

@@ -163,6 +163,11 @@ def run_count(s: Slp) -> int:
 # conversion or verify walk in the CLI may take, about 600 MB
 MAX_RUNS = 1 << 20
 
+# text runs read in the time of one `OccRepr.count` crossing-walk step, a
+# Python step against a C-speed scan: counting `abaa` in Fibonacci X_k
+# (2-core VM), runs won at 1.2-2.5 per step (X_12-X_14), the walk at 3.7
+_RUNS_PER_WALK_STEP = 3
+
 # runs per rule from which `first_mismatch` streams a prefix before it
 # builds two programs' runs: a built run is copied in some 15 ns and a
 # streamed one read in some 420 ns (2-core VM), so from there a prefix of
@@ -610,8 +615,8 @@ class OccRepr:
     later query; nothing here ever expands the text. `count` takes the
     cheaper of two exact routes: the crossing walk over every variable,
     about n + 2L(r_p + 2) steps for L variables at least as long as the
-    pattern, or, for a text of R <= MAX_RUNS runs where R is the smaller,
-    one anchor scan over the text's runs in O(R + r_p) steps.
+    pattern, or, for a text of R <= MAX_RUNS runs where R is at most
+    `_RUNS_PER_WALK_STEP` times that, one anchor scan in O(R + r_p) steps.
     """
 
     def __init__(self, text: Slp, pattern_runs: list[tuple[int, int]]):
@@ -764,17 +769,18 @@ class OccRepr:
         the cut (r_p = pattern run count): about n + 2L(r_p + 2) steps. The
         run route reads the text's R runs (`_runs_of`) and counts the
         anchors of one scan over them, in O(R + r_p) steps and O(R)
-        memory. It is taken when R is at most the walk's steps and at most
-        MAX_RUNS; R is read from the run annotations in O(1) and L from
-        the lengths at C speed. A text whose run count grows exponentially
-        in n, such as a Fibonacci word, keeps the walk, so a count costs
-        about the smaller of the two.
+        memory. It is taken when R is at most MAX_RUNS and at most
+        `_RUNS_PER_WALK_STEP` times the walk's steps; R is read from the
+        run annotations in O(1) and L from the lengths at C speed. A text
+        whose run count grows exponentially in n, such as a Fibonacci word,
+        keeps the walk, so a count costs about the smaller of the two.
         """
         s = self.text
         pruns = self._pruns
         runs = run_count(s)
         longer = sum(map(self.pattern_length.__le__, s.lengths))
-        if runs <= MAX_RUNS and runs <= s.n + 2 * (len(pruns) + 2) * longer:
+        walk = s.n + 2 * (len(pruns) + 2) * longer
+        if runs <= MAX_RUNS and runs <= _RUNS_PER_WALK_STEP * walk:
             return self._count_on_runs()
         voc = [0] * (s.n + 1)
         voc[s.n] = 1
@@ -852,7 +858,7 @@ def _runs_of(s: Slp | RleString) -> Iterable[tuple[int, int]]:
     ann = _tuple_route(s)
     if ann is not None:
         return _program_runs(s, ann)
-    return _window_runs(s, 1, s.length)
+    return _iter_runs(s, s.annotations, s.n)
 
 
 def occurrences(text: Slp, pattern: Slp | RleString) -> OccRepr:
@@ -916,8 +922,8 @@ def first_mismatch(a: Slp | RleString, b: Slp | RleString) -> int | None:
         runs_a, runs_b = ann_a.runs, ann_b.runs
         k = len(runs_a) + len(runs_b)  # the two programs' rules
         if runs_a[-1] + runs_b[-1] >= _PREFIX_RUNS_PER_RULE * k:
-            d = _first_difference(islice(_window_runs(a, 1, a.length), k),
-                                  islice(_window_runs(b, 1, b.length), k))
+            d = _first_difference(islice(_iter_runs(a, ann_a, a.n), k),
+                                  islice(_iter_runs(b, ann_b, b.n), k))
             if d is not None:
                 return d + 1
         d = _first_difference(_program_runs(a, ann_a), _program_runs(b, ann_b))

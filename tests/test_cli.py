@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import random
 import tempfile
 import time
 
@@ -30,15 +31,23 @@ from crx import (
     naive_lz78,
     naive_repair,
     parse,
+    rle_as_slp,
     rle_encode,
     serialize,
 )
 import crx.cli
 import crx.codecs
 import crx.container
+import crx.from_slp
 import crx.model
 from crx.cli import TARGETS, build_parser, main
-from helpers import VALIDATE_FAULTS, record_calls, sample_slp
+from helpers import (
+    VALIDATE_FAULTS,
+    fibonacci_slp,
+    record_calls,
+    sample_slp,
+    short_runs,
+)
 
 
 def run(capsys, *argv):
@@ -206,8 +215,9 @@ def test_verify_giant_containers_without_expansion(tmp_path, capsys):
 
 
 def test_bisection_of_giant_file_agrees_across_lanes(tmp_path, capsys):
-    # 2^66 + 3 symbols: the run lane's levels and the program lane's
-    # split walk write the same grammar file, which no expansion could check
+    # 2^66 + 3 symbols: the run lane on the file's own runs and on the
+    # runs of the program --to slp wrote gives the same grammar file, which
+    # no expansion could check
     src = write(tmp_path / "big.rle",
                 f"CRX1 rle 2 {2**66 + 3}\n0 {2**66}\n1 3\n".encode())
     direct, slp, via = (str(tmp_path / name) for name in ("direct", "big.slp", "via"))
@@ -321,6 +331,70 @@ def test_program_with_too_many_runs_exits_3_at_once(tmp_path, capsys):
         assert err == f"error: {what} needs 78176339 runs, budget is 1048576\n"
     assert not (tmp_path / "out").exists()
 
+
+
+def test_verify_against_an_lz77_file_finds_the_last_symbol(tmp_path, capsys):
+    # an lz side decodes both texts; of 2^20 symbols they differ at the last
+    n = 2**20
+    z = write(tmp_path / "a.lz77", f"CRX1 lz77 256 {n} selfref\nL 97\nR 1 {n - 2}\nL 98\n".encode())
+    r = write(tmp_path / "b.rle", f"CRX1 rle 256 {n}\n97 {n}\n".encode())
+    assert run(capsys, "verify", z, r) == (1, f"differ {n}\n", "")
+    assert run(capsys, "verify", r, z) == (1, f"differ {n}\n", "")
+
+
+def _program_files(tmp_path) -> list[tuple[str, str]]:
+    """Program files of four shapes, each with the rle file of its text: a
+    Fibonacci word, a 400-run `rle_as_slp` chain, and a Re-Pair and a
+    bisection grammar of one 2,000-symbol text."""
+    rng = random.Random(39)
+    text = Text(tuple(rng.choice((0, 0, 1, 2)) for _ in range(2000)))
+    fib, chain = fibonacci_slp(20), rle_as_slp(short_runs(39, 400, 9))
+    shapes = {"fib.slp": (make_slp_container(fib, 2), expand_slp(fib)),
+              "chain.slp": (make_slp_container(chain, 4), expand_slp(chain)),
+              "text.repair": (make_grammar_container(naive_repair(text), 3), text),
+              "text.bisection": (make_grammar_container(naive_bisection(text), 3), text)}
+    files = []
+    for name, (c, t) in shapes.items():
+        rle = make_rle_container(rle_encode(t), c.alphabet_size)
+        files.append((write(tmp_path / name, serialize(c).encode()),
+                      write(tmp_path / f"{name}.rle", serialize(rle).encode())))
+    return files
+
+
+# every direct target but slp, lz77 with and without --self-ref
+RUN_LANE = [(to,) for to in ("rle", "lz77", "lz78", "repair", "bisection")] + [
+    ("lz77", "--self-ref")]
+
+
+def test_program_files_convert_as_their_rle_files(tmp_path, capsys):
+    # a program reaches every target but slp through its runs, so it
+    # writes the bytes its text's rle file converts to
+    got, want = tmp_path / "got", tmp_path / "want"
+    for src, rle in _program_files(tmp_path):
+        for to, *flags in RUN_LANE:
+            argv = ("convert", "--to", to, "--max-output", "0", *flags)
+            assert run(capsys, *argv, src, str(got))[0] == 0, (src, to, flags)
+            assert run(capsys, *argv, rle, str(want))[0] == 0, (rle, to, flags)
+            assert got.read_bytes() == want.read_bytes(), (src, to, flags)
+
+
+def test_program_files_convert_through_one_run_walk(tmp_path, capsys, monkeypatch):
+    # slp and grammar files take one slp_to_rle to every target but slp:
+    # never the split walk, its occurrence queries or its fingerprints
+    def watch(name):
+        modules = [m for m in (crx.cli, crx.from_slp) if hasattr(m, name)]
+        return record_calls(monkeypatch, name, *modules)
+
+    walks = watch("slp_to_rle")
+    avoided = {name: watch(name)
+               for name in ("slp_to_bisection", "occurrences", "Fingerprints")}
+    out = str(tmp_path / "out")
+    for src, _ in _program_files(tmp_path):
+        for to, *flags in RUN_LANE:
+            del walks[:]
+            assert run(capsys, "convert", "--to", to, *flags, src, out)[0] == 0
+            assert len(walks) == 1, (src, to, flags)
+            assert all(calls == [] for calls in avoided.values()), (src, to, flags)
 
 @pytest.mark.parametrize("flags", [(), ("--self-ref",)])
 def test_rle_file_past_the_run_cap_exits_3_on_lz77(tmp_path, capsys, monkeypatch, flags):

@@ -287,7 +287,7 @@ def test_lz78_streams_the_runs_once(monkeypatch):
     programs = [sample_slp(), power_slp(12), fibonacci_slp(14)]
     programs += [random_slp(rng, max_extra=9, sigma=3, max_len=800) for _ in range(20)]
     texts = [expand_slp(s) for s in programs]
-    streams = record_calls(monkeypatch, "_window_runs", crx.slp_ops)
+    streams = record_calls(monkeypatch, "_iter_runs", crx.slp_ops)
     builds = record_calls(monkeypatch, "_program_runs", crx.slp_ops)
     routes = []
     for s, t in zip(programs, texts):
@@ -297,7 +297,7 @@ def test_lz78_streams_the_runs_once(monkeypatch):
         if routes[-1]:
             assert (streams, builds) == ([], [(s, s.annotations)])
         else:
-            assert (streams, builds) == ([(s, 1, s.length)], [])
+            assert (streams, builds) == ([(s, s.annotations, s.n)], [])
     # the sample and Fibonacci programs share variables, a power does not
     assert routes[:3] == [True, False, True] and routes.count(True) > 2
 
@@ -310,16 +310,17 @@ def test_run_walks_past_the_cap_stream(monkeypatch):
     rles = [slp_to_rle(s) for s in programs]
     wants = [slp_to_lz78(s) for s in programs]
     monkeypatch.setattr(crx.slp_ops, "MAX_RUNS", 2)
-    streams = record_calls(monkeypatch, "_window_runs", crx.slp_ops)
+    streams = record_calls(monkeypatch, "_iter_runs", crx.slp_ops)
     builds = record_calls(monkeypatch, "_program_runs", crx.slp_ops)
     for s, r, want in zip(programs, rles, wants):
         assert annotate_runs(s).shared and run_count(s) > 2
+        whole = (s, s.annotations, s.n)  # one stream from the start rule
         del streams[:]
         assert slp_to_lz78(s) == want
-        assert streams == [(s, 1, s.length)]
+        assert streams == [whole]
         del streams[:]
         assert first_mismatch(s, r) is None
-        assert streams == [(s, 1, s.length)]
+        assert streams == [whole]
         assert slp_to_rle(s) == r
     assert builds == []
 

@@ -371,6 +371,21 @@ def test_count_in_fibonacci_takes_the_crossing_walk(monkeypatch):
     assert not any(args[0] is s for args in builds + streams)
 
 
+@pytest.mark.parametrize("k, walks", [(12, False), (13, False), (14, False),
+                                      (15, True), (22, True)])
+def test_count_weighs_a_walk_step_as_three_runs(monkeypatch, k, walks):
+    # `abaa` in X_k: a walk step costs about three runs, so X_12-X_14, at
+    # 1.2-2.5 runs per step, are counted on their runs, and X_15, at 3.7,
+    # and longer words on the crossing walk
+    s = fibonacci_slp(k)
+    want = len(brute_occurrences(expand_slp(s).to_str(), "abaa"))
+    crossings = record_calls(monkeypatch, "_cross", OccRepr)
+    builds = record_calls(monkeypatch, "_program_runs", crx.slp_ops)
+    assert occurrences(s, slp_of_str("abaa")).count() == want
+    assert bool(crossings) == walks
+    assert any(args[0] is s for args in builds) != walks
+
+
 def test_count_past_max_runs_takes_the_crossing_walk(monkeypatch):
     s = _chain_of_runs(1)
     monkeypatch.setattr(crx.slp_ops, "MAX_RUNS", run_count(s) - 1)
