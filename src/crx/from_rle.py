@@ -6,8 +6,10 @@ three indexes of the run boundaries, built once: a staircase that holds
 only the boundaries able to give a record, lists of the boundaries by
 the run after them, and chains through those lists by the run after
 that. It asks the meta text only for the common extensions of
-boundaries whose next two runs both match the cursor's; it is the one
-conversion here that builds the meta text and its LCE index. Bisection
+boundaries whose next three runs all match the cursor's; it is the one
+conversion here that builds the meta text, which compares an extension
+on the run ranks and builds its LCE index only when one runs past
+`suffix._SCAN_RUNS` runs, as on repetitive text. Bisection
 pairs the runs' blocks level by level, one dict lookup per run of block
 ids, and takes the right spine from the last block of each level.
 LZ78 walks its dictionary trie along the runs once, front to back; the
@@ -75,8 +77,9 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
       equals run u+2, as that one reaches at least head + E + exps[u+2],
       which no boundary of the first kind passes;
     - from that boundary on, a chain per (c, rank of run j, rank of run
-      j+1) through the list: only these boundaries can set a record now,
-      and each takes one meta LCE.
+      j+1) through the list: only these boundaries can set a record now.
+      Runs j and j+1 match the cursor's by the chain; each compares its
+      run j+2 and, when that matches too, takes one meta LCE from j+3.
 
     When run u+1 ends the text, every such boundary reaches the end.
     Closed by the cursor itself, the maxima answer each length with a
@@ -149,7 +152,9 @@ def rle_to_lz77(r: RleString, self_referential: bool = False) -> Lz77Factorizati
                     break
         while j <= u and best[-1][0] < rest:  # nothing reaches past the end
             if exps[j - 1] >= head:
-                full = meta.meta_lce(j + 1, u + 2)
+                full = 2  # runs j, j+1 match runs u+1, u+2
+                if u + 3 < m and ranks[j + 2] == ranks[u + 3]:
+                    full = 3 + meta.meta_lce(j + 4, u + 5)
                 cand = head + (pl[u + 1 + full] - base)
                 a, b = j + full, u + 1 + full
                 if b < m and syms[a] == syms[b]:

@@ -615,8 +615,9 @@ class OccRepr:
     later query; nothing here ever expands the text. `count` takes the
     cheaper of two exact routes: the crossing walk over every variable,
     about n + 2L(r_p + 2) steps for L variables at least as long as the
-    pattern, or, for a text of R <= MAX_RUNS runs where R is at most
-    `_RUNS_PER_WALK_STEP` times that, one anchor scan in O(R + r_p) steps.
+    pattern whose crossings the set has not yet found, or, for a text of
+    R <= MAX_RUNS runs where R is at most `_RUNS_PER_WALK_STEP` times
+    that, one anchor scan in O(R + r_p) steps.
     """
 
     def __init__(self, text: Slp, pattern_runs: list[tuple[int, int]]):
@@ -766,19 +767,24 @@ class OccRepr:
         the n variables once, with their derivation multiplicities, and
         sums the crossings of the L variables at least as long as the
         pattern, whose windows hold up to r_p + 2 runs from each side of
-        the cut (r_p = pattern run count): about n + 2L(r_p + 2) steps. The
-        run route reads the text's R runs (`_runs_of`) and counts the
+        the cut (r_p = pattern run count): about n + 2L(r_p + 2) steps,
+        where L leaves out the variables whose crossings an earlier query
+        of this set has found, as the walk reads those from `_crossing`.
+        The run route reads the text's R runs (`_runs_of`) and counts the
         anchors of one scan over them, in O(R + r_p) steps and O(R)
         memory. It is taken when R is at most MAX_RUNS and at most
         `_RUNS_PER_WALK_STEP` times the walk's steps; R is read from the
-        run annotations in O(1) and L from the lengths at C speed. A text
-        whose run count grows exponentially in n, such as a Fibonacci word,
-        keeps the walk, so a count costs about the smaller of the two.
+        run annotations in O(1), and L from the lengths at C speed less
+        the crossings found. A text whose run count grows exponentially
+        in n, such as a Fibonacci word, keeps the walk, so a count costs
+        about the smaller of the two.
         """
         s = self.text
         pruns = self._pruns
         runs = run_count(s)
-        longer = sum(map(self.pattern_length.__le__, s.lengths))
+        length, lengths = self.pattern_length, s.lengths
+        longer = sum(map(length.__le__, lengths))
+        longer -= sum(lengths[v - 1] >= length for v in self._crossing)  # found before
         walk = s.n + 2 * (len(pruns) + 2) * longer
         if runs <= MAX_RUNS and runs <= _RUNS_PER_WALK_STEP * walk:
             return self._count_on_runs()

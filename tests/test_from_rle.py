@@ -3,6 +3,7 @@
 import gc
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +31,9 @@ from crx import (
     rle_to_lz77,
     rle_to_lz78,
     rle_to_repair,
+    slp_to_rle,
 )
-from helpers import long_run_lists, random_runs, record_calls, short_runs
+from helpers import fibonacci_slp, long_run_lists, random_runs, record_calls, short_runs
 
 AB3 = RleString(((0, 3), (1, 2), (0, 3)))  # aaabbaaa
 
@@ -174,6 +176,45 @@ def test_lz77_matches_naive_on_run_lists(r):
     t = expand_rle(r)
     for self_ref in (False, True):
         assert rle_to_lz77(r, self_ref) == naive_lz77(t, self_ref)
+
+
+@st.composite
+def long_periodic_run_lists(draw):
+    """A block of 2-6 symbols repeated 12-60 times with a ragged end,
+    sometimes with one symbol changed: extensions of up to some 300
+    equal runs, past the meta text's scan window."""
+    block = draw(st.lists(st.integers(0, 2), min_size=2, max_size=6))
+    text = block * draw(st.integers(12, 60)) + draw(st.lists(st.integers(0, 2), max_size=3))
+    if draw(st.booleans()):
+        text[draw(st.integers(0, len(text) - 1))] = 3
+    return rle_encode(Text(tuple(text)))
+
+
+@pytest.mark.parametrize("scan", [crx.suffix._SCAN_RUNS, 0])
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(LZ77_INPUTS, long_periodic_run_lists()))
+def test_lz77_matches_naive_under_both_scan_windows(scan, r):
+    # at 0 every meta LCE is answered by the index
+    t = expand_rle(r)
+    with patch.object(crx.suffix, "_SCAN_RUNS", scan):
+        for self_ref in (False, True):
+            assert rle_to_lz77(r, self_ref) == naive_lz77(t, self_ref)
+
+
+def test_lz77_builds_the_index_only_for_long_extensions(monkeypatch):
+    # on 2,048 runs of exponents 1-2 every extension ends within a few
+    # runs, and no index is built; X_20's extensions run far past the
+    # window, and each conversion builds one
+    builds = record_calls(monkeypatch, "LceIndex", crx.suffix)
+    r = short_runs(2048, 2048, 2)
+    for self_ref in (False, True):
+        rle_to_lz77(r, self_ref)
+    assert builds == []
+    r = slp_to_rle(fibonacci_slp(20))
+    for self_ref in (False, True):
+        assert len(rle_to_lz77(r, self_ref).factors) == 19
+        assert len(builds) == 1
+        builds.clear()
 
 
 def meta_lce_calls_per_factor(monkeypatch, r):

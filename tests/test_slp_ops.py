@@ -386,6 +386,24 @@ def test_count_weighs_a_walk_step_as_three_runs(monkeypatch, k, walks):
     assert any(args[0] is s for args in builds) != walks
 
 
+@pytest.mark.parametrize("k", [13, 14])
+def test_second_count_reads_the_crossings_found(monkeypatch, k):
+    # X_13 and X_14 count `abaa` on their runs while no crossing is known;
+    # once a walk has found every crossing, the walk reads them back in
+    # 6 us where the runs take 34-52 us (2-core VM)
+    s = fibonacci_slp(k)
+    text = expand_slp(s).to_str()
+    want = brute_occurrences(text, "abaa")
+    occ = occurrences(s, slp_of_str("abaa"))
+    on_runs = record_calls(monkeypatch, "_count_on_runs", OccRepr)
+    assert occ.count() == len(want)
+    assert len(on_runs) == 1
+    assert occ.positions() == want  # visits every variable: all crossings found
+    crossings = record_calls(monkeypatch, "_cross", OccRepr)
+    assert occ.count() == len(want)
+    assert len(on_runs) == 1 and crossings
+
+
 def test_count_past_max_runs_takes_the_crossing_walk(monkeypatch):
     s = _chain_of_runs(1)
     monkeypatch.setattr(crx.slp_ops, "MAX_RUNS", run_count(s) - 1)

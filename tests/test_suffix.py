@@ -1,28 +1,34 @@
 """Suffix arrays, LCP, LCE index and the run-rank layer on top."""
 
+import gc
 import random
+import tracemalloc
 from functools import cmp_to_key
 from itertools import repeat
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import crx.suffix
 from crx import (
     InvalidInputError,
     LceIndex,
     RleString,
+    Text,
     lcp_array,
     rank_runs,
     rle_as_slp,
+    rle_encode,
     rle_to_bisection,
     rle_to_lz77,
     slp_to_bisection,
     suffix_array,
 )
-from crx.suffix import MetaText
-from helpers import random_runs
+from crx.suffix import _BLOCK, _SCAN_RUNS, MetaText
+from helpers import random_runs, short_runs
 
 
 def brute_sa(seq):
@@ -207,13 +213,22 @@ def test_lce_index_matches_brute_force(seq):
     for r, p in enumerate(sa):
         rank[p] = r
     assert suffix_array(seq) == sa
-    assert list(idx.table[0]) == [0, *(table[a - 1, b - 1] for a, b in zip(sa, sa[1:]))][:n]
+    lcp = [0, *(table[a - 1, b - 1] for a, b in zip(sa, sa[1:]))][:n]
+    assert list(idx.lcp) == lcp
     assert list(idx.rank) == rank
+    # head and tail: minima within a block up to and from each entry;
+    # blocks[k][b]: the minimum of the LCP blocks b .. b + 2^k - 1
+    assert list(idx.head) == [min(lcp[p - p % _BLOCK:p + 1]) for p in range(n)]
+    assert list(idx.tail) == [min(lcp[p:p - p % _BLOCK + _BLOCK]) for p in range(n)]
+    mins = [min(lcp[b:b + _BLOCK]) for b in range(0, n, _BLOCK)]
+    assert [list(row) for row in idx.blocks] == [
+        [min(mins[b:b + (1 << k)]) for b in range(len(mins) - (1 << k) + 1)]
+        for k in range(max(len(mins).bit_length(), 1))]
     # lce is symmetric in its code; both rank orders occur among i <= j
     got = [list(map(idx.lce, repeat(i), range(i, n + 1))) for i in range(1, n + 1)]
     assert got == [table[i, i:n].tolist() for i in range(n)]
     # a numpy scalar would compare equal above but repr as np.int64(3)
-    stored = [idx.rank, *idx.table, *got]
+    stored = [idx.rank, idx.lcp, idx.head, idx.tail, *idx.blocks, *got]
     assert all(type(x) is int for row in stored for x in row)
 
 
@@ -279,3 +294,77 @@ def test_huge_exponents_stay_python_ints():
     g = rle_to_bisection(r)
     assert len(g.rules) == 143
     assert g == slp_to_bisection(rle_as_slp(r))
+
+
+@st.composite
+def run_texts(draw):
+    """Up to 480 symbols: random over 2-3 symbols, or a block of 2-7
+    symbols repeated with a ragged end, sometimes with one symbol
+    changed. The blocks give extensions of up to some 400 equal runs."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        sigma = draw(st.integers(2, 3))
+        return [rng.randrange(sigma) for _ in range(draw(st.integers(1, 480)))]
+    block = [rng.randrange(3) for _ in range(draw(st.integers(2, 7)))]
+    text = (block * 80)[: draw(st.integers(1, 480))]
+    if draw(st.booleans()):
+        text[rng.randrange(len(text))] = 3
+    return text
+
+
+@pytest.mark.parametrize("scan", [_SCAN_RUNS, 0])
+@settings(max_examples=40, deadline=None)
+@given(run_texts(), st.randoms(use_true_random=False))
+@example([0, 1] * 200, random.Random(0))  # 400 runs of two ranks
+def test_meta_and_char_lce_match_brute_force(scan, text, rng):
+    # with the scan window as is, an extension past it builds the index
+    # halfway through the queries; at 0 every query in range reaches it
+    r = rle_encode(Text(tuple(text)))
+    with patch.object(crx.suffix, "_SCAN_RUNS", scan):
+        meta = MetaText(r)
+        m, n = meta.m, meta.length
+        runs_table, text_table = brute_lce_table(meta.ranks), brute_lce_table(text)
+        for _ in range(300):
+            i, j = rng.randint(1, m + 1), rng.randint(1, m + 1)
+            want = 0 if max(i, j) > m else runs_table[i - 1, j - 1]
+            assert meta.meta_lce(i, j) == want, (i, j)
+            s, t = rng.randint(1, n + 1), rng.randint(1, n + 1)
+            want = 0 if max(s, t) > n else text_table[s - 1, t - 1]
+            assert meta.char_lce(s, t) == want, (s, t)
+
+
+def test_meta_lce_scans_short_extensions_without_an_index():
+    # 400 alternating runs: extensions shorter than the window, or ending
+    # the text within it, are counted on the ranks; the first one past it
+    # builds the index, which answers every later query
+    runs = ((0, 1), (1, 1)) * 200
+    meta = MetaText(RleString(runs))
+    assert meta.meta_lce(1, 2) == 0
+    # the shorter side holds exactly the window's runs, all equal
+    assert meta.meta_lce(399 - _SCAN_RUNS, 401 - _SCAN_RUNS) == _SCAN_RUNS
+    assert meta.meta_lce(5, 5) == 396
+    assert meta._index is None
+    assert meta.meta_lce(1, 3) == 398
+    index = meta._index
+    assert index is not None
+    assert meta.meta_lce(2, 3) == 0 and meta.meta_lce(7, 9) == 392
+    assert meta._index is index
+    with pytest.raises(IndexError, match=r"run positions 0, 3 out of range 1\.\.400"):
+        meta.meta_lce(0, 3)
+
+
+def test_lce_index_holds_linear_memory():
+    # 65,536 short runs: the rank and LCP arrays and the in-block minima
+    # hold 4 bytes an entry, the block table less; the sparse table over
+    # the whole LCP array, 8 bytes an entry, held 8.5 MiB here
+    ranks = rank_runs(short_runs(5, 65536, 3)).ranks
+    gc.collect()
+    tracemalloc.start()
+    try:
+        idx = LceIndex(ranks)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 8.5 * 2**20 / 2
+    assert [idx.lce(i, i + 1) for i in range(1, 100)] == [
+        brute_lce(ranks, i, i + 1) for i in range(1, 100)]
